@@ -40,6 +40,7 @@ from toricgenera.localize import (
     FunctionalEquationError,
     cf_series,
     check_conner_floyd,
+    circle_genus_value,
     dataset,
     functional_equation_check,
     genus_value,
@@ -57,6 +58,7 @@ from toricgenera.quasitoric import (
     InvalidPairError,
     Polytope,
     QuasitoricPair,
+    generic_direction,
     product_pair,
     refine,
     restrict_to_subcircle,
@@ -73,9 +75,10 @@ __all__ = [
     "FunctionalEquationError", "Generator", "GenusSpec", "InvalidPairError",
     "LocalizedSum", "MultiSeries", "NormalizeError", "NotDivisibleError",
     "Poly", "Polytope", "QQ", "QuasitoricPair", "canonical_linear_form",
-    "catalog", "cf_series", "check_conner_floyd", "conjugate_orientation",
-    "dataset", "elliptic_fgl_check", "fgl_from_exponential",
-    "functional_equation_check", "genus_from_chern_numbers", "genus_value",
+    "catalog", "cf_series", "check_conner_floyd", "circle_genus_value",
+    "conjugate_orientation", "dataset", "elliptic_fgl_check",
+    "fgl_from_exponential", "functional_equation_check",
+    "generic_direction", "genus_from_chern_numbers", "genus_value",
     "krichever_exponential", "localized_sum", "logarithm_from_fgl",
     "make_ring", "p_omega", "pairing_obstruction", "phi", "product_pair",
     "projective_space_value", "refine", "restrict_to_subcircle",

@@ -19,6 +19,7 @@ from toricgenera.localize import (
     ConnerFloydViolation,
     FunctionalEquationError,
     cf_series,
+    circle_genus_value,
     dataset,
     genus_value,
     pairing_obstruction,
@@ -236,8 +237,12 @@ def _run(job):
         return _finish(job, {"pass": True, "phi": str(series)}, EXIT_PASS)
 
     if job.command == "genus":
+        # a pair satisfies the Conner-Floyd relations, so one generic
+        # circle gives its genus exactly; raw data keeps the torus check
+        is_pair = isinstance(manifold, QuasitoricPair)
+        value_of = circle_genus_value if is_pair else genus_value
         try:
-            value = genus_value(fpd, genus)
+            value = value_of(fpd, genus)
         except ConnerFloydViolation as exc:
             job.emit("violation: %s" % exc)
             return _finish(job, {"pass": False, "error": str(exc)},
@@ -366,6 +371,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.order < 0:
         print("error: --order must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
+    if args.genus_order is not None and args.genus_order < 1:
+        print("error: --genus-order must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     job = JobConfig(
         command=args.command,

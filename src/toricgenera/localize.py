@@ -22,6 +22,8 @@ from toricgenera.fgl import conjugate_orientation, weight_series
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
+    generic_direction,
+    restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
     special_check,
@@ -76,19 +78,20 @@ def dataset(name):
 # the localized sum of a fixed point datum
 # ---------------------------------------------------------------------------
 
-def _weight_factor(spec, w, k, mode):
+def _weight_factor(spec, w, k, mode, order):
     """The denominator series of one weight: b(w.u) or the full [w](u)."""
     if mode == "linear":
-        return spec.exponential.compose_at_linear(w, k)
+        return spec.exponential.compose_at_linear(w, k, order)
     if mode == "universal":
         return weight_series(spec, w, k)
     raise ValueError("mode must be 'linear' or 'universal'")
 
 
-def _point_product(spec, point, k, mode):
-    prod = MultiSeries.constant(spec.ring, k, spec.order, 1)
+def _point_product(spec, point, k, mode, order):
+    """The product of the weight factors at ``point``, exact to ``order``."""
+    prod = MultiSeries.constant(spec.ring, k, order, 1)
     for w in point.weights:
-        prod = prod * _weight_factor(spec, w, k, mode)
+        prod = prod * _weight_factor(spec, w, k, mode, order)
     return prod
 
 
@@ -109,9 +112,8 @@ def localized_sum(fpd, genus, mode, order):
             prim, s = canonical_linear_form(w)
             prims.append(prim)
             scale *= s
-        spec1 = genus.at_order(order + 2 * n)
-        P = _point_product(spec1, point, k, mode)
-        Q = P
+        exact = order + 2 * n
+        Q = _point_product(genus.at_order(exact), point, k, mode, exact)
         divided, residual = [], []
         for prim in prims:
             try:
@@ -132,7 +134,7 @@ def localized_sum(fpd, genus, mode, order):
         imax = order + n
         big = order + 2 * n_h + (imax + 1) * n_r
         spec2 = genus.at_order(big)
-        Q = _point_product(spec2, point, k, mode)
+        Q = _point_product(spec2, point, k, mode, spec2.order)
         for prim in divided:
             Q = Q.divide_linear(prim)
         low = Q.homogeneous_component(n_r)
@@ -298,6 +300,19 @@ def genus_value(fpd, genus):
     return cf.genus_value()
 
 
+def circle_genus_value(fpd, genus):
+    """genus_value on the generic circle of ``fpd``.
+
+    Exact only when the Conner-Floyd relations are known to hold, as for
+    the fixed points of a validated quasitoric pair: cf_n is then a
+    constant, which every generic circle sees unchanged.  Data without a
+    torus (k = 0) is evaluated as it is.
+    """
+    if fpd.k:
+        fpd = restrict_to_subcircle(fpd, generic_direction(fpd))
+    return genus_value(fpd, genus)
+
+
 def rigidity_check(fpd, genus, order):
     """cf_l = 0 for n < l <= n + order: the equivariant genus is constant."""
     return cf_series(fpd, genus, order)
@@ -329,7 +344,7 @@ def special_vanishing_check(pair, order, krichever_genus, hurewicz_genus=None):
     kv_value = cf.genus_value()
     hr_value = None
     if fpd.n < 5 and hurewicz_genus is not None:
-        hr_value = genus_value(fpd, hurewicz_genus)
+        hr_value = circle_genus_value(fpd, hurewicz_genus)
     return SpecialVanishingReport(fpd.n, kv_value, cf.rigid(), hr_value)
 
 

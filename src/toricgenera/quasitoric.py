@@ -9,12 +9,26 @@ minors.  Everything is exact integer/rational arithmetic.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from math import gcd
 
 
 class InvalidPairError(ValueError):
     """A quasitoric pair violating its defining conditions."""
+
+
+def _as_int(x, what, *args):
+    """``x`` as an int: floats, strings and bools are refused, never
+    truncated.  ``what % args`` names the entry in the error."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("%s is not an integer: %r" % (what % args, x))
 
 
 def _det(rows):
@@ -101,7 +115,7 @@ class Polytope:
                 raise ValueError("normals must be an n x m matrix")
         self.normals = normals
         if orientations is not None:
-            orientations = [int(s) for s in orientations]
+            orientations = [_as_int(s, "orientation") for s in orientations]
             if len(orientations) != len(self.vertices) or \
                     any(s not in (1, -1) for s in orientations):
                 raise ValueError("orientations must give +-1 per vertex")
@@ -133,7 +147,10 @@ class CharMatrix:
     """An n x m integer characteristic matrix (columns index facets)."""
 
     def __init__(self, entries):
-        self.entries = [[int(x) for x in row] for row in entries]
+        self.entries = [
+            [_as_int(x, "characteristic matrix entry at row %d, column %d",
+                     r + 1, c + 1) for c, x in enumerate(row)]
+            for r, row in enumerate(entries)]
         self.n = len(self.entries)
         self.m = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.m for row in self.entries):
@@ -180,11 +197,13 @@ class FixedPoint:
     __slots__ = ("label", "sign", "weights")
 
     def __init__(self, label, sign, weights):
+        sign = _as_int(sign, "sign at %r", label)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         self.label = label
         self.sign = sign
-        self.weights = [tuple(int(x) for x in w) for w in weights]
+        self.weights = [tuple(_as_int(x, "weight entry at %r", label)
+                              for x in w) for w in weights]
         for w in self.weights:
             if not any(w):
                 raise ValueError("zero weight vector at %r" % (label,))
@@ -318,7 +337,7 @@ def special_check(lam):
 
 def simplex_pair(n, eps, name=None):
     """CP^n with the omniorientation twisted by eps (entries +-1)."""
-    eps = tuple(int(e) for e in eps)
+    eps = tuple(_as_int(e, "eps entry") for e in eps)
     if len(eps) != n or any(e not in (1, -1) for e in eps):
         raise InvalidPairError("eps must be a length-%d vector of +-1" % n)
     m = n + 1
@@ -379,9 +398,28 @@ def product_pair(p, q, name=None):
                           CharMatrix(entries), name)
 
 
+def generic_direction(fpd):
+    """The direction (1, q, q^2, ..., q^(k-1)) with the smallest q >= 2
+    that pairs to a non-zero value with every weight.
+
+    q = 2W + 1, with W the largest |weight entry|, always qualifies:
+    balanced base-q digits are unique, so a non-zero weight never pairs
+    to 0.  Where the Conner-Floyd relations hold, every generic direction
+    gives the same genus; the smallest q keeps the restricted weights
+    small.
+    """
+    weights = {w for pt in fpd.points for w in pt.weights}
+    q = 2
+    while True:
+        nu = tuple(q ** i for i in range(fpd.k))
+        if all(sum(wi * ni for wi, ni in zip(w, nu)) for w in weights):
+            return nu
+        q += 1
+
+
 def restrict_to_subcircle(fpd, nu):
     """Weights of the subcircle with primitive direction nu; generic only."""
-    nu = tuple(int(x) for x in nu)
+    nu = tuple(_as_int(x, "direction entry") for x in nu)
     if len(nu) != fpd.k:
         raise ValueError("direction length must equal the torus rank")
     g = 0
@@ -443,6 +481,8 @@ def fpd_to_json_obj(fpd):
 def from_json_obj(obj):
     """Parse either manifold schema; raises ValueError with a located
     message on malformed input."""
+    if not isinstance(obj, dict):
+        raise ValueError("manifold JSON must be an object")
     kind = obj.get("type")
     if kind == "quasitoric":
         try:

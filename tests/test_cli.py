@@ -207,6 +207,38 @@ def test_corrupted_data_exit_code(tmp_path):
     assert code == EXIT_VIOLATION
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"type": "fixed_points", "n": 1, "k": 1,
+      "points": [{"sign": 1, "weights": [[1.7]]},
+                 {"sign": 1, "weights": [[-1.2]]}]},
+     "weight entry at 'x0' is not an integer: 1.7"),
+    (dict(pair_to_json_obj(simplex_pair(2, (-1, -1))),
+          **{"lambda": [[1, 0, -1], [0, 1, -1.5]]}),
+     "characteristic matrix entry at row 2, column 3 is not an integer"),
+    ([1, 2], "manifold JSON must be an object"),
+    (7, "manifold JSON must be an object"),
+])
+def test_bad_manifold_json_exits_1(tmp_path, capsys, obj, message):
+    from toricgenera.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["genus", "--input", str(path), "--genus", "todd"]) == \
+        EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_genus_order_below_one_exits_1(capsys, value):
+    from toricgenera.cli import main
+    assert main(["genus", "--input", "builtin:cp2",
+                 "--genus-order", value]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err == "error: --genus-order must be >= 1\n"
+    assert main(["genus", "--input", "builtin:cp2",
+                 "--genus-order", "1"]) == EXIT_PASS
+
+
 def test_unknown_genus_and_missing_input():
     code, _ = _run("genus", input="builtin:cp1", genus="mystery")
     assert code == EXIT_INPUT

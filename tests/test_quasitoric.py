@@ -291,6 +291,35 @@ def test_json_rejects_malformed():
                        "points": [{"sign": 2, "weights": [[1]]}]})
 
 
+def test_json_rejects_non_objects():
+    for obj in ([1, 2], 3, "fixed_points", None):
+        with pytest.raises(ValueError, match="must be an object"):
+            from_json_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [1.7, -1.2, 2.0, "3", True, None])
+def test_non_integer_entries_are_refused(bad):
+    with pytest.raises(ValueError, match=r"weight entry at 'x' .*%s" % bad):
+        FixedPoint("x", 1, [(1, bad)])
+    with pytest.raises(ValueError, match=r"row 2, column 3 .*%s" % bad):
+        CharMatrix([[1, 0, -1], [0, 1, bad]])
+    with pytest.raises(ValueError, match="sign at 'x'"):
+        FixedPoint("x", bad, [(1,)])
+
+
+def test_integer_like_entries_are_kept():
+    from fractions import Fraction
+
+    class Index:
+        def __index__(self):
+            return -2
+
+    assert FixedPoint("x", 1, [(Index(), 3)]).weights == [(-2, 3)]
+    assert CharMatrix([[1, Index()]]).entries == [[1, -2]]
+    with pytest.raises(ValueError):
+        CharMatrix([[1, Fraction(1, 2)]])
+
+
 def test_fixed_point_invariants():
     with pytest.raises(ValueError):
         FixedPoint("x", 1, [(0, 0)])
