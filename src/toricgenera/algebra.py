@@ -12,6 +12,7 @@ object, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -824,13 +825,28 @@ class MultiSeries:
 # linear forms and localized sums
 # ---------------------------------------------------------------------------
 
+def _as_int(x, what, *args):
+    """``x`` as an int: floats, strings and bools are refused, never
+    truncated.  ``what % args`` names the entry in the error."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("%s is not an integer: %r" % (what % args, x))
+
+
 def canonical_linear_form(w):
     """Split an integer vector as scale * primitive with primitive > 0.
 
     The primitive part has coprime entries and positive first nonzero
-    entry; the integer scale absorbs sign and content.
+    entry; the integer scale absorbs sign and content.  A float, string
+    or bool entry raises ValueError; nothing is truncated.
     """
-    w = tuple(int(x) for x in w)
+    w = tuple(_as_int(x, "linear form entry %d", i + 1)
+              for i, x in enumerate(w))
     if not any(w):
         raise ValueError("zero linear form")
     g = 0

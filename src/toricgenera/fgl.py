@@ -35,8 +35,9 @@ class GenusSpec:
     """A genus: name, coefficient ring and exponential series.
 
     The exponential is a univariate series exact to ``order``; the
-    logarithm is its reverse series (cached).  ``at_order`` rebuilds the
-    same genus to higher precision without changing the ring.
+    logarithm is its reverse series and ``a_plus`` the unit 1/b_+ (both
+    cached).  ``at_order`` rebuilds the same genus to higher precision
+    without changing the ring.
     """
 
     def __init__(self, name, exponential, builder=None):
@@ -51,6 +52,7 @@ class GenusSpec:
         self.exponential = exponential
         self._builder = builder
         self._logarithm = None
+        self._a_plus = None
 
     @property
     def order(self):
@@ -73,6 +75,12 @@ class GenusSpec:
     def b_plus(self):
         """The unit series b(x)/x."""
         return self.exponential.shift_down(0)
+
+    def a_plus(self):
+        """The unit series a_+ = 1/b_+ = x/b(x), exact to order - 1."""
+        if self._a_plus is None:
+            self._a_plus = self.b_plus().invert_unit()
+        return self._a_plus
 
     def exp_coefficient(self, j):
         """b_j, the coefficient of x^{j+1} in the exponential."""
@@ -137,7 +145,7 @@ def weight_series(spec, w, k):
 def conjugate_orientation(spec):
     """The complementary orientation a(x) = x^2 / b(x); a_+ = 1/b_+."""
     x = MultiSeries.variable(spec.ring, 1, spec.order, 0)
-    return (x * spec.b_plus().invert_unit()).truncate(spec.order)
+    return x * spec.a_plus()
 
 
 def projective_space_value(spec, n):

@@ -18,7 +18,7 @@ from toricgenera.algebra import (
     NotDivisibleError,
     canonical_linear_form,
 )
-from toricgenera.fgl import conjugate_orientation, weight_series
+from toricgenera.fgl import weight_series
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
@@ -78,33 +78,52 @@ def dataset(name):
 # the localized sum of a fixed point datum
 # ---------------------------------------------------------------------------
 
-def _weight_factor(spec, w, k, mode, order):
-    """The denominator series of one weight: b(w.u) or the full [w](u)."""
-    if mode == "linear":
-        return spec.exponential.compose_at_linear(w, k, order)
-    if mode == "universal":
-        return weight_series(spec, w, k)
-    raise ValueError("mode must be 'linear' or 'universal'")
-
-
-def _point_product(spec, point, k, mode, order):
-    """The product of the weight factors at ``point``, exact to ``order``."""
+def _point_product(spec, point, k, order):
+    """The product of the weight series [w](u) at ``point``, exact to
+    ``order``."""
     prod = MultiSeries.constant(spec.ring, k, order, 1)
     for w in point.weights:
-        prod = prod * _weight_factor(spec, w, k, mode, order)
+        prod = prod * weight_series(spec, w, k)
     return prod
 
 
 def localized_sum(fpd, genus, mode, order):
     """Represent sum_x sign(x) prod_j 1/(weight series) as a LocalizedSum.
 
-    Per point, the product of weight series is divided exactly by as many
-    of its primitive linear factors as possible; any residual factors are
-    expanded as a finite geometric tail, which is exact to the working
-    order.  Division failures surface later, in normalize().
+    In linear mode the weight series of w is b(w.u) = (w.u) b_+(w.u), so
+    each factor is a_+(w.u) / (w.u) with the univariate unit a_+ = 1/b_+:
+    the numerator of a point is sign(x) / prod_j content(w_j) times
+    prod_j a_+(w_j.u), exact to order + n, over the multiset of primitive
+    forms of its weights.
+
+    Universal mode (the slow reference for ``phi``) divides the product
+    of the full [w](u) exactly by as many of its primitive linear factors
+    as possible; any residual factors are expanded as a finite geometric
+    tail, which is exact to the working order.  Division failures surface
+    later, in normalize().
     """
+    if mode not in ("linear", "universal"):
+        raise ValueError("mode must be 'linear' or 'universal'")
     k, n = fpd.k, fpd.n
     ls = LocalizedSum(genus.ring, k, order)
+    if mode == "linear":
+        top = order + n
+        aplus = genus.at_order(top + 1).a_plus()
+        for point in fpd.points:
+            scale = Fraction(point.sign)
+            den = {}
+            for w in point.weights:
+                prim, s = canonical_linear_form(w)
+                den[prim] = den.get(prim, 0) + 1
+                scale /= s
+            num = MultiSeries.constant(genus.ring, k, top, scale)
+            for w in point.weights:
+                num = num * aplus.compose_at_linear(w, k, top)
+            ls.add_term(num, den)
+        return ls
+    exact = order + 2 * n
+    spec = genus.at_order(exact)
+    tail_specs = {}  # genus per tail order, built once per call
     for point in fpd.points:
         prims = []
         scale = Fraction(1)
@@ -112,8 +131,7 @@ def localized_sum(fpd, genus, mode, order):
             prim, s = canonical_linear_form(w)
             prims.append(prim)
             scale *= s
-        exact = order + 2 * n
-        Q = _point_product(genus.at_order(exact), point, k, mode, exact)
+        Q = _point_product(spec, point, k, exact)
         divided, residual = [], []
         for prim in prims:
             try:
@@ -133,8 +151,10 @@ def localized_sum(fpd, genus, mode, order):
         n_h, n_r = len(divided), len(residual)
         imax = order + n
         big = order + 2 * n_h + (imax + 1) * n_r
-        spec2 = genus.at_order(big)
-        Q = _point_product(spec2, point, k, mode, spec2.order)
+        if big not in tail_specs:
+            tail_specs[big] = genus.at_order(big)
+        spec2 = tail_specs[big]
+        Q = _point_product(spec2, point, k, spec2.order)
         for prim in divided:
             Q = Q.divide_linear(prim)
         low = Q.homogeneous_component(n_r)
@@ -455,9 +475,8 @@ def p_omega(nvars, genus, order):
     roots; the grading in the formal parameter coincides with the total
     u-degree, so the coefficients are read off directly.
     """
-    spec = genus.at_order(order + 2)
-    aplus = conjugate_orientation(spec).shift_down(0)
-    prod = MultiSeries.constant(spec.ring, nvars, order, 1)
+    aplus = genus.at_order(order + 1).a_plus()
+    prod = MultiSeries.constant(genus.ring, nvars, order, 1)
     for i in range(nvars):
         for j in range(i + 1, nvars):
             w = tuple(1 if t == i else (-1 if t == j else 0)

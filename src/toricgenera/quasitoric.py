@@ -9,26 +9,14 @@ minors.  Everything is exact integer/rational arithmetic.
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
 from math import gcd
+
+from toricgenera.algebra import _as_int
 
 
 class InvalidPairError(ValueError):
     """A quasitoric pair violating its defining conditions."""
-
-
-def _as_int(x, what, *args):
-    """``x`` as an int: floats, strings and bools are refused, never
-    truncated.  ``what % args`` names the entry in the error."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError("%s is not an integer: %r" % (what % args, x))
 
 
 def _det(rows):

@@ -207,6 +207,13 @@ def test_canonical_linear_form():
     assert canonical_linear_form((0, -3)) == ((0, 1), -3)
     with pytest.raises(ValueError):
         canonical_linear_form((0, 0))
+    # entries are never truncated to integers
+    for w, entry in (((1.5, 2), 1), ((2, 4.0), 2), (("1", 2), 1),
+                     ((True, 1), 1)):
+        with pytest.raises(ValueError,
+                           match="linear form entry %d is not an integer"
+                           % entry):
+            canonical_linear_form(w)
 
 
 # ---------------------------------------------------------------------------

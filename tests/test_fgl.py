@@ -273,6 +273,18 @@ def test_conjugate_orientation_additive():
     assert a == MultiSeries.variable(QQ, 1, 6, 0)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_plus_inverts_b_plus(name):
+    for order in range(1, 7):
+        spec = catalog(name, order)
+        a = spec.a_plus()
+        assert a.order == spec.order - 1
+        assert a * spec.b_plus() == \
+            MultiSeries.constant(spec.ring, 1, spec.order - 1, 1)
+        x = MultiSeries.variable(spec.ring, 1, spec.order, 0)
+        assert conjugate_orientation(spec) == x * a
+
+
 # ---------------------------------------------------------------------------
 # Krichever exponential and the Krichever shape
 # ---------------------------------------------------------------------------

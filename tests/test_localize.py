@@ -2,8 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricgenera.algebra import MultiSeries, Poly
+from toricgenera.algebra import (
+    LocalizedSum,
+    MultiSeries,
+    Poly,
+    canonical_linear_form,
+)
 from toricgenera.fgl import catalog, fgl_from_exponential, projective_space_value
 from toricgenera.localize import (
     ConnerFloydViolation,
@@ -56,6 +63,66 @@ def test_cp1_dataset_matches_quasitoric_pair():
     ref = dataset("cp1")
     assert [(p.sign, p.weights) for p in fpd.points] == \
         [(p.sign, p.weights) for p in ref.points]
+
+
+# ---------------------------------------------------------------------------
+# the linear localized sum against the divide-and-invert construction
+# ---------------------------------------------------------------------------
+
+def _divide_invert_sum(fpd, genus, order):
+    """The linear localized sum built without the unit a_+: the product of
+    b(w.u) at order + 2n, exactly divided by each primitive form, then
+    inverted as a multivariate unit."""
+    k, n = fpd.k, fpd.n
+    exact = order + 2 * n
+    spec = genus.at_order(exact)
+    ls = LocalizedSum(genus.ring, k, order)
+    for point in fpd.points:
+        Q = MultiSeries.constant(genus.ring, k, exact, 1)
+        den = {}
+        for w in point.weights:
+            Q = Q * spec.exponential.compose_at_linear(w, k, exact)
+            prim, _s = canonical_linear_form(w)
+            den[prim] = den.get(prim, 0) + 1
+        for prim, mult in den.items():
+            for _ in range(mult):
+                Q = Q.divide_linear(prim)
+        ls.add_term(Q.invert_unit().scale(point.sign), den)
+    return ls
+
+
+LINEAR_DATA = {
+    "cp1": dataset("cp1"),
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+    "cp2": signs_and_weights(simplex_pair(2, (-1, -1))),
+    "cp3": signs_and_weights(simplex_pair(3, (-1, -1, -1))),
+    "cp2:eps=+-/flip1": signs_and_weights(
+        simplex_pair(2, (1, -1))).flip_one(1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_name=st.sampled_from(sorted(LINEAR_DATA)),
+       genus_name=st.sampled_from(("hurewicz", "todd", "t2", "signature",
+                                   "elliptic", "krichever")),
+       order=st.integers(0, 3))
+def test_linear_sum_equals_divide_invert(data_name, genus_name, order):
+    fpd = LINEAR_DATA[data_name]
+    genus = catalog(genus_name, max(order, 1))
+    new = localized_sum(fpd, genus, "linear", order)
+    old = _divide_invert_sum(fpd, genus, order)
+    assert new.order == old.order == order
+    assert len(new) == len(old) == len(fpd)
+    for (num, den), (ref_num, ref_den) in zip(new, old):
+        assert num == ref_num
+        assert num.order == ref_num.order == order + fpd.n
+        assert den == ref_den
+
+
+def test_localized_sum_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be"):
+        localized_sum(dataset("cp1"), catalog("todd", 2), "affine", 2)
 
 
 # ---------------------------------------------------------------------------
