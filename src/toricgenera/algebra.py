@@ -7,6 +7,16 @@ polynomials in a fixed tuple of named, evenly graded generators.
 
 All values are immutable after construction; every operation returns a new
 object, so sharing across threads is safe.
+
+Series multiplication (``MultiSeries.__mul__``, ``mul_linear`` and
+``scale``) runs on flat integer kernels: ``_flatten`` brings each operand
+over one common integer denominator, the kernel adds plain int products
+per (u-exponent, generator-exponent), and ``_assemble`` makes one Fraction
+per non-zero sum.  Results are built with ``Poly._trusted`` and
+``MultiSeries._trusted``, which skip the re-validation of ``__init__``.
+They may only be given fresh dicts that no one else holds, with no zero
+coefficient, exponent tuples of the ring's and k's lengths and every
+u-degree <= order.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class NotDivisibleError(ArithmeticError):
@@ -127,6 +137,15 @@ class Poly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """Wrap ``terms`` as is: a fresh dict of full-length exponent
+        tuples to non-zero Fractions (see the module docstring)."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        return self
+
     @classmethod
     def zero(cls, ring):
         return cls(ring, {})
@@ -335,6 +354,31 @@ def _render_terms(term_iter):
     return out
 
 
+def _flatten(terms, order):
+    """Series terms of u-degree <= order over one integer denominator.
+
+    Returns ``(L, [(u-exponent, degree, [(generator-exponent, numerator)])])``
+    where L is the lcm of every coefficient's denominator and each
+    coefficient equals numerator / L.
+    """
+    rows = [(e, d, p.terms) for e, p in terms.items()
+            if (d := sum(e)) <= order]
+    den = lcm(*(c.denominator for _e, _d, pt in rows for c in pt.values()))
+    return den, [(e, d, [(g, c.numerator * (den // c.denominator))
+                         for g, c in pt.items()])
+                 for e, d, pt in rows]
+
+
+def _assemble(ring, k, order, acc, den):
+    """The series sum of (acc[e][g] / den) g u^e, non-zero sums only."""
+    terms = {}
+    for e, nums in acc.items():
+        coeffs = {g: Fraction(n, den) for g, n in nums.items() if n}
+        if coeffs:
+            terms[e] = Poly._trusted(ring, coeffs)
+    return MultiSeries._trusted(ring, k, order, terms)
+
+
 class MultiSeries:
     """Power series in u1..uk over a Poly coefficient ring, truncated by
     total u-degree ``order`` (all monomials of degree <= order are exact).
@@ -363,6 +407,17 @@ class MultiSeries:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def _trusted(cls, ring, k, order, terms):
+        """Wrap ``terms`` as is: a fresh dict of length-k u-exponents of
+        degree <= order to non-zero Polys (see the module docstring)."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.k = k
+        self.order = order
+        self.terms = terms
+        return self
+
     @classmethod
     def zero(cls, ring, k, order):
         return cls(ring, k, order, {})
@@ -465,60 +520,58 @@ class MultiSeries:
 
     def scale(self, c):
         """Multiply by a rational or Poly scalar (no truncation loss)."""
-        if isinstance(c, (int, Fraction)):
-            q = _frac(c)
-            if not q:
-                return MultiSeries.zero(self.ring, self.k, self.order)
-            return MultiSeries(self.ring, self.k, self.order,
-                               {e: p * q for e, p in self.terms.items()})
-        return MultiSeries(self.ring, self.k, self.order,
-                           {e: p * c for e, p in self.terms.items()})
+        if isinstance(c, Poly):
+            return self * MultiSeries(c.ring, self.k, self.order,
+                                      {(0,) * self.k: c})
+        q = _frac(c)
+        den, flat = _flatten(self.terms, self.order)
+        acc = {e: {g: n * q.numerator for g, n in p} for e, _d, p in flat}
+        return _assemble(self.ring, self.k, self.order, acc,
+                         den * q.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         self._compat(other)
         order = min(self.order, other.order)
-        terms = {}
-        items_b = [(e, sum(e), p) for e, p in other.terms.items()]
-        for e1, p1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > order:
-                continue
-            for e2, d2, p2 in items_b:
-                if d1 + d2 > order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = p1 * p2
-                s = terms.get(e)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiSeries(self.ring, self.k, order, terms)
+        den_a, flat_a = _flatten(self.terms, order)
+        den_b, flat_b = _flatten(other.terms, order)
+        flat_b.sort(key=operator.itemgetter(1))
+        add = operator.add
+        acc = {}
+        for e1, d1, p1 in flat_a:
+            room = order - d1
+            for e2, d2, p2 in flat_b:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                for g1, c1 in p1:
+                    for g2, c2 in p2:
+                        g = tuple(map(add, g1, g2))
+                        out[g] = out.get(g, 0) + c1 * c2
+        return _assemble(self.ring, self.k, order, acc, den_a * den_b)
 
     __rmul__ = __mul__
 
     def mul_linear(self, w):
         """Fast multiplication by the linear form w . u (shift-and-add)."""
-        order = self.order
-        terms = {}
-        for i, wi in enumerate(w):
-            if not wi:
-                continue
-            q = _frac(wi)
-            for e, p in self.terms.items():
-                if sum(e) + 1 > order:
-                    continue
+        weights = [(i, _frac(wi)) for i, wi in enumerate(w) if wi]
+        den_w = lcm(*(q.denominator for _i, q in weights))
+        den, flat = _flatten(self.terms, self.order - 1)
+        acc = {}
+        for i, q in weights:
+            m = q.numerator * (den_w // q.denominator)
+            for e, _d, p in flat:
                 e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                s = terms.get(e2)
-                s = p * q if s is None else s + p * q
-                if s.is_zero():
-                    terms.pop(e2, None)
-                else:
-                    terms[e2] = s
-        return MultiSeries(self.ring, self.k, order, terms)
+                out = acc.get(e2)
+                if out is None:
+                    out = acc[e2] = {}
+                for g, c in p:
+                    out[g] = out.get(g, 0) + c * m
+        return _assemble(self.ring, self.k, self.order, acc, den * den_w)
 
     def __pow__(self, n):
         if n < 0:

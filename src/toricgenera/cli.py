@@ -144,12 +144,23 @@ def parse_manifold(source):
 # running jobs
 # ---------------------------------------------------------------------------
 
-def _resolve_genus(job):
+def _check_genus(job):
     if job.genus not in CATALOG_NAMES:
         raise InputError("unknown genus %r (choose from %s)"
                          % (job.genus, ", ".join(CATALOG_NAMES)))
-    generators = job.genus_order if job.genus == "hurewicz" else None
-    return catalog(job.genus, max(job.order, 1), generators=generators)
+
+
+def _build_genus(job, extra=0):
+    """The job's genus at catalog order ``max(order, 1) + extra``.
+
+    A torus job on n-dimensional data passes ``extra = n - 1``, so that
+    ``localized_sum`` (which needs the genus to ``order + n + 1``) never
+    rebuilds it; the hurewicz ring keeps its ``--genus-order`` size.
+    """
+    generators = None
+    if job.genus == "hurewicz":
+        generators = job.genus_order or max(job.order, 1)
+    return catalog(job.genus, max(job.order, 1) + extra, generators=generators)
 
 
 def _fixed_points(job, manifold):
@@ -177,10 +188,7 @@ def run(job):
     """Execute a job; returns the exit code and fills job.lines."""
     try:
         return _run(job)
-    except InputError as exc:
-        job.emit("error: %s" % exc)
-        return EXIT_INPUT
-    except (InvalidPairError, ValueError) as exc:
+    except ValueError as exc:
         job.emit("error: %s" % exc)
         return EXIT_INPUT
 
@@ -223,12 +231,13 @@ def _run(job):
                          % (p.label, p.sign, list(p.weights)))
         return EXIT_PASS
 
-    genus = _resolve_genus(job)
+    _check_genus(job)
     fpd = _fixed_points(job, manifold)
 
     if job.command == "phi":
         try:
-            series = phi(fpd, genus, job.mode, job.order)
+            series = phi(fpd, _build_genus(job, fpd.n - 1), job.mode,
+                         job.order)
         except ConnerFloydViolation as exc:
             job.emit("violation: %s" % exc)
             return _finish(job, {"pass": False, "error": str(exc)},
@@ -242,7 +251,7 @@ def _run(job):
         is_pair = isinstance(manifold, QuasitoricPair)
         value_of = circle_genus_value if is_pair else genus_value
         try:
-            value = value_of(fpd, genus)
+            value = value_of(fpd, _build_genus(job))
         except ConnerFloydViolation as exc:
             job.emit("violation: %s" % exc)
             return _finish(job, {"pass": False, "error": str(exc)},
@@ -252,7 +261,7 @@ def _run(job):
                        EXIT_PASS)
 
     if job.command == "check-cf":
-        cf = cf_series(fpd, genus, job.order)
+        cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
         for e in cf:
             job.emit("cf_%d = %s" % (e.l, e.value_str()))
         ok = cf.conner_floyd_ok()
@@ -265,7 +274,7 @@ def _run(job):
         return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
 
     if job.command == "check-rigidity":
-        cf = cf_series(fpd, genus, job.order)
+        cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
         for e in cf:
             if e.l >= cf.n:
                 job.emit("cf_%d = %s" % (e.l, e.value_str()))
@@ -321,7 +330,8 @@ def _run(job):
         if not special_check(manifold.lam):
             raise InputError("pair %r is not specially omnioriented"
                              % manifold.name)
-        kv = catalog("krichever", max(job.order, 1))
+        kv = catalog("krichever",
+                     max(job.order, 1) + manifold.polytope.n - 1)
         hr = catalog("hurewicz", max(manifold.polytope.n, 1))
         report = special_vanishing_check(manifold, job.order, kv, hr)
         job.emit("krichever value: %s" % report.kv_value)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricgenera.algebra import (
     LocalizedSum,
@@ -99,6 +101,8 @@ def test_mul_ring_mismatch():
         var(QQ, 1, 4, 0) * var(ZRING, 1, 4, 0)
     with pytest.raises(ValueError):
         var(QQ, 1, 4, 0) + var(QQ, 2, 4, 0)
+    with pytest.raises(ValueError):
+        var(QQ, 1, 4, 0).scale(Poly.gen(ZRING, "z"))
 
 
 def test_invert_unit_examples():
@@ -405,6 +409,118 @@ def test_property_numeric_rational_point_oracle():
             got = laurent.get(d, F(0))
             want = series_t[d] if d >= 0 else F(0)
             assert got == want, (d, got, want)
+
+
+# ---------------------------------------------------------------------------
+# flat kernels against the nested-Poly arithmetic they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b):
+    order = min(a.order, b.order)
+    terms = {}
+    for e1, p1 in a.terms.items():
+        for e2, p2 in b.terms.items():
+            if sum(e1) + sum(e2) <= order:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms.get(e, Poly.zero(a.ring)) + p1 * p2
+    return MultiSeries(a.ring, a.k, order, terms)
+
+
+def _ref_mul_linear(s, w):
+    terms = {}
+    for i, wi in enumerate(w):
+        for e, p in s.terms.items():
+            if wi and sum(e) + 1 <= s.order:
+                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                terms[e2] = terms.get(e2, Poly.zero(s.ring)) + p * F(wi)
+    return MultiSeries(s.ring, s.k, s.order, terms)
+
+
+def _ref_scale(s, c):
+    return MultiSeries(s.ring, s.k, s.order,
+                       {e: p * c for e, p in s.terms.items()})
+
+
+def _assert_same(got, want):
+    assert got.terms == want.terms
+    assert got.order == want.order and got.k == want.k
+    assert got.to_json() == want.to_json()
+    # what the trusted constructors rely on
+    for e, p in got.terms.items():
+        assert type(e) is tuple and len(e) == got.k and sum(e) <= got.order
+        assert isinstance(p, Poly) and p.ring == got.ring and p.terms
+        for g, c in p.terms.items():
+            assert type(g) is tuple and len(g) == len(got.ring)
+            assert type(c) is F and c != 0
+
+
+# small numerators make cancelling sums common; mixed denominators
+# exercise the common-denominator step
+_COEFFS = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3, 4, 6]))
+_RINGS = st.sampled_from([QQ, ZRING, BRING])
+
+
+@st.composite
+def _polys(draw, ring):
+    gen_exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    return Poly(ring, draw(st.dictionaries(gen_exps, _COEFFS, max_size=3)))
+
+
+@st.composite
+def _series(draw, ring, k):
+    order = draw(st.integers(0, 4))
+    u_exps = st.tuples(*[st.integers(0, order)] * k)
+    terms = draw(st.dictionaries(u_exps, _polys(ring), max_size=6))
+    return MultiSeries(ring, k, order, terms)
+
+
+@st.composite
+def _two_series(draw):
+    ring, k = draw(_RINGS), draw(st.integers(0, 3))
+    return draw(_series(ring, k)), draw(_series(ring, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_series())
+def test_mul_kernel_matches_nested_poly_product(pair):
+    a, b = pair
+    _assert_same(a * b, _ref_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_linear_kernel_matches_shift_and_add(data):
+    ring, k = data.draw(_RINGS), data.draw(st.integers(1, 3))
+    s = data.draw(_series(ring, k))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=5))
+    w = data.draw(st.tuples(*[entry] * k))
+    _assert_same(s.mul_linear(w), _ref_mul_linear(s, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scale_kernel_matches_termwise_product(data):
+    ring, k = data.draw(_RINGS), data.draw(st.integers(0, 3))
+    s = data.draw(_series(ring, k))
+    c = data.draw(st.one_of(st.integers(-3, 3), _COEFFS, _polys(ring)))
+    _assert_same(s.scale(c), _ref_scale(s, c))
+    _assert_same(s * c, _ref_scale(s, c))
+
+
+def test_kernels_drop_cancelled_terms():
+    u1, u2 = var(BRING, 2, 3, 0), var(BRING, 2, 3, 1)
+    b1, b2 = Poly.gen(BRING, "b1"), Poly.gen(BRING, "b2")
+    # the u1*u2 and b1*b2 cross terms cancel
+    got = (u1 + u2).scale(b1 + b2) * (u1 - u2).scale(b1 - b2)
+    want = (u1 * u1 - u2 * u2).scale(b1 * b1 - b2 * b2)
+    _assert_same(got, want)
+    assert str(got) == "b1^2*u1^2 - b2^2*u1^2 - b1^2*u2^2 + b2^2*u2^2"
+    _assert_same((u1 - u2).mul_linear((1, 1)), u1 * u1 - u2 * u2)
+    _assert_same((u1 + u2).mul_linear((F(1, 2), -F(1, 2))),
+                 (u1 * u1 - u2 * u2).scale(F(1, 2)))
+    assert (u1 * u1 * u2).mul_linear((1, 1)).is_zero()  # past the order
+    assert u1.scale(0).is_zero() and u1.scale(Poly.zero(BRING)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from toricgenera.cli import (
     parse_manifold,
     run,
 )
+from toricgenera.fgl import GenusSpec
 from toricgenera.localize import dataset
 from toricgenera.quasitoric import (
     FixedPointData,
@@ -121,6 +122,32 @@ def test_phi_command_universal():
                        mode="universal", order=4, genus_order=4)
     assert code == EXIT_PASS
     assert lines[0].startswith("phi = -2*b1")
+
+
+@pytest.mark.parametrize("command, kw", [
+    ("phi", dict(input="builtin:flag3", genus="elliptic", order=2)),
+    ("phi", dict(input="builtin:s6", genus="krichever", order=3,
+                 mode="universal")),
+    ("check-cf", dict(input="builtin:cp3", genus="hurewicz", order=0,
+                      genus_order=3)),
+    ("check-rigidity", dict(input="builtin:s6", genus="t2", order=2)),
+    ("special-check", dict(input="builtin:square:eps=-1,1:delta=2,0",
+                           order=3)),
+])
+def test_torus_job_builds_its_genus_once(monkeypatch, command, kw):
+    # the genus is built at the order localization needs, never rebuilt
+    rebuilds = []
+    at_order = GenusSpec.at_order
+
+    def counting_at_order(spec, order):
+        if order > spec.order:
+            rebuilds.append((spec.name, spec.order, order))
+        return at_order(spec, order)
+
+    monkeypatch.setattr(GenusSpec, "at_order", counting_at_order)
+    code, _lines = _run(command, **kw)
+    assert code in (EXIT_PASS, EXIT_VIOLATION)
+    assert rebuilds == []
 
 
 def test_validate_command():
