@@ -39,7 +39,6 @@ from toricgenera.localize import (
     ConnerFloydViolation,
     FunctionalEquationError,
     cf_series,
-    check_conner_floyd,
     circle_genus_value,
     dataset,
     functional_equation_check,
@@ -48,7 +47,6 @@ from toricgenera.localize import (
     p_omega,
     pairing_obstruction,
     phi,
-    rigidity_check,
     special_vanishing_check,
 )
 from toricgenera.quasitoric import (
@@ -75,14 +73,13 @@ __all__ = [
     "FunctionalEquationError", "Generator", "GenusSpec", "InvalidPairError",
     "LocalizedSum", "MultiSeries", "NormalizeError", "NotDivisibleError",
     "Poly", "Polytope", "QQ", "QuasitoricPair", "canonical_linear_form",
-    "catalog", "cf_series", "check_conner_floyd", "circle_genus_value",
-    "conjugate_orientation", "dataset", "elliptic_fgl_check",
-    "fgl_from_exponential", "functional_equation_check",
-    "generic_direction", "genus_from_chern_numbers", "genus_value",
-    "krichever_exponential", "localized_sum", "logarithm_from_fgl",
-    "make_ring", "p_omega", "pairing_obstruction", "phi", "product_pair",
-    "projective_space_value", "refine", "restrict_to_subcircle",
-    "rigidity_check", "signs_and_weights", "simplex_pair", "special_check",
-    "special_vanishing_check", "square_pair", "validate_pair",
-    "verify_bsfgl_shape", "weight_series",
+    "catalog", "cf_series", "circle_genus_value", "conjugate_orientation",
+    "dataset", "elliptic_fgl_check", "fgl_from_exponential",
+    "functional_equation_check", "generic_direction",
+    "genus_from_chern_numbers", "genus_value", "krichever_exponential",
+    "localized_sum", "logarithm_from_fgl", "make_ring", "p_omega",
+    "pairing_obstruction", "phi", "product_pair", "projective_space_value",
+    "refine", "restrict_to_subcircle", "signs_and_weights", "simplex_pair",
+    "special_check", "special_vanishing_check", "square_pair",
+    "validate_pair", "verify_bsfgl_shape", "weight_series",
 ]

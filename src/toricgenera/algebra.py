@@ -50,9 +50,8 @@ class NormalizeError(ArithmeticError):
     rational functions (negative for principal parts).
     """
 
-    def __init__(self, net_degree, form=None):
+    def __init__(self, net_degree):
         self.net_degree = net_degree
-        self.form = form
         super().__init__(
             "localized sum is not a power series: non-cancelling terms at "
             "net degree %d" % net_degree)
@@ -902,9 +901,7 @@ def canonical_linear_form(w):
               for i, x in enumerate(w))
     if not any(w):
         raise ValueError("zero linear form")
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
+    g = gcd(*w)
     lead = next(x for x in w if x)
     if lead < 0:
         g = -g
@@ -969,21 +966,42 @@ class LocalizedSum:
             total = total + piece
         return total, D
 
+    def _quotients(self):
+        """Cross-multiply once, then divide each homogeneous component of
+        the numerator exactly by the common denominator D.
+
+        Yields, lowest u-degree first, (net degree, component, quotient)
+        for every non-zero component: the net degree is the component's
+        u-degree minus deg D, and the quotient is None where the division
+        is not exact.
+        """
+        total, D = self.over_common_denominator()
+        degD = sum(D.values())
+        forms = [form for form, mult in sorted(D.items())
+                 for _ in range(mult)]
+        by_degree = {}
+        for e, p in total.terms.items():
+            by_degree.setdefault(sum(e), {})[e] = p
+        for d in sorted(by_degree):
+            comp = MultiSeries._trusted(self.ring, self.k, total.order,
+                                        by_degree[d])
+            quotient = comp
+            try:
+                for form in forms:
+                    quotient = quotient.divide_linear(form)
+            except NotDivisibleError:
+                quotient = None
+            yield d - degD, comp, quotient
+
     def normalize(self):
         """The honest power series represented by the sum, to ``order``.
 
         Raises NormalizeError (with the lowest non-cancelling net degree)
         when the terms do not cancel to a power series.
         """
-        if not self.terms:
-            return MultiSeries.zero(self.ring, self.k, self.order)
-        total, D = self.over_common_denominator()
-        remaining = sum(D.values())
-        for form, mult in sorted(D.items()):
-            for _ in range(mult):
-                try:
-                    total = total.divide_linear(form)
-                except NotDivisibleError as exc:
-                    raise NormalizeError(exc.degree - remaining, form) from exc
-                remaining -= 1
-        return total.truncate(self.order)
+        terms = {}
+        for net, _comp, quotient in self._quotients():
+            if quotient is None:
+                raise NormalizeError(net)
+            terms.update(quotient.terms)
+        return MultiSeries(self.ring, self.k, self.order, terms)

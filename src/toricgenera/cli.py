@@ -40,9 +40,6 @@ from toricgenera.quasitoric import (
     validate_pair,
 )
 
-COMMANDS = ("validate", "fixed-points", "phi", "genus", "check-cf",
-            "check-rigidity", "pairing", "special-check", "list-builtins")
-
 EXIT_PASS = 0
 EXIT_INPUT = 1
 EXIT_VIOLATION = 2
@@ -167,10 +164,10 @@ def _fixed_points(job, manifold):
     if isinstance(manifold, FixedPointData):
         fpd = manifold
     else:
-        report = validate_pair(manifold)
-        if not report.ok:
-            raise InputError("invalid pair: " + "; ".join(report.problems))
-        fpd = signs_and_weights(manifold)
+        try:
+            fpd = signs_and_weights(manifold)
+        except InvalidPairError as exc:
+            raise InputError("invalid pair: %s" % exc) from exc
     return fpd.flipped() if job.flip_orientation else fpd
 
 
@@ -193,161 +190,180 @@ def run(job):
         return EXIT_INPUT
 
 
-def _run(job):
-    if job.command == "list-builtins":
-        rows = list_builtins()
-        if job.format == "json":
-            job.emit(json.dumps([{"name": r[0], "type": r[1], "info": r[2]}
-                                 for r in rows]))
-        else:
-            for name, kind, info in rows:
-                job.emit("%-34s %-12s %s" % (name, kind, info))
-        return EXIT_PASS
+def _list_builtins(job):
+    rows = list_builtins()
+    if job.format == "json":
+        job.emit(json.dumps([{"name": r[0], "type": r[1], "info": r[2]}
+                             for r in rows]))
+    else:
+        for name, kind, info in rows:
+            job.emit("%-34s %-12s %s" % (name, kind, info))
+    return EXIT_PASS
 
-    if not job.input:
-        raise InputError("--input is required for %s" % job.command)
-    manifold = parse_manifold(job.input)
 
-    if job.command == "validate":
-        if isinstance(manifold, FixedPointData):
-            job.emit("fixed point data: n=%d k=%d points=%d"
-                     % (manifold.n, manifold.k, len(manifold)))
-            return _finish(job, {"pass": True, "problems": []}, EXIT_PASS)
-        report = validate_pair(manifold)
-        for p in report.problems:
-            job.emit("violation: %s" % p)
-        job.emit("valid" if report.ok else "invalid")
-        payload = {"pass": report.ok, "problems": list(report.problems)}
-        return _finish(job, payload, EXIT_PASS if report.ok else EXIT_INPUT)
+def _validate(job, manifold):
+    if isinstance(manifold, FixedPointData):
+        job.emit("fixed point data: n=%d k=%d points=%d"
+                 % (manifold.n, manifold.k, len(manifold)))
+        return _finish(job, {"pass": True, "problems": []}, EXIT_PASS)
+    report = validate_pair(manifold)
+    for p in report.problems:
+        job.emit("violation: %s" % p)
+    job.emit("valid" if report.ok else "invalid")
+    payload = {"pass": report.ok, "problems": list(report.problems)}
+    return _finish(job, payload, EXIT_PASS if report.ok else EXIT_INPUT)
 
-    if job.command == "fixed-points":
-        fpd = _fixed_points(job, manifold)
-        obj = fpd_to_json_obj(fpd)
-        if job.format == "json":
-            job.emit(json.dumps(obj, sort_keys=True))
-        else:
-            for p in fpd.points:
-                job.emit("%-12s sign=%+d weights=%s"
-                         % (p.label, p.sign, list(p.weights)))
-        return EXIT_PASS
 
-    _check_genus(job)
-    fpd = _fixed_points(job, manifold)
+def _show_fixed_points(job, manifold, fpd):
+    if job.format == "json":
+        job.emit(json.dumps(fpd_to_json_obj(fpd), sort_keys=True))
+    else:
+        for p in fpd.points:
+            job.emit("%-12s sign=%+d weights=%s"
+                     % (p.label, p.sign, list(p.weights)))
+    return EXIT_PASS
 
-    if job.command == "phi":
-        try:
-            series = phi(fpd, _build_genus(job, fpd.n - 1), job.mode,
-                         job.order)
-        except ConnerFloydViolation as exc:
-            job.emit("violation: %s" % exc)
-            return _finish(job, {"pass": False, "error": str(exc)},
-                           EXIT_VIOLATION)
-        job.emit("phi = %s" % series)
-        return _finish(job, {"pass": True, "phi": str(series)}, EXIT_PASS)
 
-    if job.command == "genus":
-        # a pair satisfies the Conner-Floyd relations, so one generic
-        # circle gives its genus exactly; raw data keeps the torus check
-        is_pair = isinstance(manifold, QuasitoricPair)
-        value_of = circle_genus_value if is_pair else genus_value
-        try:
-            value = value_of(fpd, _build_genus(job))
-        except ConnerFloydViolation as exc:
-            job.emit("violation: %s" % exc)
-            return _finish(job, {"pass": False, "error": str(exc)},
-                           EXIT_VIOLATION)
-        job.emit("genus_value: %s" % value)
-        return _finish(job, {"pass": True, "genus_value": str(value)},
-                       EXIT_PASS)
+def _value(job, key, prefix, compute):
+    """Report ``compute()`` under ``key``, or its Conner-Floyd violation."""
+    try:
+        value = compute()
+    except ConnerFloydViolation as exc:
+        job.emit("violation: %s" % exc)
+        return _finish(job, {"pass": False, "error": str(exc)},
+                       EXIT_VIOLATION)
+    job.emit(prefix + str(value))
+    return _finish(job, {"pass": True, key: str(value)}, EXIT_PASS)
 
-    if job.command == "check-cf":
+
+def _phi(job, manifold, fpd):
+    return _value(job, "phi", "phi = ", lambda: phi(
+        fpd, _build_genus(job, fpd.n - 1), job.mode, job.order))
+
+
+def _genus(job, manifold, fpd):
+    # a pair satisfies the Conner-Floyd relations, so one generic circle
+    # gives its genus exactly; raw data keeps the torus check
+    value_of = circle_genus_value if isinstance(manifold, QuasitoricPair) \
+        else genus_value
+    return _value(job, "genus_value", "genus_value: ",
+                  lambda: value_of(fpd, _build_genus(job)))
+
+
+def _check(rigidity):
+    """The check-cf (rigidity False) or check-rigidity handler."""
+    def handler(job, manifold, fpd):
         cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
         for e in cf:
-            job.emit("cf_%d = %s" % (e.l, e.value_str()))
-        ok = cf.conner_floyd_ok()
-        first = cf.first_violation()
-        job.emit("pass" if ok else "fail at cf_%d" % first)
-        payload = {"cf": _cf_payload(cf), "pass": ok,
-                   "first_violation": first if not ok else None}
-        if ok:
-            payload["genus_value"] = str(cf.genus_value())
-        return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
-
-    if job.command == "check-rigidity":
-        cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
-        for e in cf:
-            if e.l >= cf.n:
+            if not rigidity or e.l >= cf.n:
                 job.emit("cf_%d = %s" % (e.l, e.value_str()))
-        ok = cf.rigid()
-        first = None
-        if not ok:
-            first = next((e.l for e in cf if not e.is_zero() and e.l != cf.n),
-                         None)
-        job.emit("rigid" if ok else "not rigid (cf_%s != 0)" % first)
+        if rigidity:
+            ok = cf.rigid()
+            first = None if ok else next(
+                (e.l for e in cf if not e.is_zero() and e.l != cf.n), None)
+            job.emit("rigid" if ok else "not rigid (cf_%s != 0)" % first)
+        else:
+            ok = cf.conner_floyd_ok()
+            first = None if ok else cf.first_violation()
+            job.emit("pass" if ok else "fail at cf_%d" % first)
         payload = {"cf": _cf_payload(cf), "pass": ok, "first_violation": first}
         if cf.conner_floyd_ok():
             payload["genus_value"] = str(cf.genus_value())
         return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
+    return handler
 
-    if job.command == "pairing":
-        augmentation = catalog("augmentation", max(job.order, 1))
-        if job.search_pairings:
-            found = pairing_obstruction(fpd, augmentation, search=True)
-            for rep in found:
-                job.emit("vanishing pairing: %s" %
-                         " ".join("{%s}" % ",".join(str(i + 1) for i in b)
-                                  for b in rep.blocks))
-            ok = bool(found)
-            job.emit("%d vanishing pairing(s)" % len(found))
-            payload = {"pass": ok,
-                       "pairings": [[list(map(lambda i: i + 1, b))
-                                     for b in rep.blocks] for rep in found]}
-            return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
-        if not job.pairing:
-            raise InputError("provide --pairing blocks or --search-pairings")
-        blocks = []
-        try:
-            for block in job.pairing.split(","):
-                blocks.append([int(x) - 1 for x in block.split("-")])
-        except ValueError:
-            raise InputError("malformed --pairing %r" % job.pairing)
-        try:
-            report = pairing_obstruction(fpd, augmentation, blocks=blocks)
-        except ValueError as exc:
-            raise InputError(str(exc))
-        for block, vanish in zip(report.blocks, report.vanishing):
-            job.emit("block {%s}: %s"
-                     % (",".join(str(i + 1) for i in block),
-                        "vanishes" if vanish else "does not vanish"))
-        payload = {"pass": report.ok,
-                   "blocks": [{"points": [i + 1 for i in b], "vanishes": v}
-                              for b, v in zip(report.blocks, report.vanishing)]}
-        return _finish(job, payload, EXIT_PASS if report.ok else EXIT_VIOLATION)
 
-    if job.command == "special-check":
-        if isinstance(manifold, FixedPointData):
-            raise InputError("special-check needs a quasitoric pair")
-        if not special_check(manifold.lam):
-            raise InputError("pair %r is not specially omnioriented"
-                             % manifold.name)
-        kv = catalog("krichever",
-                     max(job.order, 1) + manifold.polytope.n - 1)
-        hr = catalog("hurewicz", max(manifold.polytope.n, 1))
-        report = special_vanishing_check(manifold, job.order, kv, hr)
-        job.emit("krichever value: %s" % report.kv_value)
-        job.emit("krichever rigid to order %d: %s"
-                 % (job.order, "yes" if report.kv_rigid else "no"))
-        if report.hr_value is not None:
-            job.emit("cobordism class (hurewicz): %s" % report.hr_value)
-        job.emit("pass" if report.ok else "fail")
-        payload = {"pass": report.ok,
-                   "krichever_value": str(report.kv_value),
-                   "krichever_rigid": report.kv_rigid,
-                   "hurewicz_value":
-                   None if report.hr_value is None else str(report.hr_value)}
-        return _finish(job, payload, EXIT_PASS if report.ok else EXIT_VIOLATION)
+def _pairing(job, manifold, fpd):
+    augmentation = catalog("augmentation", max(job.order, 1))
+    if job.search_pairings:
+        found = pairing_obstruction(fpd, augmentation, search=True)
+        for rep in found:
+            job.emit("vanishing pairing: %s" %
+                     " ".join("{%s}" % ",".join(str(i + 1) for i in b)
+                              for b in rep.blocks))
+        ok = bool(found)
+        job.emit("%d vanishing pairing(s)" % len(found))
+        payload = {"pass": ok,
+                   "pairings": [[list(map(lambda i: i + 1, b))
+                                 for b in rep.blocks] for rep in found]}
+        return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
+    if not job.pairing:
+        raise InputError("provide --pairing blocks or --search-pairings")
+    blocks = []
+    try:
+        for block in job.pairing.split(","):
+            blocks.append([int(x) - 1 for x in block.split("-")])
+    except ValueError:
+        raise InputError("malformed --pairing %r" % job.pairing)
+    try:
+        report = pairing_obstruction(fpd, augmentation, blocks=blocks)
+    except ValueError as exc:
+        raise InputError(str(exc))
+    for block, vanish in zip(report.blocks, report.vanishing):
+        job.emit("block {%s}: %s"
+                 % (",".join(str(i + 1) for i in block),
+                    "vanishes" if vanish else "does not vanish"))
+    payload = {"pass": report.ok,
+               "blocks": [{"points": [i + 1 for i in b], "vanishes": v}
+                          for b, v in zip(report.blocks, report.vanishing)]}
+    return _finish(job, payload, EXIT_PASS if report.ok else EXIT_VIOLATION)
 
-    raise InputError("unknown command %r" % job.command)
+
+def _special_check(job, manifold, fpd):
+    if isinstance(manifold, FixedPointData):
+        raise InputError("special-check needs a quasitoric pair")
+    if not special_check(manifold.lam):
+        raise InputError("pair %r is not specially omnioriented"
+                         % manifold.name)
+    kv = catalog("krichever", max(job.order, 1) + manifold.polytope.n - 1)
+    hr = catalog("hurewicz", max(manifold.polytope.n, 1))
+    report = special_vanishing_check(manifold, job.order, kv, hr)
+    job.emit("krichever value: %s" % report.kv_value)
+    job.emit("krichever rigid to order %d: %s"
+             % (job.order, "yes" if report.kv_rigid else "no"))
+    if report.hr_value is not None:
+        job.emit("cobordism class (hurewicz): %s" % report.hr_value)
+    job.emit("pass" if report.ok else "fail")
+    payload = {"pass": report.ok,
+               "krichever_value": str(report.kv_value),
+               "krichever_rigid": report.kv_rigid,
+               "hurewicz_value":
+               None if report.hr_value is None else str(report.hr_value)}
+    return _finish(job, payload, EXIT_PASS if report.ok else EXIT_VIOLATION)
+
+
+# command -> (handler, inputs): the handler gets the job alone (JOB), the
+# parsed manifold too (MANIFOLD), or the manifold and its fixed points
+# (FIXED_POINTS; GENUS checks the genus name before extracting them)
+JOB, MANIFOLD, FIXED_POINTS, GENUS = range(4)
+HANDLERS = {
+    "validate": (_validate, MANIFOLD),
+    "fixed-points": (_show_fixed_points, FIXED_POINTS),
+    "phi": (_phi, GENUS),
+    "genus": (_genus, GENUS),
+    "check-cf": (_check(rigidity=False), GENUS),
+    "check-rigidity": (_check(rigidity=True), GENUS),
+    "pairing": (_pairing, GENUS),
+    "special-check": (_special_check, GENUS),
+    "list-builtins": (_list_builtins, JOB),
+}
+COMMANDS = tuple(HANDLERS)
+
+
+def _run(job):
+    if job.command not in HANDLERS:
+        raise InputError("unknown command %r" % job.command)
+    handler, inputs = HANDLERS[job.command]
+    if inputs == JOB:
+        return handler(job)
+    if not job.input:
+        raise InputError("--input is required for %s" % job.command)
+    manifold = parse_manifold(job.input)
+    if inputs == MANIFOLD:
+        return handler(job, manifold)
+    if inputs == GENUS:
+        _check_genus(job)
+    return handler(job, manifold, _fixed_points(job, manifold))
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,9 @@ def weierstrass_p_coefficients(count):
     return c
 
 
-def _krichever(order):
+def krichever_exponential(order):
+    """The Baker-Akhiezer exponential x e^{ax} / (x phi(x, z)) over
+    Q[a, p2, p3, g2] with p2 = p(z), p3 = p'(z)."""
     ring = _KRING
 
     def build(M):
@@ -357,12 +359,6 @@ def _krichever(order):
         return (x * exponent.exp()).truncate(M)
 
     return GenusSpec("krichever", build(order), build)
-
-
-def krichever_exponential(order):
-    """The Baker-Akhiezer exponential x e^{ax} / (x phi(x, z)) over
-    Q[a, p2, p3, g2] with p2 = p(z), p3 = p'(z)."""
-    return _krichever(order)
 
 
 CATALOG_NAMES = ("augmentation", "hurewicz", "todd", "cn", "abel", "t2",
@@ -396,7 +392,7 @@ def catalog(name, order, generators=None):
     if name == "elliptic":
         return _elliptic(internal)
     if name == "krichever":
-        return _krichever(internal)
+        return krichever_exponential(internal)
     raise KeyError("unknown genus %r" % name)
 
 

@@ -269,6 +269,11 @@ class CfSeries:
                 and all(e.is_zero() for e in self.entries if e.l > self.n))
 
     def genus_value(self):
+        """cf_n; raises ConnerFloydViolation at the first l < n with
+        cf_l != 0, or when cf_n is not a power series."""
+        bad = self.first_violation()
+        if bad is not None and bad < self.n:
+            raise ConnerFloydViolation(bad)
         e = self.entries[self.n]
         if not e.ok:
             raise ConnerFloydViolation(self.n, "cf_n is not defined")
@@ -283,41 +288,21 @@ def cf_series(fpd, genus, order):
     """
     n = fpd.n
     ls = localized_sum(fpd, genus, "linear", order)
-    S, D = ls.over_common_denominator()
-    degD = sum(D.values())
-    entries = []
-    for l in range(n + order + 1):
-        d = degD + l - n
-        comp = S.homogeneous_component(d) if d >= 0 else \
-            MultiSeries.zero(S.ring, S.k, S.order)
-        if comp.is_zero():
-            entries.append(CfEntry(l, MultiSeries.zero(
-                S.ring, S.k, max(l - n, 0))))
-            continue
-        piece = comp
-        try:
-            for form, mult in sorted(D.items()):
-                for _ in range(mult):
-                    piece = piece.divide_linear(form)
-        except NotDivisibleError:
-            entries.append(CfEntry(l, violation=(comp, D)))
-            continue
-        entries.append(CfEntry(l, piece.truncate(max(l - n, 0))))
+    D = ls.common_denominator()
+    entries = [CfEntry(l, MultiSeries.zero(genus.ring, fpd.k, max(l - n, 0)))
+               for l in range(n + order + 1)]
+    # each point contributes over n linear forms, so the lowest non-zero
+    # component has net degree >= -n
+    for net, comp, quotient in ls._quotients():
+        l = n + net
+        entries[l] = CfEntry(l, violation=(comp, D)) if quotient is None \
+            else CfEntry(l, quotient.truncate(max(net, 0)))
     return CfSeries(n, genus.name, entries)
-
-
-def check_conner_floyd(fpd, genus, order=0):
-    """Report on cf_l = 0 for l < n; includes all cf_l up to n + order."""
-    return cf_series(fpd, genus, order)
 
 
 def genus_value(fpd, genus):
     """The non-equivariant genus cf_n; raises on Conner-Floyd failure."""
-    cf = cf_series(fpd, genus, 0)
-    bad = cf.first_violation()
-    if bad is not None and bad < fpd.n:
-        raise ConnerFloydViolation(bad)
-    return cf.genus_value()
+    return cf_series(fpd, genus, 0).genus_value()
 
 
 def circle_genus_value(fpd, genus):
@@ -331,11 +316,6 @@ def circle_genus_value(fpd, genus):
     if fpd.k:
         fpd = restrict_to_subcircle(fpd, generic_direction(fpd))
     return genus_value(fpd, genus)
-
-
-def rigidity_check(fpd, genus, order):
-    """cf_l = 0 for n < l <= n + order: the equivariant genus is constant."""
-    return cf_series(fpd, genus, order)
 
 
 class SpecialVanishingReport:

@@ -10,66 +10,66 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
-from toricgenera.algebra import _as_int
+from toricgenera.algebra import _as_int, _fmt_frac
 
 
 class InvalidPairError(ValueError):
     """A quasitoric pair violating its defining conditions."""
 
 
-def _det(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+def _bareiss(rows):
+    """(det A, adj A) of a square int or Fraction matrix, exactly, by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | I].
+
+    Row r is first scaled by the lcm s_r of its denominators, so B = SA
+    is integral; det A = det B / det S and adj A = adj B S / det S.
+    After step k every entry is a (k+1)-minor of the permuted [B | I],
+    so each division by the previous pivot is exact.  Pivoting over rows
+    and columns keeps every pivot but the last non-zero; if none is left
+    before the last step, A has rank <= n - 2 and adj A = 0.  For
+    det A = +-1, A^-1 = det A * adj A.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (s // x.denominator) for x in row] +
+         [int(i == j) for j in range(n)]
+         for i, (row, s) in enumerate(zip(rows, scales))]
+    cols = list(range(n))   # column k of the eliminated B is B's cols[k]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next(((r, c) for c in range(k, n) for r in range(k, n)
+                      if m[r][c]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _inverse(rows):
-    """Exact matrix inverse (list of Fraction rows)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _integer_inverse(rows):
-    inv = _inverse(rows)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise InvalidPairError("matrix inverse is not integral")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+            if k < n - 1:
+                return 0, [[0] * n for _ in range(n)]
+            pivot = (k, k)
+        r, c = pivot
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        if c != k:
+            for row in m:
+                row[k], row[c] = row[c], row[k]
+            cols[k], cols[c] = cols[c], cols[k]
+            sign = -sign
+        p, pivot_row = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * b) // prev
+                        for a, b in zip(m[i], pivot_row)]
+        prev = p
+    adj = [None] * n
+    for k in range(n):
+        adj[cols[k]] = [sign * x for x in m[k][n:]]
+    det_s = prod(scales)
+    if det_s == 1:
+        return sign * m[n - 1][n - 1], adj
+    return (Fraction(sign * m[n - 1][n - 1], det_s),
+            [[Fraction(x * s, det_s) for x, s in zip(row, scales)]
+             for row in adj])
 
 
 class Polytope:
@@ -113,18 +113,6 @@ class Polytope:
         if self.normals is None:
             raise ValueError("polytope carries no normals")
         return [[self.normals[r][f - 1] for f in facets] for r in range(self.n)]
-
-    def orientation_sign(self, index):
-        """sign(det N(P)_x) for vertex ``index``, from normals or surrogate."""
-        if self.normals is not None:
-            det = _det(self.normal_columns(self.vertices[index]))
-            if det == 0:
-                raise InvalidPairError("vertex %r has dependent normals"
-                                       % (self.vertices[index],))
-            return 1 if det > 0 else -1
-        if self.orientations is not None:
-            return self.orientations[index]
-        raise ValueError("polytope carries neither normals nor orientations")
 
     def __repr__(self):
         return "Polytope(n=%d, m=%d, %d vertices)" % (self.n, self.m,
@@ -250,9 +238,9 @@ class ValidationReport:
             "ValidationReport(%s)" % "; ".join(self.problems)
 
 
-def validate_pair(pair):
-    """Check refinement, the initial vertex, and unimodularity of every
-    vertex minor; violations are collected, not raised."""
+def _eliminate(pair):
+    """The problems ``validate_pair`` reports, with (det, adj) of every
+    vertex minor and det N(P)_x per vertex (None without normals)."""
     problems = []
     P, lam = pair.polytope, pair.lam
     if not lam.is_refined():
@@ -260,15 +248,23 @@ def validate_pair(pair):
     initial = tuple(range(1, P.n + 1))
     if initial not in P.vertices:
         problems.append("initial vertex F1...Fn is missing")
-    for v in P.vertices:
-        det = _det(lam.minor(v))
+    minors = [_bareiss(lam.minor(v)) for v in P.vertices]
+    for v, (det, _adj) in zip(P.vertices, minors):
         if abs(det) != 1:
             problems.append("vertex %r has minor determinant %s" % (v, det))
+    normal_dets = None
     if P.normals is not None:
-        for v in P.vertices:
-            if _det(P.normal_columns(v)) == 0:
+        normal_dets = [_bareiss(P.normal_columns(v))[0] for v in P.vertices]
+        for v, det in zip(P.vertices, normal_dets):
+            if det == 0:
                 problems.append("vertex %r has dependent normals" % (v,))
-    return ValidationReport(problems)
+    return problems, minors, normal_dets
+
+
+def validate_pair(pair):
+    """Check refinement, the initial vertex, and unimodularity of every
+    vertex minor; violations are collected, not raised."""
+    return ValidationReport(_eliminate(pair)[0])
 
 
 def refine(polytope, raw):
@@ -278,12 +274,11 @@ def refine(polytope, raw):
     if lam.n != polytope.n or lam.m != polytope.m:
         raise ValueError("characteristic matrix shape does not match polytope")
     initial = tuple(range(1, polytope.n + 1))
-    minor = lam.minor(initial)
-    det = _det(minor)
+    det, adj = _bareiss(lam.minor(initial))
     if abs(det) != 1:
         raise InvalidPairError(
             "leading minor has determinant %s; cannot refine" % det)
-    L = _integer_inverse(minor)
+    L = [[det * x for x in row] for row in adj]
     entries = [[sum(L[i][t] * lam.entries[t][j] for t in range(lam.n))
                 for j in range(lam.m)] for i in range(lam.n)]
     return CharMatrix(entries)
@@ -293,24 +288,21 @@ def signs_and_weights(pair):
     """Fixed-point data of a valid pair: per vertex, the weights are the
     columns of the inverse-transposed vertex minor and the sign is
     sign(det Lambda_x) * sign(det N(P)_x)."""
-    report = validate_pair(pair)
-    if not report.ok:
-        raise InvalidPairError("; ".join(report.problems))
-    P, lam = pair.polytope, pair.lam
-    if P.normals is None and P.orientations is None:
+    problems, minors, normal_dets = _eliminate(pair)
+    if problems:
+        raise InvalidPairError("; ".join(problems))
+    P = pair.polytope
+    orientations = P.orientations if normal_dets is None else \
+        [1 if det > 0 else -1 for det in normal_dets]
+    if orientations is None:
         raise ValueError("signs need facet normals or vertex orientations")
     points = []
-    for idx, v in enumerate(P.vertices):
-        minor = lam.minor(v)
-        det_l = _det(minor)
-        det_n = P.orientation_sign(idx)
-        sign = 1 if det_l * det_n > 0 else -1
-        # W^t Lambda_x = I  =>  W = (Lambda_x^t)^(-1), integral since det = +-1
-        lt = [[minor[c][r] for c in range(P.n)] for r in range(P.n)]
-        W = _integer_inverse(lt)
-        weights = [tuple(W[r][c] for r in range(P.n)) for c in range(P.n)]
+    for v, (det, adj), det_n in zip(P.vertices, minors, orientations):
+        # W^t Lambda_x = I, so the columns of W are the rows of
+        # Lambda_x^-1 = det * adj, integral since det = +-1
+        weights = [tuple(det * x for x in row) for row in adj]
         label = "x" + ",".join(str(i) for i in v)
-        points.append(FixedPoint(label, sign, weights))
+        points.append(FixedPoint(label, 1 if det * det_n > 0 else -1, weights))
     return FixedPointData(P.n, P.n, points)
 
 
@@ -410,10 +402,7 @@ def restrict_to_subcircle(fpd, nu):
     nu = tuple(_as_int(x, "direction entry") for x in nu)
     if len(nu) != fpd.k:
         raise ValueError("direction length must equal the torus rank")
-    g = 0
-    for x in nu:
-        g = gcd(g, abs(x))
-    if g != 1:
+    if gcd(*nu) != 1:
         raise ValueError("direction must be primitive")
     points = []
     for pt in fpd.points:
@@ -433,11 +422,6 @@ def restrict_to_subcircle(fpd, nu):
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def _frac_to_json(x):
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (
-        x.numerator, x.denominator)
-
-
 def pair_to_json_obj(pair):
     return {
         "type": "quasitoric",
@@ -447,7 +431,8 @@ def pair_to_json_obj(pair):
             "m": pair.polytope.m,
             "vertices": [list(v) for v in pair.polytope.vertices],
             "normals": None if pair.polytope.normals is None else
-            [[_frac_to_json(x) for x in row] for row in pair.polytope.normals],
+            [[_fmt_frac(x, False) for x in row]
+             for row in pair.polytope.normals],
             **({"orientations": list(pair.polytope.orientations)}
                if pair.polytope.orientations is not None else {}),
         },

@@ -27,7 +27,6 @@ from toricgenera.localize import (
     p_omega,
     pairing_obstruction,
     phi,
-    rigidity_check,
     special_vanishing_check,
 )
 from toricgenera.quasitoric import (
@@ -271,14 +270,14 @@ def test_criterion_10_rigidity():
     assert functional_equation_check("cp1", t2, 5) == -(y + z)
 
     kv = catalog("krichever", 4)
-    assert rigidity_check(dataset("s6"), kv, 4).rigid()
+    assert cf_series(dataset("s6"), kv, 4).rigid()
 
     cp2e = signs_and_weights(simplex_pair(2, (1, -1)))
-    assert rigidity_check(cp2e, t2, 4).rigid()
+    assert cf_series(cp2e, t2, 4).rigid()
 
     hr = catalog("hurewicz", 4)
     cp2 = signs_and_weights(simplex_pair(2, (-1, -1)))
-    assert not rigidity_check(cp2, hr, 4).rigid()
+    assert not cf_series(cp2, hr, 4).rigid()
     _ok(10, "functional equations (todd: -z, t2: yz) and rigidity checks")
 
 

@@ -268,6 +268,18 @@ def test_normalize_honest_series():
     assert ls.normalize() == u1.truncate(6)
 
 
+def test_normalize_reports_the_lowest_failing_net_degree():
+    # u2^2 / (u1 u2) = u2 / u1 fails at net degree 0; u1^3 / (u1 u2)
+    # fails only at net degree 1, though it is the first term that
+    # dividing the whole series by u2 meets
+    u1, u2 = var(QQ, 2, 6, 0), var(QQ, 2, 6, 1)
+    ls = LocalizedSum(QQ, 2, 4, [(u2 * u2 + u1 * u1 * u1,
+                                  {(1, 0): 1, (0, 1): 1})])
+    with pytest.raises(NormalizeError) as err:
+        ls.normalize()
+    assert err.value.net_degree == 0
+
+
 # ---------------------------------------------------------------------------
 # randomized property suites (seeded, 200 cases each)
 # ---------------------------------------------------------------------------

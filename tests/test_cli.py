@@ -3,6 +3,7 @@ import json
 import pytest
 
 from toricgenera.cli import (
+    COMMANDS,
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_VIOLATION,
@@ -264,6 +265,26 @@ def test_genus_order_below_one_exits_1(capsys, value):
     assert not out and err == "error: --genus-order must be >= 1\n"
     assert main(["genus", "--input", "builtin:cp2",
                  "--genus-order", "1"]) == EXIT_PASS
+
+
+def test_genus_on_a_pair_with_a_minor_of_determinant_2_exits_1(tmp_path,
+                                                               capsys):
+    from toricgenera.cli import main
+    obj = dict(pair_to_json_obj(simplex_pair(2, (-1, -1))),
+               **{"lambda": [[1, 0, -1], [0, 1, 2]]})
+    path = tmp_path / "det2.json"
+    path.write_text(json.dumps(obj))
+    assert main(["genus", "--input", str(path), "--genus", "todd"]) == \
+        EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: invalid pair: vertex (1, 3) has minor determinant 2\n"
+
+
+def test_commands_keep_their_order():
+    assert COMMANDS == ("validate", "fixed-points", "phi", "genus",
+                        "check-cf", "check-rigidity", "pairing",
+                        "special-check", "list-builtins")
 
 
 def test_unknown_genus_and_missing_input():

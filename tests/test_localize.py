@@ -16,7 +16,6 @@ from toricgenera.localize import (
     ConnerFloydViolation,
     FunctionalEquationError,
     cf_series,
-    check_conner_floyd,
     dataset,
     functional_equation_check,
     genus_value,
@@ -24,10 +23,15 @@ from toricgenera.localize import (
     p_omega,
     pairing_obstruction,
     phi,
-    rigidity_check,
     special_vanishing_check,
 )
-from toricgenera.quasitoric import signs_and_weights, simplex_pair, square_pair
+from toricgenera.quasitoric import (
+    FixedPoint,
+    FixedPointData,
+    signs_and_weights,
+    simplex_pair,
+    square_pair,
+)
 
 F = Fraction
 
@@ -231,7 +235,7 @@ def test_cf_homogeneity():
 
 def test_check_conner_floyd_flag3():
     hr = catalog("hurewicz", 4)
-    cf = check_conner_floyd(dataset("flag3"), hr, 1)
+    cf = cf_series(dataset("flag3"), hr, 1)
     assert cf.conner_floyd_ok()
     assert cf.first_violation() is None
 
@@ -239,11 +243,63 @@ def test_check_conner_floyd_flag3():
 def test_check_conner_floyd_corrupted_s6():
     bad = dataset("s6").flip_one(0)
     hr = catalog("hurewicz", 3)
-    cf = check_conner_floyd(bad, hr, 0)
+    cf = cf_series(bad, hr, 0)
     assert not cf.conner_floyd_ok()
     assert cf.first_violation() == 0
     assert not cf.entry(0).ok
     assert "/" in cf.entry(0).value_str()
+
+
+def test_genus_value_raises_at_the_first_violation():
+    bad = dataset("s6").flip_one(0)
+    hr = catalog("hurewicz", 3)
+    for compute in (lambda: cf_series(bad, hr, 0).genus_value(),
+                    lambda: genus_value(bad, hr)):
+        with pytest.raises(ConnerFloydViolation) as err:
+            compute()
+        assert err.value.l == 0
+        assert str(err.value) == "Conner-Floyd relation cf_0 = 0 is violated"
+
+
+# raw data whose cf_0 vanishes but whose cf_1 does not, for every genus
+# with a non-zero first coefficient
+HALF = FixedPointData(2, 2, [FixedPoint("a", 1, [(1, 0), (0, 1)]),
+                             FixedPoint("b", 1, [(-1, 0), (0, 1)])])
+CF_DATA = {
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+    "cp2": signs_and_weights(simplex_pair(2, (-1, -1))),
+    "cp3": signs_and_weights(simplex_pair(3, (-1, -1, -1))),
+    "half": HALF,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CF_DATA)),
+       st.sampled_from(["hurewicz", "todd", "signature", "t2", "elliptic",
+                        "krichever"]),
+       st.integers(0, 3), st.integers(-1, 5))
+def test_phi_and_cf_series_agree(name, genus_name, order, flip):
+    # flip < 0 keeps the data; otherwise one fixed point changes sign
+    fpd = CF_DATA[name]
+    if flip >= 0:
+        fpd = fpd.flip_one(flip % len(fpd))
+    genus = catalog(genus_name, order + fpd.n, generators=3)  # hurewicz only
+    cf = cf_series(fpd, genus, order)
+    first = cf.first_violation()
+    if flip < 0 and name != "half":
+        assert first is None  # the fixed points of a manifold
+    try:
+        series = phi(fpd, genus, "linear", order)
+    except ConnerFloydViolation as exc:
+        assert first is not None and exc.l == first
+        return
+    assert first is None
+    terms = {}
+    for e in cf:
+        if e.l >= cf.n:
+            terms.update(e.series.terms)
+    assert series == MultiSeries(genus.ring, fpd.k, order, terms)
 
 
 def test_flag3_value_matches_p_omega_alternating_sum():
@@ -329,7 +385,7 @@ def test_sign_sensitivity():
 
 def test_rigidity_s6_krichever():
     kv = catalog("krichever", 4)
-    cf = rigidity_check(dataset("s6"), kv, 4)
+    cf = cf_series(dataset("s6"), kv, 4)
     assert cf.conner_floyd_ok()
     assert cf.rigid()
 
@@ -337,7 +393,7 @@ def test_rigidity_s6_krichever():
 def test_rigidity_cp2e_t2():
     t2 = catalog("t2", 4)
     fpd = signs_and_weights(simplex_pair(2, (1, -1)))
-    cf = rigidity_check(fpd, t2, 4)
+    cf = cf_series(fpd, t2, 4)
     assert cf.rigid()
     y, z = _gen(t2, "y"), _gen(t2, "z")
     assert cf.genus_value() == y * z  # the constant of the t2 equation
@@ -346,7 +402,7 @@ def test_rigidity_cp2e_t2():
 def test_rigidity_fails_for_universal_genus():
     hr = catalog("hurewicz", 2)
     fpd = signs_and_weights(simplex_pair(2, (-1, -1)))
-    cf = rigidity_check(fpd, hr, 2)
+    cf = cf_series(fpd, hr, 2)
     assert cf.conner_floyd_ok()
     assert not cf.rigid()
     # the linear-mode series of CP^2 is even, so the first non-constant
@@ -358,7 +414,7 @@ def test_rigidity_fails_for_universal_genus():
 def test_signature_rigid_on_cp2():
     sg = catalog("signature", 4)
     fpd = signs_and_weights(simplex_pair(2, (-1, -1)))
-    assert rigidity_check(fpd, sg, 4).rigid()
+    assert cf_series(fpd, sg, 4).rigid()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricgenera.quasitoric import (
+    _bareiss,
     CharMatrix,
     FixedPoint,
     FixedPointData,
@@ -189,13 +193,13 @@ def test_sign_well_defined_under_facet_permutation():
     # permuting the facet order at a vertex permutes the columns of both
     # minors, leaving the product of determinants unchanged
     pair = square_pair(-1, 1, 2, 0)
-    from toricgenera.quasitoric import _det
     for v in pair.polytope.vertices:
-        base = _det(pair.lam.minor(v)) * _det(pair.polytope.normal_columns(v))
+        base = (_bareiss(pair.lam.minor(v))[0]
+                * _bareiss(pair.polytope.normal_columns(v))[0])
         rev = tuple(reversed(v))
-        swapped = (_det([[row[1], row[0]] for row in pair.lam.minor(v)])
-                   * _det([[row[1], row[0]]
-                           for row in pair.polytope.normal_columns(v)]))
+        swapped = (_bareiss([[row[1], row[0]] for row in pair.lam.minor(v)])[0]
+                   * _bareiss([[row[1], row[0]]
+                               for row in pair.polytope.normal_columns(v)])[0])
         assert base == swapped
         assert rev  # orientation data only enters through determinants
 
@@ -331,9 +335,8 @@ def test_vertex_orientation_surrogate():
     # normals replaced by the per-vertex sign of det N(P)_x
     ref = simplex_pair(2, (1, -1))
     surrogate_signs = []
-    from toricgenera.quasitoric import _det
     for v in ref.polytope.vertices:
-        d = _det(ref.polytope.normal_columns(v))
+        d = _bareiss(ref.polytope.normal_columns(v))[0]
         surrogate_signs.append(1 if d > 0 else -1)
     bare = Polytope(2, 3, ref.polytope.vertices, None, surrogate_signs)
     pair = QuasitoricPair(bare, ref.lam, "surrogate")
@@ -345,3 +348,52 @@ def test_vertex_orientation_surrogate():
     naked = QuasitoricPair(Polytope(2, 3, ref.polytope.vertices), ref.lam)
     with pytest.raises(ValueError):
         signs_and_weights(naked)
+
+
+# ---------------------------------------------------------------------------
+# Bareiss elimination
+# ---------------------------------------------------------------------------
+
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    # the last ``dependent`` rows become combinations of the others, so
+    # singular matrices of every rank >= 1 are drawn
+    dependent = draw(st.integers(0, n - 1))
+    for i in range(n - dependent, n):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(n - dependent)]
+        rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                   for j in range(n)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_bareiss_determinant_and_adjugate(rows):
+    n = len(rows)
+    det, adj = _bareiss(rows)
+    assert det == _leibniz(rows)
+    for i in range(n):
+        for j in range(n):
+            assert sum(rows[i][t] * adj[t][j] for t in range(n)) == \
+                (det if i == j else 0)
+            cofactor = [[rows[r][c] for c in range(n) if c != i]
+                        for r in range(n) if r != j]
+            assert adj[i][j] == (-1) ** (i + j) * _leibniz(cofactor)
+    if all(type(x) is int for row in rows for x in row):
+        assert type(det) is int
+        assert all(type(x) is int for row in adj for x in row)
