@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 
 class NotDivisibleError(ArithmeticError):
@@ -106,6 +106,14 @@ def _frac(x):
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
+def binomial(alpha, j):
+    """The coefficient of t^j in (1 + t)^alpha, for a rational alpha."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (alpha - i) / (i + 1)
+    return out
+
+
 def _fmt_frac(q, product_context):
     if q.denominator == 1:
         return str(q.numerator)
@@ -169,9 +177,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
     def constant_value(self):
         """The rational value of a constant polynomial; None otherwise."""
         if not self.terms:
@@ -211,8 +216,6 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -456,9 +459,6 @@ class MultiSeries:
         return MultiSeries(self.ring, self.k, self.order,
                            {e: p for e, p in self.terms.items() if sum(e) == d})
 
-    def max_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def slice_var(self, j, power):
         """Coefficient of u_j^power, as a series in the remaining variables."""
         terms = {}
@@ -472,14 +472,6 @@ class MultiSeries:
         order = min(order, self.order)
         return MultiSeries(self.ring, self.k, order,
                            {e: p for e, p in self.terms.items() if sum(e) <= order})
-
-    def with_order(self, order):
-        """Assert-free reinterpretation to a higher or equal order.
-
-        Only valid when the caller knows the series is exact to ``order``
-        (e.g. polynomial exponentials); truncation is used otherwise.
-        """
-        return MultiSeries(self.ring, self.k, order, self.terms)
 
     # -- arithmetic ---------------------------------------------------
     def _compat(self, other):
@@ -510,8 +502,6 @@ class MultiSeries:
                            {e: -p for e, p in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = MultiSeries.constant(self.ring, self.k, self.order, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -556,10 +546,14 @@ class MultiSeries:
     __rmul__ = __mul__
 
     def mul_linear(self, w):
-        """Fast multiplication by the linear form w . u (shift-and-add)."""
+        """Fast multiplication by the linear form w . u (shift-and-add).
+
+        A series exact to ``order`` times a form of degree one is exact to
+        ``order + 1``, and the product says so.
+        """
         weights = [(i, _frac(wi)) for i, wi in enumerate(w) if wi]
         den_w = lcm(*(q.denominator for _i, q in weights))
-        den, flat = _flatten(self.terms, self.order - 1)
+        den, flat = _flatten(self.terms, self.order)
         acc = {}
         for i, q in weights:
             m = q.numerator * (den_w // q.denominator)
@@ -570,7 +564,7 @@ class MultiSeries:
                     out = acc[e2] = {}
                 for g, c in p:
                     out[g] = out.get(g, 0) + c * m
-        return _assemble(self.ring, self.k, self.order, acc, den * den_w)
+        return _assemble(self.ring, self.k, self.order + 1, acc, den * den_w)
 
     def __pow__(self, n):
         if n < 0:
@@ -594,65 +588,47 @@ class MultiSeries:
         return self.truncate(n).terms == other.truncate(n).terms
 
     # -- core series operations ---------------------------------------
+    def power_sum(self, coefficient):
+        """sum_j coefficient(j) * self^j for a series with zero constant
+        term: self^j starts at degree j, so the sum is exact to ``order``.
+
+        ``coefficient`` maps j >= 0 to a rational or Poly; powers are
+        accumulated, and a coefficient 1 adds its power unscaled.
+        """
+        if not self.constant_term().is_zero():
+            raise ValueError("power_sum requires zero constant term")
+        result = MultiSeries.constant(self.ring, self.k, self.order,
+                                      coefficient(0))
+        power = MultiSeries.constant(self.ring, self.k, self.order, 1)
+        for j in range(1, self.order + 1):
+            power = power * self
+            if power.is_zero():
+                break
+            c = coefficient(j)
+            result = result + (power if c == 1 else power.scale(c))
+        return result
+
     def invert_unit(self):
-        """Inverse of a series whose constant term is a nonzero rational."""
+        """Inverse of a series whose constant term is a nonzero rational:
+        the geometric series in t = 1 - self / c0, over c0."""
         c0 = self.constant_term().constant_value()
         if c0 is None:
             raise ValueError("constant term is not rational; cannot invert")
         if c0 == 0:
             raise ZeroDivisionError("constant term is zero; not a unit")
-        one = MultiSeries.constant(self.ring, self.k, self.order, 1)
-        t = one - self.scale(Fraction(1, 1) / c0)  # zero constant term
-        result = one
-        power = one
-        for _ in range(self.order):
-            power = power * t
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(Fraction(1, 1) / c0)
+        t = 1 - self.scale(1 / c0)
+        return t.power_sum(lambda j: 1).scale(1 / c0)
 
     def sqrt_unit(self):
-        """Square root of a series with constant term 1 (degreewise solve)."""
+        """Square root of a series with constant term 1: the binomial
+        series of (1 + t)^(1/2) at t = self - 1."""
         if self.constant_term().constant_value() != 1:
             raise ValueError("sqrt requires constant term 1")
-        ring, k, order = self.ring, self.k, self.order
-        comp = [dict() for _ in range(order + 1)]  # homogeneous parts of the root
-        comp[0][(0,) * k] = Poly.constant(ring, 1)
-        for d in range(1, order + 1):
-            # 2*c_d = R_d - sum_{i+j=d, 0<i,j} c_i*c_j
-            residue = {e: p for e, p in self.terms.items() if sum(e) == d}
-            acc = dict(residue)
-            for i in range(1, d):
-                for e1, p1 in comp[i].items():
-                    for e2, p2 in comp[d - i].items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        s = acc.get(e, Poly.zero(ring)) - p1 * p2
-                        if s.is_zero():
-                            acc.pop(e, None)
-                        else:
-                            acc[e] = s
-            comp[d] = {e: p * Fraction(1, 2) for e, p in acc.items()}
-        terms = {}
-        for part in comp:
-            terms.update(part)
-        return MultiSeries(ring, k, order, terms)
+        return (self - 1).power_sum(lambda j: binomial(Fraction(1, 2), j))
 
     def exp(self):
         """exp of a series with zero constant term."""
-        if not self.constant_term().is_zero():
-            raise ValueError("exp requires zero constant term")
-        one = MultiSeries.constant(self.ring, self.k, self.order, 1)
-        result = one
-        power = one
-        fact = 1
-        for i in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= i
-            result = result + power.scale(Fraction(1, fact))
-        return result
+        return self.power_sum(lambda j: Fraction(1, factorial(j)))
 
     def derivative(self):
         """d/du of a univariate series."""
@@ -914,7 +890,7 @@ def product_of_forms(ring, k, order, forms):
     for form, mult in sorted(forms.items()):
         for _ in range(mult):
             out = out.mul_linear(form)
-    return out
+    return out.truncate(order)
 
 
 class LocalizedSum:
@@ -962,7 +938,7 @@ class LocalizedSum:
             piece = num.truncate(self.order + degD - sum(missing.values()))
             for form, mult in sorted(missing.items()):
                 for _ in range(mult):
-                    piece = piece.with_order(piece.order + 1).mul_linear(form)
+                    piece = piece.mul_linear(form)
             total = total + piece
         return total, D
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from toricgenera.fgl import CATALOG_NAMES, catalog
 from toricgenera.localize import (
     ConnerFloydViolation,
-    FunctionalEquationError,
     cf_series,
     circle_genus_value,
     dataset,
     genus_value,
     pairing_obstruction,
     phi,
-    special_vanishing_check,
+    special_vanishing,
 )
 from toricgenera.quasitoric import (
     FixedPointData,
@@ -32,7 +31,6 @@ from toricgenera.quasitoric import (
     QuasitoricPair,
     fpd_to_json_obj,
     load_manifold,
-    pair_to_json_obj,
     signs_and_weights,
     simplex_pair,
     special_check,
@@ -315,9 +313,12 @@ def _special_check(job, manifold, fpd):
     if not special_check(manifold.lam):
         raise InputError("pair %r is not specially omnioriented"
                          % manifold.name)
-    kv = catalog("krichever", max(job.order, 1) + manifold.polytope.n - 1)
-    hr = catalog("hurewicz", max(manifold.polytope.n, 1))
-    report = special_vanishing_check(manifold, job.order, kv, hr)
+    kv = catalog("krichever", max(job.order, 1) + fpd.n - 1)
+    hr = catalog("hurewicz", max(fpd.n, 1))
+    # the check is of the pair's own omniorientation, whatever
+    # --flip-orientation says
+    own = fpd.flipped() if job.flip_orientation else fpd
+    report = special_vanishing(own, job.order, kv, hr)
     job.emit("krichever value: %s" % report.kv_value)
     job.emit("krichever rigid to order %d: %s"
              % (job.order, "yes" if report.kv_rigid else "no"))

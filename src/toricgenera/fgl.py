@@ -9,16 +9,17 @@ with the Krichever genus built from Weierstrass functions.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import factorial
 
 from toricgenera.algebra import (
     MultiSeries,
     Poly,
     QQ,
+    binomial,
     make_ring,
 )
-
-F1 = Fraction(1)
 
 
 class BsfglShapeError(ArithmeticError):
@@ -35,9 +36,9 @@ class GenusSpec:
     """A genus: name, coefficient ring and exponential series.
 
     The exponential is a univariate series exact to ``order``; the
-    logarithm is its reverse series and ``a_plus`` the unit 1/b_+ (both
-    cached).  ``at_order`` rebuilds the same genus to higher precision
-    without changing the ring.
+    logarithm (exact to ``order``) is its reverse series and ``a_plus``
+    (exact to ``order - 1``) the unit 1/b_+, both cached.  ``at_order(m)``
+    is the same genus exact to m and no further, over the same ring.
     """
 
     def __init__(self, name, exponential, builder=None):
@@ -53,6 +54,7 @@ class GenusSpec:
         self._builder = builder
         self._logarithm = None
         self._a_plus = None
+        self._at_order = {}
 
     @property
     def order(self):
@@ -65,12 +67,22 @@ class GenusSpec:
         return self._logarithm
 
     def at_order(self, order):
-        if order <= self.order:
-            return self
-        if self._builder is None:
+        """The genus exact to ``order`` >= 1: this one, its truncation, or
+        a rebuild by the builder when ``order`` exceeds this one's.  Each
+        order is derived once, so its logarithm and a_+ are cached too."""
+        if order < 1:
+            raise ValueError("a genus is exact to order >= 1, not %d" % order)
+        if order > self.order and self._builder is None:
             raise ValueError("genus %r cannot be extended beyond order %d"
                              % (self.name, self.order))
-        return GenusSpec(self.name, self._builder(order), self._builder)
+        if order == self.order:
+            return self
+        if order not in self._at_order:
+            exponential = self.exponential.truncate(order) \
+                if order < self.order else self._builder(order)
+            self._at_order[order] = GenusSpec(self.name, exponential,
+                                              self._builder)
+        return self._at_order[order]
 
     def b_plus(self):
         """The unit series b(x)/x."""
@@ -91,7 +103,7 @@ class GenusSpec:
 
 
 class FGL:
-    """A formal group law F(u1, u2) attached to a genus."""
+    """A formal group law F(u1, u2) attached to a genus of the same order."""
 
     def __init__(self, spec, F):
         self.spec = spec
@@ -100,19 +112,19 @@ class FGL:
     def m_series(self, m):
         """The power system [m](u) = b(m * logarithm(u))."""
         spec = self.spec
-        out = spec.exponential.substitute([spec.logarithm.scale(m)])
-        return out.truncate(self.F.order)
+        return spec.exponential.substitute([spec.logarithm.scale(m)])
 
     def weight_series(self, w, k):
         """[w](u1..uk) = b(sum_i w_i m(u_i)); reduces to w.u mod decomposables."""
-        return weight_series(self.spec, w, k).truncate(self.F.order)
+        return weight_series(self.spec, w, k)
 
 
 def fgl_from_exponential(spec, order=None):
-    """F(u1, u2) = b(m(u1) + m(u2)), truncated to the working order."""
-    spec = spec if order is None else spec.at_order(order)
-    order = spec.order if order is None else order
-    m = spec.logarithm.truncate(order)
+    """F(u1, u2) = b(m(u1) + m(u2)), exact to ``order`` (default: the
+    genus's own)."""
+    if order is not None:
+        spec = spec.at_order(order)
+    m = spec.logarithm
     g = m.embed(2, [0]) + m.embed(2, [1])
     return FGL(spec, spec.exponential.substitute([g]))
 
@@ -155,50 +167,36 @@ def projective_space_value(spec, n):
 
 
 # ---------------------------------------------------------------------------
-# the catalog
+# the catalog: one builder M -> exponential exact to M per genus
 # ---------------------------------------------------------------------------
 
-def _factorials(n):
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * i)
-    return out
+def _augmentation(M):
+    return MultiSeries.variable(QQ, 1, M, 0)
 
 
-def _hurewicz(order, generators):
+def _hurewicz(generators, M):
     ring = make_ring(*[("b%d" % j, 2 * j) for j in range(1, generators + 1)])
-
-    def build(M):
-        terms = {(1,): Poly.constant(ring, 1)}
-        for j in range(1, generators + 1):
-            if j + 1 <= M:
-                terms[(j + 1,)] = Poly.gen(ring, "b%d" % j)
-        return MultiSeries(ring, 1, M, terms)
-
-    return GenusSpec("hurewicz", build(order), build)
+    terms = {(1,): Poly.constant(ring, 1)}
+    for j in range(1, generators + 1):  # degrees above M are dropped
+        terms[(j + 1,)] = Poly.gen(ring, "b%d" % j)
+    return MultiSeries(ring, 1, M, terms)
 
 
-def _todd(order):
-    ring = make_ring(("z", 2))
-
-    def build(M):
-        fact = _factorials(M + 1)
-        z = Poly.gen(ring, "z")
-        terms = {(j + 1,): z ** j * Fraction(1, fact[j + 1]) for j in range(M)}
-        return MultiSeries(ring, 1, M, terms)
-
-    return GenusSpec("todd", build(order), build)
+_Z_RING = make_ring(("z", 2))
+_V_RING = make_ring(("v", 2))
+_YZ_RING = make_ring(("y", 2), ("z", 2))
+_ELLIPTIC_RING = make_ring(("delta", 4), ("eps", 8))
 
 
-def _cn(order):
-    ring = make_ring(("v", 2))
+def _todd(M):
+    z = Poly.gen(_Z_RING, "z")
+    terms = {(j + 1,): z ** j * Fraction(1, factorial(j + 1)) for j in range(M)}
+    return MultiSeries(_Z_RING, 1, M, terms)
 
-    def build(M):
-        v = Poly.gen(ring, "v")
-        terms = {(j + 1,): (-v) ** j for j in range(M)}
-        return MultiSeries(ring, 1, M, terms)
 
-    return GenusSpec("cn", build(order), build)
+def _cn(M):
+    v = Poly.gen(_V_RING, "v")
+    return MultiSeries(_V_RING, 1, M, {(j + 1,): (-v) ** j for j in range(M)})
 
 
 def _complete_homogeneous(ring, j):
@@ -210,83 +208,44 @@ def _complete_homogeneous(ring, j):
     return out
 
 
-def _abel(order):
-    ring = make_ring(("y", 2), ("z", 2))
-
-    def build(M):
-        fact = _factorials(M + 1)
-        terms = {(j + 1,): _complete_homogeneous(ring, j) * Fraction(1, fact[j + 1])
-                 for j in range(M)}
-        return MultiSeries(ring, 1, M, terms)
-
-    return GenusSpec("abel", build(order), build)
+def _abel(M):
+    return MultiSeries(_YZ_RING, 1, M, {
+        (j + 1,): _complete_homogeneous(_YZ_RING, j)
+        * Fraction(1, factorial(j + 1)) for j in range(M)})
 
 
-def _t2(order):
-    ring = make_ring(("y", 2), ("z", 2))
-
-    def build(M):
-        # (e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
-        # cancelled exactly from numerator and denominator so that y = z is
-        # a legal specialization.
-        fact = _factorials(M + 2)
-        yz = Poly.gen(ring, "y") * Poly.gen(ring, "z")
-        num = MultiSeries(ring, 1, M, {
-            (j + 1,): _complete_homogeneous(ring, j) * Fraction(1, fact[j + 1])
-            for j in range(M)})
-        den_terms = {(0,): Poly.constant(ring, 1)}
-        for m in range(2, M + 1):
-            den_terms[(m,)] = -yz * _complete_homogeneous(ring, m - 2) \
-                * Fraction(1, fact[m])
-        den = MultiSeries(ring, 1, M, den_terms)
-        return num * den.invert_unit()
-
-    return GenusSpec("t2", build(order), build)
+def _t2(M):
+    # (e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
+    # cancelled exactly from numerator and denominator so that y = z is
+    # a legal specialization; the numerator is the abel exponential.
+    ring = _YZ_RING
+    yz = Poly.gen(ring, "y") * Poly.gen(ring, "z")
+    den_terms = {(0,): Poly.constant(ring, 1)}
+    for m in range(2, M + 1):
+        den_terms[(m,)] = -yz * _complete_homogeneous(ring, m - 2) \
+            * Fraction(1, factorial(m))
+    den = MultiSeries(ring, 1, M, den_terms)
+    return _abel(M) * den.invert_unit()
 
 
-def _signature(order):
-    ring = make_ring(("z", 2))
-
-    def build(M):
-        fact = _factorials(M + 1)
-        z = Poly.gen(ring, "z")
-        sinh = MultiSeries(ring, 1, M, {
-            (2 * j + 1,): z ** (2 * j) * Fraction(1, fact[2 * j + 1])
-            for j in range(0, (M + 1) // 2)})
-        cosh = MultiSeries(ring, 1, M, {
-            (2 * j,): z ** (2 * j) * Fraction(1, fact[2 * j])
-            for j in range(0, M // 2 + 1)})
-        return sinh * cosh.invert_unit()
-
-    return GenusSpec("signature", build(order), build)
+def _signature(M):
+    z = Poly.gen(_Z_RING, "z")
+    sinh = MultiSeries(_Z_RING, 1, M, {
+        (2 * j + 1,): z ** (2 * j) * Fraction(1, factorial(2 * j + 1))
+        for j in range(0, (M + 1) // 2)})
+    cosh = MultiSeries(_Z_RING, 1, M, {
+        (2 * j,): z ** (2 * j) * Fraction(1, factorial(2 * j))
+        for j in range(0, M // 2 + 1)})
+    return sinh * cosh.invert_unit()
 
 
-def _binomial_half(j):
-    """Coefficient of w^j in (1+w)^(-1/2)."""
-    out = F1
-    for i in range(j):
-        out *= Fraction(-1 - 2 * i, 2 * (i + 1))
-    return out
-
-
-def _elliptic(order):
-    ring = make_ring(("delta", 4), ("eps", 8))
-
-    def build(M):
-        d, e = Poly.gen(ring, "delta"), Poly.gen(ring, "eps")
-        # (1 - 2 delta t^2 + eps t^4)^(-1/2), integrated, then reverted
-        w = MultiSeries(ring, 1, M, {(2,): d * -2, (4,): e})
-        integrand = MultiSeries.constant(ring, 1, M, 1)
-        power = MultiSeries.constant(ring, 1, M, 1)
-        for j in range(1, M // 2 + 1):
-            power = power * w
-            if power.is_zero():
-                break
-            integrand = integrand + power.scale(_binomial_half(j))
-        m = integrand.integrate().truncate(M)
-        return m.revert()
-
-    return GenusSpec("elliptic", build(order), build)
+def _elliptic(M):
+    ring = _ELLIPTIC_RING
+    d, e = Poly.gen(ring, "delta"), Poly.gen(ring, "eps")
+    # (1 - 2 delta t^2 + eps t^4)^(-1/2), integrated, then reverted
+    w = MultiSeries(ring, 1, M, {(2,): d * -2, (4,): e})
+    integrand = w.power_sum(lambda j: binomial(Fraction(-1, 2), j))
+    return integrand.integrate().truncate(M).revert()
 
 
 # -- Krichever genus --------------------------------------------------------
@@ -329,71 +288,66 @@ def weierstrass_p_coefficients(count):
     return c
 
 
-def krichever_exponential(order):
+def _krichever(M):
     """The Baker-Akhiezer exponential x e^{ax} / (x phi(x, z)) over
     Q[a, p2, p3, g2] with p2 = p(z), p3 = p'(z)."""
     ring = _KRING
-
-    def build(M):
-        fact = _factorials(M + 2)
-        # Taylor coefficients of p(z - s) in s, via the algebraic derivative
-        wp = [Poly.gen(ring, "p2")]
-        for _ in range(M):
-            wp.append(_weierstrass_derivative(wp[-1]))
-        # integral of zeta(z - s) - zeta(z) from 0 to x
-        terms = {}
-        for j in range(0, M - 1):
-            coeff = wp[j] * Fraction((-1) ** j, fact[j + 2])
-            terms[(j + 2,)] = coeff
-        integral = MultiSeries(ring, 1, M, terms)
-        # log(sigma(x)/x) = - sum c_j x^{2j} / (2j (2j-1))
-        cs = weierstrass_p_coefficients(M // 2 + 1)
-        sig_terms = {}
-        for j, cj in cs.items():
-            if 2 * j <= M:
-                sig_terms[(2 * j,)] = cj * Fraction(-1, 2 * j * (2 * j - 1))
-        log_sigma = MultiSeries(ring, 1, M, sig_terms)
-        ax = MultiSeries(ring, 1, M, {(1,): Poly.gen(ring, "a")})
-        exponent = ax + integral + log_sigma
-        x = MultiSeries.variable(ring, 1, M, 0)
-        return (x * exponent.exp()).truncate(M)
-
-    return GenusSpec("krichever", build(order), build)
+    # Taylor coefficients of p(z - s) in s, via the algebraic derivative
+    wp = [Poly.gen(ring, "p2")]
+    for _ in range(M):
+        wp.append(_weierstrass_derivative(wp[-1]))
+    # integral of zeta(z - s) - zeta(z) from 0 to x
+    terms = {}
+    for j in range(0, M - 1):
+        terms[(j + 2,)] = wp[j] * Fraction((-1) ** j, factorial(j + 2))
+    integral = MultiSeries(ring, 1, M, terms)
+    # log(sigma(x)/x) = - sum c_j x^{2j} / (2j (2j-1)), cut at degree M
+    cs = weierstrass_p_coefficients(M // 2 + 1)
+    sig_terms = {}
+    for j, cj in cs.items():
+        sig_terms[(2 * j,)] = cj * Fraction(-1, 2 * j * (2 * j - 1))
+    log_sigma = MultiSeries(ring, 1, M, sig_terms)
+    ax = MultiSeries(ring, 1, M, {(1,): Poly.gen(ring, "a")})
+    exponent = ax + integral + log_sigma
+    x = MultiSeries.variable(ring, 1, M, 0)
+    return x * exponent.exp()
 
 
-CATALOG_NAMES = ("augmentation", "hurewicz", "todd", "cn", "abel", "t2",
-                 "signature", "elliptic", "krichever")
+def krichever_exponential(order):
+    """The Krichever genus with its exponential exact to ``order``."""
+    return GenusSpec("krichever", _krichever(order), _krichever)
+
+
+# name -> builder M -> exponential exact to M; hurewicz also takes its
+# generator count first
+CATALOG = {
+    "augmentation": _augmentation,
+    "hurewicz": _hurewicz,
+    "todd": _todd,
+    "cn": _cn,
+    "abel": _abel,
+    "t2": _t2,
+    "signature": _signature,
+    "elliptic": _elliptic,
+    "krichever": _krichever,
+}
+CATALOG_NAMES = tuple(CATALOG)
 
 
 def catalog(name, order, generators=None):
-    """Build a named genus to the requested order.
+    """Build a named genus, its exponential exact to ``order + 2``.
 
-    ``generators`` selects the polynomial generator count of the hurewicz
-    genus (default: order).  Exponentials are computed to order + 2 so a
-    reversion or quotient never loses the requested precision.
+    Consumers take the order they need through ``at_order``; the CLI's
+    genus builds rest on the margin of 2, which the benchmark's
+    ``localize.excess_order`` probe measures.  ``generators`` selects the
+    polynomial generator count of the hurewicz genus (default: order).
     """
-    internal = order + 2
-    if name == "augmentation":
-        def build(M):
-            return MultiSeries.variable(QQ, 1, M, 0)
-        return GenusSpec("augmentation", build(internal), build)
+    if name not in CATALOG:
+        raise KeyError("unknown genus %r" % name)
+    build = CATALOG[name]
     if name == "hurewicz":
-        return _hurewicz(internal, generators if generators else order)
-    if name == "todd":
-        return _todd(internal)
-    if name == "cn":
-        return _cn(internal)
-    if name == "abel":
-        return _abel(internal)
-    if name == "t2":
-        return _t2(internal)
-    if name == "signature":
-        return _signature(internal)
-    if name == "elliptic":
-        return _elliptic(internal)
-    if name == "krichever":
-        return krichever_exponential(internal)
-    raise KeyError("unknown genus %r" % name)
+        build = functools.partial(build, generators or order)
+    return GenusSpec(name, build(order + 2), build)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ def localized_sum(fpd, genus, mode, order):
         return ls
     exact = order + 2 * n
     spec = genus.at_order(exact)
-    tail_specs = {}  # genus per tail order, built once per call
     for point in fpd.points:
         prims = []
         scale = Fraction(1)
@@ -151,10 +150,7 @@ def localized_sum(fpd, genus, mode, order):
         n_h, n_r = len(divided), len(residual)
         imax = order + n
         big = order + 2 * n_h + (imax + 1) * n_r
-        if big not in tail_specs:
-            tail_specs[big] = genus.at_order(big)
-        spec2 = tail_specs[big]
-        Q = _point_product(spec2, point, k, spec2.order)
+        Q = _point_product(genus.at_order(big), point, k, big)
         for prim in divided:
             Q = Q.divide_linear(prim)
         low = Q.homogeneous_component(n_r)
@@ -194,7 +190,8 @@ def phi(fpd, genus, mode, order):
     if mode == "linear":
         return linear
     if mode == "universal":
-        m = genus.at_order(order).logarithm.truncate(order)
+        # a genus is exact to order >= 1; the order-0 logarithm is 0
+        m = genus.at_order(max(order, 1)).logarithm.truncate(order)
         images = [m.embed(fpd.k, [i]) for i in range(fpd.k)]
         return linear.substitute(images) if fpd.k else linear
     raise ValueError("mode must be 'linear' or 'universal'")
@@ -339,7 +336,13 @@ def special_vanishing_check(pair, order, krichever_genus, hurewicz_genus=None):
     vanishes (checked through the hurewicz genus when supplied)."""
     if not special_check(pair.lam):
         raise ValueError("pair %r is not specially omnioriented" % pair.name)
-    fpd = signs_and_weights(pair)
+    return special_vanishing(signs_and_weights(pair), order, krichever_genus,
+                             hurewicz_genus)
+
+
+def special_vanishing(fpd, order, krichever_genus, hurewicz_genus=None):
+    """``special_vanishing_check`` on the fixed points of a specially
+    omnioriented pair."""
     cf = cf_series(fpd, krichever_genus, order)
     kv_value = cf.genus_value()
     hr_value = None

@@ -132,9 +132,6 @@ class CharMatrix:
         if any(len(row) != self.m for row in self.entries):
             raise ValueError("ragged characteristic matrix")
 
-    def column(self, i):
-        return [row[i - 1] for row in self.entries]
-
     def minor(self, facets):
         return [[self.entries[r][f - 1] for f in facets] for r in range(self.n)]
 
@@ -475,9 +472,18 @@ def from_json_obj(obj):
         return pair
     if kind == "fixed_points":
         try:
+            n, k, points = obj["n"], obj["k"], obj["points"]
+            if _as_int(n, "n") < 0 or _as_int(k, "k") < 0:
+                raise ValueError("n and k must be >= 0")
+            if not isinstance(points, list) or not all(
+                    isinstance(p, dict) and isinstance(p["weights"], list)
+                    and all(isinstance(w, list) for w in p["weights"])
+                    for p in points):
+                raise ValueError("points must be a list of objects whose "
+                                 "weights are lists of lists")
             points = [FixedPoint(p.get("label", "x%d" % i), p["sign"], p["weights"])
-                      for i, p in enumerate(obj["points"])]
-            return FixedPointData(obj["n"], obj["k"], points)
+                      for i, p in enumerate(points)]
+            return FixedPointData(n, k, points)
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed fixed_points object: %s" % exc) from exc
     raise ValueError("unknown manifold type %r" % kind)

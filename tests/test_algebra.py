@@ -12,6 +12,7 @@ from toricgenera.algebra import (
     NotDivisibleError,
     Poly,
     QQ,
+    binomial,
     canonical_linear_form,
     make_ring,
     product_of_forms,
@@ -340,7 +341,8 @@ def test_property_divide_linear_round_trip():
         w = tuple(rng.randrange(-3, 4) for _ in range(k))
         if not any(w):
             w = (1,) + w[1:]
-        prod = q.with_order(order + 1).mul_linear(w)
+        prod = q.mul_linear(w)
+        assert prod.order == order + 1
         assert prod.divide_linear(w) == q
 
 
@@ -439,13 +441,14 @@ def _ref_mul(a, b):
 
 
 def _ref_mul_linear(s, w):
+    # a series exact to s.order times a linear form is exact to s.order + 1
     terms = {}
     for i, wi in enumerate(w):
         for e, p in s.terms.items():
-            if wi and sum(e) + 1 <= s.order:
+            if wi:
                 e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
                 terms[e2] = terms.get(e2, Poly.zero(s.ring)) + p * F(wi)
-    return MultiSeries(s.ring, s.k, s.order, terms)
+    return MultiSeries(s.ring, s.k, s.order + 1, terms)
 
 
 def _ref_scale(s, c):
@@ -528,11 +531,119 @@ def test_kernels_drop_cancelled_terms():
     want = (u1 * u1 - u2 * u2).scale(b1 * b1 - b2 * b2)
     _assert_same(got, want)
     assert str(got) == "b1^2*u1^2 - b2^2*u1^2 - b1^2*u2^2 + b2^2*u2^2"
-    _assert_same((u1 - u2).mul_linear((1, 1)), u1 * u1 - u2 * u2)
+    v1, v2 = var(BRING, 2, 4, 0), var(BRING, 2, 4, 1)
+    _assert_same((u1 - u2).mul_linear((1, 1)), v1 * v1 - v2 * v2)
     _assert_same((u1 + u2).mul_linear((F(1, 2), -F(1, 2))),
-                 (u1 * u1 - u2 * u2).scale(F(1, 2)))
-    assert (u1 * u1 * u2).mul_linear((1, 1)).is_zero()  # past the order
+                 (v1 * v1 - v2 * v2).scale(F(1, 2)))
+    # the degree-3 input gains one order: its degree-4 product is kept
+    _assert_same((u1 * u1 * u2).mul_linear((1, 1)),
+                 v1 * v1 * v1 * v2 + v1 * v1 * v2 * v2)
+    _assert_same((u1 * u1 * u2).mul_linear((1, -1)),
+                 v1 * v1 * v1 * v2 - v1 * v1 * v2 * v2)
+    assert (u1 * u1 * u2 - u2 * u1 * u1).mul_linear((1, 1)).is_zero()
     assert u1.scale(0).is_zero() and u1.scale(Poly.zero(BRING)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the one power-series evaluator against the loops it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_invert_unit(s):
+    c0 = s.constant_term().constant_value()
+    one = const(s.ring, s.k, s.order, 1)
+    t = one - s.scale(F(1) / c0)
+    result = power = one
+    for _ in range(s.order):
+        power = power * t
+        if power.is_zero():
+            break
+        result = result + power
+    return result.scale(F(1) / c0)
+
+
+def _ref_exp(s):
+    one = const(s.ring, s.k, s.order, 1)
+    result = power = one
+    fact = 1
+    for i in range(1, s.order + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        fact *= i
+        result = result + power.scale(F(1, fact))
+    return result
+
+
+def _ref_sqrt_unit(s):
+    """The degree-by-degree solve 2 c_d = R_d - sum_{0<i<d} c_i c_{d-i}."""
+    ring, k, order = s.ring, s.k, s.order
+    comp = [dict() for _ in range(order + 1)]
+    comp[0][(0,) * k] = Poly.constant(ring, 1)
+    for d in range(1, order + 1):
+        acc = {e: p for e, p in s.terms.items() if sum(e) == d}
+        for i in range(1, d):
+            for e1, p1 in comp[i].items():
+                for e2, p2 in comp[d - i].items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    acc[e] = acc.get(e, Poly.zero(ring)) - p1 * p2
+        comp[d] = {e: p * F(1, 2) for e, p in acc.items()}
+    terms = {}
+    for part in comp:
+        terms.update(part)
+    return MultiSeries(ring, k, order, terms)
+
+
+def _ref_binomial_half(j):
+    """The coefficient of w^j in (1 + w)^(-1/2)."""
+    out = F(1)
+    for i in range(j):
+        out *= F(-1 - 2 * i, 2 * (i + 1))
+    return out
+
+
+@st.composite
+def _series_with_constant(draw, constant):
+    ring, k = draw(_RINGS), draw(st.integers(0, 3))
+    s = draw(_series(ring, k))
+    return s - s.constant_term() + constant
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invert_unit_matches_the_geometric_loop(data):
+    c0 = data.draw(st.sampled_from([1, -1, 2, F(-3, 2)]))
+    s = data.draw(_series_with_constant(c0))
+    t = s.invert_unit()
+    _assert_same(t, _ref_invert_unit(s))
+    assert s * t == const(s.ring, s.k, s.order, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_with_constant(0))
+def test_exp_matches_the_factorial_loop(s):
+    _assert_same(s.exp(), _ref_exp(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_with_constant(1))
+def test_sqrt_unit_matches_the_degreewise_solve(s):
+    root = s.sqrt_unit()
+    _assert_same(root, _ref_sqrt_unit(s))
+    _assert_same(root ** 2, s)
+
+
+def test_binomial_and_power_sum():
+    assert [binomial(F(-1, 2), j) for j in range(8)] == \
+        [_ref_binomial_half(j) for j in range(8)]
+    assert [binomial(3, j) for j in range(5)] == [1, 3, 3, 1, 0]
+    u = var(BRING, 1, 5, 0)
+    b1 = Poly.gen(BRING, "b1")
+    # (1 + u)^3 through its binomial coefficients, and a Poly coefficient
+    _assert_same(u.power_sum(lambda j: binomial(3, j)), (u + 1) ** 3)
+    _assert_same(u.power_sum(lambda j: b1 if j == 2 else 0),
+                 (u * u).scale(b1))
+    with pytest.raises(ValueError):
+        (u + 1).power_sum(lambda j: 1)
 
 
 # ---------------------------------------------------------------------------

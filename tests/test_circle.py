@@ -15,12 +15,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from toricgenera import cli
-from toricgenera.fgl import catalog
+from toricgenera.fgl import (
+    catalog,
+    fgl_from_exponential,
+    projective_space_value,
+)
 from toricgenera.localize import (
     cf_series,
     circle_genus_value,
     dataset,
     genus_value,
+    p_omega,
     phi,
 )
 from toricgenera.quasitoric import (
@@ -247,3 +252,13 @@ def test_extra_genus_precision_changes_no_result(data_name, genus_name,
         for mode in ("linear", "universal"):
             assert _phi_str(fpd, tight, mode, order) == \
                 _phi_str(fpd, loose, mode, order)
+        # p_omega needs a_+ to its order, projective_space_value the
+        # logarithm to n + 1 and the group law the logarithm to its order
+        assert p_omega(3, tight, order) == p_omega(3, loose, order)
+        for n in range(exact):
+            assert projective_space_value(tight, n) == \
+                projective_space_value(loose, n)
+        for m in (1, order + 1):
+            law = fgl_from_exponential(tight, m).F
+            assert law.order == m
+            assert law.to_json() == fgl_from_exponential(loose, m).F.to_json()

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricgenera import quasitoric
 from toricgenera.cli import (
     COMMANDS,
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_VIOLATION,
     JobConfig,
+    main,
     parse_builtin,
     parse_manifold,
     run,
@@ -18,6 +26,7 @@ from toricgenera.quasitoric import (
     FixedPointData,
     QuasitoricPair,
     fpd_to_json_obj,
+    from_json_obj,
     pair_to_json_obj,
     signs_and_weights,
     simplex_pair,
@@ -151,6 +160,21 @@ def test_torus_job_builds_its_genus_once(monkeypatch, command, kw):
     assert rebuilds == []
 
 
+def test_special_check_eliminates_the_vertex_minors_once(monkeypatch):
+    calls = []
+    eliminate = quasitoric._eliminate
+
+    def counting_eliminate(pair):
+        calls.append(pair.name)
+        return eliminate(pair)
+
+    monkeypatch.setattr(quasitoric, "_eliminate", counting_eliminate)
+    code, lines = _run("special-check",
+                       input="builtin:square:eps=-1,1:delta=2,0", order=3)
+    assert code == EXIT_PASS and lines[-1] == "pass"
+    assert len(calls) == 1
+
+
 def test_validate_command():
     code, lines = _run("validate", input="builtin:square:eps=-1,1:delta=2,0")
     assert code == EXIT_PASS and lines[-1] == "valid"
@@ -245,6 +269,10 @@ def test_corrupted_data_exit_code(tmp_path):
      "characteristic matrix entry at row 2, column 3 is not an integer"),
     ([1, 2], "manifold JSON must be an object"),
     (7, "manifold JSON must be an object"),
+    ({"type": "fixed_points", "n": -1, "k": 1, "points": []},
+     "n and k must be >= 0"),
+    ({"type": "fixed_points", "n": 1, "k": 1, "points": {"a": 1}},
+     "points must be a list of objects"),
 ])
 def test_bad_manifold_json_exits_1(tmp_path, capsys, obj, message):
     from toricgenera.cli import main
@@ -337,3 +365,66 @@ def test_round_trip_all_builtins(tmp_path):
             assert back.lam.entries == m.lam.entries, spec
             assert back.polytope.vertices == m.polytope.vertices, spec
             assert back.polytope.normals == m.polytope.normals, spec
+
+
+# ---------------------------------------------------------------------------
+# hostile fixed-point JSON: exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_HOSTILE = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                     st.floats(-2, 2), st.text(max_size=2),
+                     st.lists(st.integers(-1, 1), max_size=2),
+                     st.dictionaries(st.text(max_size=1), st.integers(-1, 1),
+                                     max_size=2))
+
+
+@st.composite
+def _fixed_point_objs(draw):
+    """Well-formed fixed-point data with small n, k and point counts, with
+    at most one entry replaced by a hostile value or deleted."""
+    n, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    weight = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    points = [{"label": "p%d" % i, "sign": draw(st.sampled_from([1, -1])),
+               "weights": draw(st.lists(weight, min_size=n, max_size=n))}
+              for i in range(draw(st.integers(0, 3)))]
+    obj = {"type": "fixed_points", "n": n, "k": k, "points": points}
+    # a path to one container and a key in it
+    targets = [(obj, key) for key in ("n", "k", "points")]
+    for p in points:
+        targets += [(p, "label"), (p, "sign"), (p, "weights")]
+        targets += [(p["weights"], i) for i in range(len(p["weights"]))]
+        targets += [(w, i) for w in p["weights"] for i in range(len(w))]
+    targets += [(points, i) for i in range(len(points))]
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(targets))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_HOSTILE)
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_fixed_point_objs(),
+       argv=st.sampled_from([
+           ["validate"], ["fixed-points"], ["genus"], ["check-cf"],
+           ["check-rigidity"], ["phi"], ["phi", "--mode", "universal"],
+           ["pairing", "--search-pairings"], ["special-check"]]),
+       genus=st.sampled_from(["todd", "hurewicz"]),
+       order=st.integers(0, 2))
+def test_hostile_fixed_point_json_exits_cleanly(obj, argv, genus, order):
+    try:
+        from_json_obj(obj)
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", path, "--genus", genus,
+                                "--order", str(order)])
+    assert code in (EXIT_PASS, EXIT_INPUT, EXIT_VIOLATION)
+    if code == EXIT_INPUT:
+        assert err.getvalue().startswith("error: ")

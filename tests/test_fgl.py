@@ -6,6 +6,7 @@ from toricgenera.algebra import MultiSeries, Poly, QQ, make_ring
 from toricgenera.fgl import (
     CATALOG_NAMES,
     BsfglShapeError,
+    GenusSpec,
     catalog,
     chern_from_elementary,
     conjugate_orientation,
@@ -283,6 +284,45 @@ def test_a_plus_inverts_b_plus(name):
             MultiSeries.constant(spec.ring, 1, spec.order - 1, 1)
         x = MultiSeries.variable(spec.ring, 1, spec.order, 0)
         assert conjugate_orientation(spec) == x * a
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_at_order_is_exact_to_the_order_asked_for(name):
+    spec = catalog(name, 4, generators=4)            # exact to 6
+    longer = catalog(name, 6, generators=4)          # exact to 8
+    assert spec.at_order(spec.order) is spec
+    assert spec.at_order(3) is spec.at_order(3)      # derived once
+    for m in (1, 3, 5, 6, 7, 8):                     # below, at and above
+        got = spec.at_order(m)
+        assert got.order == m and got.name == name and got.ring == spec.ring
+        _assert_exact(got.exponential, longer.exponential, m)
+        _assert_exact(got.logarithm, longer.logarithm, m)
+        _assert_exact(got.a_plus(), longer.a_plus(), m - 1)
+    # truncating down and then rebuilding up gives the longer genus back
+    again = spec.at_order(2).at_order(8)
+    assert again.order == 8
+    assert again.exponential.to_json() == longer.exponential.to_json()
+    with pytest.raises(ValueError):
+        spec.at_order(0)
+
+
+def _assert_exact(got, longer, m):
+    assert got.order == m
+    assert got.to_json() == longer.truncate(m).to_json()
+
+
+def test_at_order_without_a_builder_only_truncates():
+    spec = GenusSpec("todd", catalog("todd", 4).exponential)
+    assert spec.at_order(3).exponential == spec.exponential.truncate(3)
+    with pytest.raises(ValueError, match="cannot be extended"):
+        spec.at_order(spec.order + 1)
+
+
+def test_krichever_exponential_is_its_catalog_genus():
+    kv = krichever_exponential(5)
+    assert kv.order == 5 and kv.name == "krichever"
+    assert kv.exponential == catalog("krichever", 3).exponential
+    assert kv.at_order(7).exponential == catalog("krichever", 5).exponential
 
 
 # ---------------------------------------------------------------------------
