@@ -49,6 +49,8 @@ class InputError(ValueError):
 
 @dataclass
 class JobConfig:
+    """One CLI job: the parsed options, whose defaults are the CLI's, and
+    the output lines ``run`` fills."""
     command: str
     input: str = ""
     genus: str = "hurewicz"
@@ -180,12 +182,22 @@ def _finish(job, payload, code):
 
 
 def run(job):
-    """Execute a job; returns the exit code and fills job.lines."""
+    """Execute a job; returns the exit code and fills job.lines.
+
+    This is the one place where a failure becomes an exit code: bad input
+    (ValueError) exits 1 with ``error: ...``, and a Conner-Floyd violation
+    exits 2 with ``violation: ...`` (under ``--format json``, a report
+    with ``"pass": false``).
+    """
     try:
         return _run(job)
     except ValueError as exc:
         job.emit("error: %s" % exc)
         return EXIT_INPUT
+    except ConnerFloydViolation as exc:
+        job.emit("violation: %s" % exc)
+        return _finish(job, {"pass": False, "error": str(exc)},
+                       EXIT_VIOLATION)
 
 
 def _list_builtins(job):
@@ -222,20 +234,13 @@ def _show_fixed_points(job, manifold, fpd):
     return EXIT_PASS
 
 
-def _value(job, key, prefix, compute):
-    """Report ``compute()`` under ``key``, or its Conner-Floyd violation."""
-    try:
-        value = compute()
-    except ConnerFloydViolation as exc:
-        job.emit("violation: %s" % exc)
-        return _finish(job, {"pass": False, "error": str(exc)},
-                       EXIT_VIOLATION)
+def _value(job, key, prefix, value):
     job.emit(prefix + str(value))
     return _finish(job, {"pass": True, key: str(value)}, EXIT_PASS)
 
 
 def _phi(job, manifold, fpd):
-    return _value(job, "phi", "phi = ", lambda: phi(
+    return _value(job, "phi", "phi = ", phi(
         fpd, _build_genus(job, fpd.n - 1), job.mode, job.order))
 
 
@@ -245,7 +250,7 @@ def _genus(job, manifold, fpd):
     value_of = circle_genus_value if isinstance(manifold, QuasitoricPair) \
         else genus_value
     return _value(job, "genus_value", "genus_value: ",
-                  lambda: value_of(fpd, _build_genus(job)))
+                  value_of(fpd, _build_genus(job)))
 
 
 def _check(rigidity):
@@ -293,10 +298,7 @@ def _pairing(job, manifold, fpd):
             blocks.append([int(x) - 1 for x in block.split("-")])
     except ValueError:
         raise InputError("malformed --pairing %r" % job.pairing)
-    try:
-        report = pairing_obstruction(fpd, augmentation, blocks=blocks)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    report = pairing_obstruction(fpd, augmentation, blocks=blocks)
     for block, vanish in zip(report.blocks, report.vanishing):
         job.emit("block {%s}: %s"
                  % (",".join(str(i + 1) for i in block),
@@ -352,6 +354,10 @@ COMMANDS = tuple(HANDLERS)
 
 
 def _run(job):
+    if job.order < 0:
+        raise InputError("--order must be >= 0")
+    if job.genus_order is not None and job.genus_order < 1:
+        raise InputError("--genus-order must be >= 1")
     if job.command not in HANDLERS:
         raise InputError("unknown command %r" % job.command)
     handler, inputs = HANDLERS[job.command]
@@ -377,43 +383,24 @@ def build_parser():
         description="Exact equivariant genus computations for torus "
                     "manifolds from fixed-point data.")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", default="",
+    parser.add_argument("--input",
                         help="manifold JSON file or builtin:<name>")
-    parser.add_argument("--genus", default="hurewicz",
-                        help="|".join(CATALOG_NAMES))
-    parser.add_argument("--genus-order", type=int, default=None,
+    parser.add_argument("--genus", help="|".join(CATALOG_NAMES))
+    parser.add_argument("--genus-order", type=int,
                         help="hurewicz generator count (default: --order)")
-    parser.add_argument("--mode", choices=("linear", "universal"),
-                        default="linear")
-    parser.add_argument("--order", type=int, default=6)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--mode", choices=("linear", "universal"))
+    parser.add_argument("--order", type=int)
+    parser.add_argument("--format", choices=("text", "json"))
     parser.add_argument("--flip-orientation", action="store_true")
-    parser.add_argument("--pairing", default=None,
+    parser.add_argument("--pairing",
                         help='comma-separated blocks like "1-4,2-3"')
     parser.add_argument("--search-pairings", action="store_true")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.order < 0:
-        print("error: --order must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
-    if args.genus_order is not None and args.genus_order < 1:
-        print("error: --genus-order must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    job = JobConfig(
-        command=args.command,
-        input=args.input,
-        genus=args.genus,
-        genus_order=args.genus_order,
-        mode=args.mode,
-        order=args.order,
-        format=args.format,
-        flip_orientation=args.flip_orientation,
-        pairing=args.pairing,
-        search_pairings=args.search_pairings,
-    )
+    # options the command line leaves out keep JobConfig's defaults
+    job = build_parser().parse_args(argv, namespace=JobConfig(command=""))
     code = run(job)
     out = sys.stdout if code != EXIT_INPUT else sys.stderr
     for line in job.lines:

@@ -344,9 +344,12 @@ def catalog(name, order, generators=None):
     """
     if name not in CATALOG:
         raise KeyError("unknown genus %r" % name)
+    if generators is not None and generators < 1:
+        raise ValueError("generators must be >= 1")
     build = CATALOG[name]
     if name == "hurewicz":
-        build = functools.partial(build, generators or order)
+        build = functools.partial(
+            build, order if generators is None else generators)
     return GenusSpec(name, build(order + 2), build)
 
 

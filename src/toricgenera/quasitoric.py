@@ -83,9 +83,11 @@ class Polytope:
     """
 
     def __init__(self, n, m, vertices, normals=None, orientations=None):
-        self.n = n
-        self.m = m
-        self.vertices = [tuple(sorted(v)) for v in vertices]
+        n, m = _as_int(n, "n"), _as_int(m, "m")
+        self.n, self.m = n, m
+        self.vertices = [tuple(sorted(_as_int(i, "facet index in vertex %r", v)
+                                      for i in v))
+                         for v in vertices]
         if not self.vertices:
             raise ValueError("a polytope needs at least one vertex")
         seen = set()
@@ -457,6 +459,9 @@ def from_json_obj(obj):
     if kind == "quasitoric":
         try:
             poly = obj["polytope"]
+            if not isinstance(poly, dict):
+                raise ValueError("malformed quasitoric object: "
+                                 "polytope must be an object")
             normals = poly.get("normals")
             if normals is not None:
                 normals = [[Fraction(x) for x in row] for row in normals]

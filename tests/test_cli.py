@@ -284,15 +284,58 @@ def test_bad_manifold_json_exits_1(tmp_path, capsys, obj, message):
     assert not out and err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("value", ["-3", "0"])
-def test_genus_order_below_one_exits_1(capsys, value):
-    from toricgenera.cli import main
-    assert main(["genus", "--input", "builtin:cp2",
-                 "--genus-order", value]) == EXIT_INPUT
+def _job(entry, capsys, command, **kw):
+    """(exit code, output lines) of a job run through ``main`` or ``run``;
+    ``main`` prints an exit-1 job to stderr alone, any other to stdout."""
+    if entry == "run":
+        return _run(command, **kw)
+    argv = [command]
+    for key, value in kw.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    code = main(argv)
     out, err = capsys.readouterr()
-    assert not out and err == "error: --genus-order must be >= 1\n"
-    assert main(["genus", "--input", "builtin:cp2",
-                 "--genus-order", "1"]) == EXIT_PASS
+    assert not (out if code == EXIT_INPUT else err)
+    return code, (err if code == EXIT_INPUT else out).splitlines()
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("main", -3), ("main", 0), ("run", -3), ("run", 0)],
+    ids=["-3", "0", "run:-3", "run:0"])
+def test_genus_order_below_one_exits_1(capsys, entry, value):
+    assert _job(entry, capsys, "genus", input="builtin:cp2",
+                genus_order=value) == \
+        (EXIT_INPUT, ["error: --genus-order must be >= 1"])
+    assert _job(entry, capsys, "genus", input="builtin:cp2",
+                genus_order=1)[0] == EXIT_PASS
+
+
+@pytest.mark.parametrize("command, kw, message", [
+    ("check-cf", dict(order=-1), "--order must be >= 0"),
+    ("phi", dict(genus_order=-2), "--genus-order must be >= 1"),
+], ids=["check-cf-order", "phi-genus-order"])
+def test_run_refuses_orders_out_of_range(command, kw, message):
+    # run is the library's entry point too: it checks what main checked
+    assert _run(command, input="builtin:s6", **kw) == \
+        (EXIT_INPUT, ["error: " + message])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_special_check_violation_exits_2(tmp_path, capsys, fmt):
+    # reversing facet 4's normal flips the signs at its two vertices: the
+    # pair stays valid and specially omnioriented, but breaks Conner-Floyd
+    obj = pair_to_json_obj(square_pair(-1, 1, 2, 0))
+    obj["polytope"]["normals"][1][3] = "1"
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(obj))
+    code, lines = _job("main", capsys, "special-check", input=str(path),
+                       order=1, format=fmt)
+    assert code == EXIT_VIOLATION
+    message = "Conner-Floyd relation cf_0 = 0 is violated"
+    if fmt == "text":
+        assert lines == ["violation: " + message]
+    else:
+        assert [json.loads(l) for l in lines] == \
+            [{"error": message, "pass": False}]
 
 
 def test_genus_on_a_pair_with_a_minor_of_determinant_2_exits_1(tmp_path,
@@ -371,6 +414,23 @@ def test_round_trip_all_builtins(tmp_path):
 # hostile fixed-point JSON: exit 0, 1 or 2, never a traceback
 # ---------------------------------------------------------------------------
 
+def _main_on_json(obj, argv):
+    """(exit code, stderr) of ``main(argv)`` on ``obj`` written to a JSON
+    file; ``from_json_obj`` itself may raise nothing but ValueError."""
+    try:
+        from_json_obj(obj)
+    except ValueError:
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", path])
+    return code, err.getvalue()
+
+
 _HOSTILE = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
                      st.floats(-2, 2), st.text(max_size=2),
                      st.lists(st.integers(-1, 1), max_size=2),
@@ -413,18 +473,49 @@ def _fixed_point_objs(draw):
        genus=st.sampled_from(["todd", "hurewicz"]),
        order=st.integers(0, 2))
 def test_hostile_fixed_point_json_exits_cleanly(obj, argv, genus, order):
-    try:
-        from_json_obj(obj)
-    except ValueError:
-        pass
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "m.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--input", path, "--genus", genus,
-                                "--order", str(order)])
+    code, err = _main_on_json(obj, argv + ["--genus", genus,
+                                           "--order", str(order)])
     assert code in (EXIT_PASS, EXIT_INPUT, EXIT_VIOLATION)
     if code == EXIT_INPUT:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# hostile pair JSON: exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _pair_objs(draw):
+    """The cp2 or square pair JSON with one entry replaced by a hostile
+    value or deleted."""
+    pair = draw(st.sampled_from([simplex_pair(2, (-1, -1)),
+                                 square_pair(-1, 1, 2, 0)]))
+    obj = pair_to_json_obj(pair)
+    poly = obj["polytope"]
+    # a path to one container and a key in it
+    targets = [(obj, key) for key in ("name", "polytope", "lambda")]
+    targets += [(poly, key) for key in poly]
+    for rows in (poly["vertices"], poly["normals"], obj["lambda"]):
+        targets += [(rows, i) for i in range(len(rows))]
+        targets += [(row, i) for row in rows for i in range(len(row))]
+    container, key = draw(st.sampled_from(targets))
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(_HOSTILE)
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_pair_objs(),
+       argv=st.sampled_from([["validate"], ["genus"], ["fixed-points"],
+                             ["special-check"]]),
+       genus=st.sampled_from(["todd", "hurewicz"]),
+       order=st.integers(0, 2))
+def test_hostile_pair_json_exits_cleanly(obj, argv, genus, order):
+    code, err = _main_on_json(obj, argv + ["--genus", genus,
+                                           "--order", str(order)])
+    assert code in (EXIT_PASS, EXIT_INPUT, EXIT_VIOLATION)
+    if code == EXIT_INPUT:
+        # an input error, or the problems validate found in the pair
+        assert err.startswith(("error: ", "violation: "))

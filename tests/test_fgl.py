@@ -92,6 +92,14 @@ def test_unknown_catalog_name():
         catalog("nope", 4)
 
 
+@pytest.mark.parametrize("generators", [0, -2])
+def test_catalog_refuses_fewer_than_one_generator(generators):
+    with pytest.raises(ValueError, match="generators must be >= 1"):
+        catalog("hurewicz", 3, generators=generators)
+    # without an explicit count the hurewicz ring has one per order
+    assert catalog("hurewicz", 3).ring == catalog("hurewicz", 3, 3).ring
+
+
 # ---------------------------------------------------------------------------
 # group laws
 # ---------------------------------------------------------------------------
