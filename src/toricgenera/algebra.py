@@ -12,11 +12,16 @@ Series multiplication (``MultiSeries.__mul__``, ``mul_linear`` and
 ``scale``) runs on flat integer kernels: ``_flatten`` brings each operand
 over one common integer denominator, the kernel adds plain int products
 per (u-exponent, generator-exponent), and ``_assemble`` makes one Fraction
-per non-zero sum.  Results are built with ``Poly._trusted`` and
-``MultiSeries._trusted``, which skip the re-validation of ``__init__``.
-They may only be given fresh dicts that no one else holds, with no zero
-coefficient, exponent tuples of the ring's and k's lengths and every
-u-degree <= order.
+per non-zero sum.  ``MultiSeries.compose_at_linear`` writes each term
+c_d (w . u)^d straight into its u-monomials, and
+``LocalizedSum.over_common_denominator`` multiplies each numerator by the
+int polynomial of its missing forms (``_expand_forms``), into one such
+accumulator.
+
+Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
+which skip the re-validation of ``__init__``.  They may only be given
+fresh dicts that no one else holds, with no zero coefficient, exponent
+tuples of the ring's and k's lengths and every u-degree <= order.
 """
 
 from __future__ import annotations
@@ -381,6 +386,28 @@ def _assemble(ring, k, order, acc, den):
     return MultiSeries._trusted(ring, k, order, terms)
 
 
+def _times_form(poly, form):
+    """An int polynomial {u-exponent: int} times the linear form given as
+    its non-zero (i, m_i); zero sums are dropped."""
+    out = {}
+    for e, c in poly.items():
+        for i, m in form:
+            e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+            out[e2] = out.get(e2, 0) + c * m
+    return {e: c for e, c in out.items() if c}
+
+
+def _expand_forms(k, forms):
+    """The product of a multiset {integer form: multiplicity} of linear
+    forms in k variables, as an int polynomial."""
+    poly = {(0,) * k: 1}
+    for form, mult in sorted(forms.items()):
+        nonzero = [(i, m) for i, m in enumerate(form) if m]
+        for _ in range(mult):
+            poly = _times_form(poly, nonzero)
+    return poly
+
+
 class MultiSeries:
     """Power series in u1..uk over a Poly coefficient ring, truncated by
     total u-degree ``order`` (all monomials of degree <= order are exact).
@@ -704,19 +731,31 @@ class MultiSeries:
         return out
 
     def compose_at_linear(self, w, k, order=None):
-        """Univariate series evaluated at the linear form w . u (k variables)."""
+        """Univariate series evaluated at the linear form w . u (k variables).
+
+        With w = m / den_w, u^e has the coefficient
+        c_d (d! / prod e_i!) prod m_i^e_i / den_w^d in c_d (w . u)^d.
+        """
         if self.k != 1:
             raise ValueError("compose_at_linear is for univariate series")
         order = self.order if order is None else min(order, self.order)
-        out = MultiSeries.zero(self.ring, k, order)
-        power = MultiSeries.constant(self.ring, k, order, 1)
+        weights = [(i, _frac(wi)) for i, wi in enumerate(w) if wi]
+        den_w = lcm(*(q.denominator for _i, q in weights))
+        form = [(i, q.numerator * (den_w // q.denominator)) for i, q in weights]
+        den, flat = _flatten(self.terms, order)
+        coefficients = {d: p for _e, d, p in flat}
+        acc = {}
+        power = {(0,) * k: 1}  # (m . u)^d
         for d in range(order + 1):
-            c = self.coefficient((d,))
-            if not c.is_zero():
-                out = out + power.scale(c)
-            if d < order:
-                power = power.mul_linear(w)
-        return out
+            if d:
+                power = _times_form(power, form)
+            p = coefficients.get(d)
+            if p is not None:
+                lift = den_w ** (order - d)
+                for e, c in power.items():
+                    c *= lift
+                    acc[e] = {g: n * c for g, n in p}
+        return _assemble(self.ring, k, order, acc, den * den_w ** order)
 
     def revert(self):
         """Inverse series of a univariate f = x + O(x^2).
@@ -866,6 +905,24 @@ def _as_int(x, what, *args):
     raise ValueError("%s is not an integer: %r" % (what % args, x))
 
 
+def _as_rational(x, what, *args):
+    """``x`` as a Fraction from an int, a Fraction or an exact string such
+    as "1/2"; floats and bools are refused, never rounded."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
+    elif not isinstance(x, bool):
+        try:
+            return Fraction(operator.index(x))
+        except TypeError:
+            pass
+    raise ValueError("%s is not an exact rational: %r" % (what % args, x))
+
+
 def canonical_linear_form(w):
     """Split an integer vector as scale * primitive with primitive > 0.
 
@@ -886,11 +943,10 @@ def canonical_linear_form(w):
 
 def product_of_forms(ring, k, order, forms):
     """Expand a multiset {form: multiplicity} of linear forms as a series."""
-    out = MultiSeries.constant(ring, k, order, 1)
-    for form, mult in sorted(forms.items()):
-        for _ in range(mult):
-            out = out.mul_linear(form)
-    return out.truncate(order)
+    one = (0,) * len(ring)
+    acc = {e: {one: c} for e, c in _expand_forms(k, forms).items()
+           if sum(e) <= order}
+    return _assemble(ring, k, order, acc, 1)
 
 
 class LocalizedSum:
@@ -900,7 +956,7 @@ class LocalizedSum:
     vectors (dict form -> multiplicity); scalar contents have been folded
     into the numerators.  ``order`` is the target truncation order of the
     normalization; each numerator must be exact to order + its
-    denominator degree.
+    denominator degree, and ``add_term`` refuses one that is not.
     """
 
     __slots__ = ("ring", "k", "order", "terms")
@@ -909,10 +965,18 @@ class LocalizedSum:
         self.ring = ring
         self.k = k
         self.order = order
-        self.terms = [(num, dict(den)) for num, den in terms]
+        self.terms = []
+        for num, den in terms:
+            self.add_term(num, den)
 
     def add_term(self, numerator, denominator):
-        self.terms.append((numerator, dict(denominator)))
+        denominator = dict(denominator)
+        forms = sum(denominator.values())
+        if numerator.order < self.order + forms:
+            raise ValueError(
+                "a numerator over %d linear forms must be exact to order "
+                "%d, not %d" % (forms, self.order + forms, numerator.order))
+        self.terms.append((numerator, denominator))
 
     def __iter__(self):
         return iter(self.terms)
@@ -929,18 +993,30 @@ class LocalizedSum:
         return D
 
     def over_common_denominator(self):
-        """Cross-multiply to (numerator, common denominator multiset)."""
+        """Cross-multiply to (numerator, common denominator multiset),
+        over the lcm L of the numerators' denominators."""
         D = self.common_denominator()
-        degD = sum(D.values())
-        total = MultiSeries.zero(self.ring, self.k, self.order + degD)
+        top = self.order + sum(D.values())
+        pieces = []
         for num, den in self.terms:
-            missing = {f: m - den.get(f, 0) for f, m in D.items() if m - den.get(f, 0)}
-            piece = num.truncate(self.order + degD - sum(missing.values()))
-            for form, mult in sorted(missing.items()):
-                for _ in range(mult):
-                    piece = piece.mul_linear(form)
-            total = total + piece
-        return total, D
+            missing = {f: m - den.get(f, 0) for f, m in D.items()
+                       if m > den.get(f, 0)}
+            den_x, flat = _flatten(num.terms, top - sum(missing.values()))
+            pieces.append((den_x, flat, _expand_forms(self.k, missing)))
+        L = lcm(*(den_x for den_x, _flat, _poly in pieces))
+        add = operator.add
+        acc = {}
+        for den_x, flat, poly in pieces:
+            poly = [(e, c * (L // den_x)) for e, c in poly.items()]
+            for e1, _d, p1 in flat:
+                for e2, c2 in poly:
+                    e = tuple(map(add, e1, e2))
+                    out = acc.get(e)
+                    if out is None:
+                        out = acc[e] = {}
+                    for g, c in p1:
+                        out[g] = out.get(g, 0) + c * c2
+        return _assemble(self.ring, self.k, top, acc, L), D
 
     def _quotients(self):
         """Cross-multiply once, then divide each homogeneous component of

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from toricgenera.algebra import _as_int, _fmt_frac
+from toricgenera.algebra import _as_int, _as_rational, _fmt_frac
 
 
 class InvalidPairError(ValueError):
@@ -100,7 +100,10 @@ class Polytope:
                 raise ValueError("duplicate vertex %r" % (v,))
             seen.add(v)
         if normals is not None:
-            normals = [[Fraction(x) for x in row] for row in normals]
+            normals = [[_as_rational(x, "normal entry at row %d, column %d",
+                                     r + 1, c + 1)
+                         for c, x in enumerate(row)]
+                        for r, row in enumerate(normals)]
             if len(normals) != n or any(len(row) != m for row in normals):
                 raise ValueError("normals must be an n x m matrix")
         self.normals = normals
@@ -462,11 +465,8 @@ def from_json_obj(obj):
             if not isinstance(poly, dict):
                 raise ValueError("malformed quasitoric object: "
                                  "polytope must be an object")
-            normals = poly.get("normals")
-            if normals is not None:
-                normals = [[Fraction(x) for x in row] for row in normals]
             polytope = Polytope(poly["n"], poly["m"], poly["vertices"],
-                                normals, poly.get("orientations"))
+                                poly.get("normals"), poly.get("orientations"))
             lam = CharMatrix(obj["lambda"])
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed quasitoric object: %s" % exc) from exc

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,13 @@ from toricgenera.algebra import (
     canonical_linear_form,
     make_ring,
     product_of_forms,
+)
+from toricgenera.fgl import catalog
+from toricgenera.localize import dataset, localized_sum
+from toricgenera.quasitoric import (
+    FixedPointData,
+    signs_and_weights,
+    simplex_pair,
 )
 
 F = Fraction
@@ -542,6 +550,190 @@ def test_kernels_drop_cancelled_terms():
                  v1 * v1 * v1 * v2 - v1 * v1 * v2 * v2)
     assert (u1 * u1 * u2 - u2 * u1 * u1).mul_linear((1, 1)).is_zero()
     assert u1.scale(0).is_zero() and u1.scale(Poly.zero(BRING)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the localization kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_compose_at_linear(s, w, k, order=None):
+    """The power-and-add loop: sum_d c_d (w . u)^d, one mul_linear a
+    degree."""
+    order = s.order if order is None else min(order, s.order)
+    out = MultiSeries.zero(s.ring, k, order)
+    power = const(s.ring, k, order, 1)
+    for d in range(order + 1):
+        c = s.coefficient((d,))
+        if not c.is_zero():
+            out = out + power.scale(c)
+        if d < order:
+            power = power.mul_linear(w)
+    return out
+
+
+def _ref_over_common_denominator(ls):
+    """Each numerator times its missing forms, one mul_linear a form,
+    added up term by term."""
+    D = ls.common_denominator()
+    degD = sum(D.values())
+    total = MultiSeries.zero(ls.ring, ls.k, ls.order + degD)
+    for num, den in ls:
+        missing = {f: m - den.get(f, 0) for f, m in D.items()
+                   if m - den.get(f, 0)}
+        piece = num.truncate(ls.order + degD - sum(missing.values()))
+        for form, mult in sorted(missing.items()):
+            for _ in range(mult):
+                piece = piece.mul_linear(form)
+        total = total + piece
+    return total, D
+
+
+def _assert_same_cross_multiplied(ls):
+    got, D = ls.over_common_denominator()
+    want, ref_D = _ref_over_common_denominator(ls)
+    _assert_same(got, want)
+    assert D == ref_D
+    assert got.order == ls.order + sum(D.values())
+    return got
+
+
+_WEIGHTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def _univariate_series(draw, ring):
+    order = draw(st.integers(0, 6))
+    terms = draw(st.dictionaries(st.integers(0, order).map(lambda d: (d,)),
+                                 _polys(ring), max_size=order + 1))
+    return MultiSeries(ring, 1, order, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_at_linear_matches_the_power_and_add_loop(data):
+    ring, k = data.draw(_RINGS), data.draw(st.integers(0, 3))
+    s = data.draw(_univariate_series(ring))
+    w = data.draw(st.tuples(*[_WEIGHTS] * k))
+    order = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+    # the drawn form, and the zero form, which keeps the constant term
+    for form in (w, (0,) * k):
+        got = s.compose_at_linear(form, k, order)
+        _assert_same(got, _ref_compose_at_linear(s, form, k, order))
+        assert got.order == (s.order if order is None
+                             else min(order, s.order))
+
+
+def test_compose_at_linear_examples():
+    t = var(BRING, 1, 4, 0)
+    b1 = Poly.gen(BRING, "b1")
+    s = 1 + t + (t * t).scale(b1) + t * t * t
+    u1, u2 = var(BRING, 2, 3, 0), var(BRING, 2, 3, 1)
+    x = u1.scale(F(1, 2)) - u2.scale(F(2, 3))
+    want = 1 + x + (x * x).scale(b1) + x * x * x
+    _assert_same(s.compose_at_linear((F(1, 2), F(-2, 3)), 2, 3), want)
+    # a zero form and k = 0 keep the constant term alone
+    _assert_same(s.compose_at_linear((0, 0), 2), const(BRING, 2, 4, 1))
+    _assert_same(s.compose_at_linear((), 0, 2), const(BRING, 0, 2, 1))
+    # the order is clamped to the series' own
+    assert s.compose_at_linear((1, 1), 2, 9).order == 4
+    with pytest.raises(ValueError, match="univariate"):
+        u1.compose_at_linear((1, 1), 2)
+
+
+_FORMS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
+
+
+@st.composite
+def _localized_sums(draw):
+    """Sums over QQ or a generator ring, with numerators of mixed
+    denominators, each exact to the order its denominator needs."""
+    ring, order = draw(_RINGS), draw(st.integers(0, 3))
+    ls = LocalizedSum(ring, 2, order)
+    for _ in range(draw(st.integers(0, 3))):
+        forms = draw(st.lists(st.sampled_from(_FORMS), max_size=3))
+        den = {f: forms.count(f) for f in forms}
+        extra = draw(st.integers(0, 2))
+        u_exps = st.tuples(*[st.integers(0, order + len(forms) + extra)] * 2)
+        terms = draw(st.dictionaries(u_exps, _polys(ring), max_size=6))
+        ls.add_term(MultiSeries(ring, 2, order + len(forms) + extra, terms),
+                    den)
+    return ls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_localized_sums())
+def test_over_common_denominator_matches_the_mul_linear_loop(ls):
+    _assert_same_cross_multiplied(ls)
+
+
+_LOCALIZED_DATA = {
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+    "cp2": signs_and_weights(simplex_pair(2, (-1, -1))),
+    "cp3": signs_and_weights(simplex_pair(3, (-1, -1, -1))),
+    # weights such as e1 + e2 give universal sums geometric tails
+    "cp2:eps=+-": signs_and_weights(simplex_pair(2, (1, -1))),
+    "cp3:eps=+-+": signs_and_weights(simplex_pair(3, (1, -1, 1))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), data_name=st.sampled_from(sorted(_LOCALIZED_DATA)),
+       genus_name=st.sampled_from(("todd", "hurewicz", "elliptic")),
+       mode=st.sampled_from(("linear", "universal")),
+       order=st.integers(0, 2), flip=st.booleans())
+def test_over_common_denominator_matches_the_loop_on_localized_sums(
+        data, data_name, genus_name, mode, order, flip):
+    fpd = _LOCALIZED_DATA[data_name]
+    if flip:
+        fpd = fpd.flip_one(data.draw(st.integers(0, len(fpd) - 1)))
+    genus = catalog(genus_name, max(order, 1))
+    _assert_same_cross_multiplied(localized_sum(fpd, genus, mode, order))
+
+
+def test_over_common_denominator_on_augmentation_blocks():
+    # the numerators _block_vanishes tests: pairs of fixed points under the
+    # augmentation genus, some of which cancel to zero
+    aug = catalog("augmentation", 1)
+    vanishing = 0
+    for name in ("s6", "flag3", "cp2:eps=+-"):
+        fpd = _LOCALIZED_DATA[name]
+        for block in itertools.combinations(range(len(fpd)), 2):
+            sub = FixedPointData(fpd.n, fpd.k, [fpd.points[i] for i in block])
+            total = _assert_same_cross_multiplied(
+                localized_sum(sub, aug, "linear", 0))
+            vanishing += total.is_zero()
+    assert vanishing >= 4
+
+
+def test_over_common_denominator_cancels_to_zero():
+    one = const(BRING, 2, 9, F(1, 3))
+    den = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    ls = LocalizedSum(BRING, 2, 6, [(one, den), (-one, den)])
+    assert _assert_same_cross_multiplied(ls).is_zero()
+    # u1/u1 + u2/u2 over u1 u2 is 2 u1 u2
+    u1, u2 = var(QQ, 2, 7, 0), var(QQ, 2, 7, 1)
+    ls = LocalizedSum(QQ, 2, 6, [(u1, {(1, 0): 1}), (u2, {(0, 1): 1})])
+    total = _assert_same_cross_multiplied(ls)
+    assert total == (u1 * u2).scale(2).truncate(8)
+    assert LocalizedSum(QQ, 2, 3).over_common_denominator() == \
+        (MultiSeries.zero(QQ, 2, 3), {})
+
+
+def test_localized_sum_refuses_a_numerator_short_of_its_order():
+    den = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    short = const(QQ, 2, 8, 1)
+    with pytest.raises(ValueError, match="exact to order 9, not 8"):
+        LocalizedSum(QQ, 2, 6, [(short, den)])
+    ls = LocalizedSum(QQ, 2, 6)
+    with pytest.raises(ValueError, match="over 3 linear forms"):
+        ls.add_term(short, den)
+    assert len(ls) == 0
+    ls.add_term(const(QQ, 2, 9, 1), den)
+    total, _D = ls.over_common_denominator()
+    assert total.order == 9
+    with pytest.raises(NormalizeError):
+        ls.normalize()
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,22 @@ def test_bad_manifold_json_exits_1(tmp_path, capsys, obj, message):
     assert not out and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 0, True), (1, 2, -1.0)],
+                         ids=["true", "float"])
+def test_coerced_pair_normals_exit_1(tmp_path, capsys, row, col, value):
+    # both were read as the numbers 1 and -1 before, and the job passed
+    obj = pair_to_json_obj(simplex_pair(2, (-1, -1)))
+    obj["polytope"]["normals"][row][col] = value
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(obj))
+    assert main(["genus", "--input", str(path), "--genus", "todd"]) == \
+        EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err == (
+        "error: normal entry at row %d, column %d is not an exact "
+        "rational: %r\n" % (row + 1, col + 1, value))
+
+
 def _job(entry, capsys, command, **kw):
     """(exit code, output lines) of a job run through ``main`` or ``run``;
     ``main`` prints an exit-1 job to stderr alone, any other to stdout."""

@@ -324,6 +324,24 @@ def test_integer_like_entries_are_kept():
         CharMatrix([[1, Fraction(1, 2)]])
 
 
+@pytest.mark.parametrize("bad", [True, False, -1.0, 0.1, "x", None, [1]])
+def test_inexact_normal_entries_are_refused(bad):
+    normals = [[1, 0, -1], [0, 1, -1]]
+    normals[1][2] = bad
+    with pytest.raises(ValueError, match=r"normal entry at row 2, column 3 "
+                                         r"is not an exact rational"):
+        Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], normals)
+
+
+def test_exact_normal_entries_are_kept():
+    from fractions import Fraction as F
+
+    normals = [[1, "0", "-1/2"], [F(2, 3), 1, " 3 "]]
+    got = Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], normals).normals
+    assert got == [[1, 0, F(-1, 2)], [F(2, 3), 1, 3]]
+    assert all(type(x) is F for row in got for x in row)
+
+
 def test_fixed_point_invariants():
     with pytest.raises(ValueError):
         FixedPoint("x", 1, [(0, 0)])
