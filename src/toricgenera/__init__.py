@@ -20,7 +20,6 @@ from toricgenera.algebra import (
 )
 from toricgenera.fgl import (
     CATALOG_NAMES,
-    FGL,
     BsfglShapeError,
     GenusSpec,
     catalog,
@@ -30,6 +29,7 @@ from toricgenera.fgl import (
     genus_from_chern_numbers,
     krichever_exponential,
     logarithm_from_fgl,
+    m_series,
     projective_space_value,
     verify_bsfgl_shape,
     weight_series,
@@ -69,7 +69,7 @@ from toricgenera.quasitoric import (
 
 __all__ = [
     "CATALOG_NAMES", "BsfglShapeError", "CfSeries", "CharMatrix",
-    "ConnerFloydViolation", "FGL", "FixedPoint", "FixedPointData",
+    "ConnerFloydViolation", "FixedPoint", "FixedPointData",
     "FunctionalEquationError", "Generator", "GenusSpec", "InvalidPairError",
     "LocalizedSum", "MultiSeries", "NormalizeError", "NotDivisibleError",
     "Poly", "Polytope", "QQ", "QuasitoricPair", "canonical_linear_form",
@@ -77,9 +77,10 @@ __all__ = [
     "dataset", "elliptic_fgl_check", "fgl_from_exponential",
     "functional_equation_check", "generic_direction",
     "genus_from_chern_numbers", "genus_value", "krichever_exponential",
-    "localized_sum", "logarithm_from_fgl", "make_ring", "p_omega",
-    "pairing_obstruction", "phi", "product_pair", "projective_space_value",
-    "refine", "restrict_to_subcircle", "signs_and_weights", "simplex_pair",
-    "special_check", "special_vanishing_check", "square_pair",
-    "validate_pair", "verify_bsfgl_shape", "weight_series",
+    "localized_sum", "logarithm_from_fgl", "m_series", "make_ring",
+    "p_omega", "pairing_obstruction", "phi", "product_pair",
+    "projective_space_value", "refine", "restrict_to_subcircle",
+    "signs_and_weights", "simplex_pair", "special_check",
+    "special_vanishing_check", "square_pair", "validate_pair",
+    "verify_bsfgl_shape", "weight_series",
 ]

@@ -8,11 +8,11 @@ polynomials in a fixed tuple of named, evenly graded generators.
 All values are immutable after construction; every operation returns a new
 object, so sharing across threads is safe.
 
-Series multiplication (``MultiSeries.__mul__``, ``mul_linear`` and
-``scale``) runs on flat integer kernels: ``_flatten`` brings each operand
-over one common integer denominator, the kernel adds plain int products
-per (u-exponent, generator-exponent), and ``_assemble`` makes one Fraction
-per non-zero sum.  ``MultiSeries.compose_at_linear`` writes each term
+Series multiplication (``MultiSeries.__mul__`` and ``scale``) runs on
+flat integer kernels: ``_flatten`` brings each operand over one common
+integer denominator, the kernel adds plain int products per (u-exponent,
+generator-exponent), and ``_assemble`` makes one Fraction per non-zero
+sum.  ``MultiSeries.compose_at_linear`` writes each term
 c_d (w . u)^d straight into its u-monomials, and
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``), into one such
@@ -572,27 +572,6 @@ class MultiSeries:
 
     __rmul__ = __mul__
 
-    def mul_linear(self, w):
-        """Fast multiplication by the linear form w . u (shift-and-add).
-
-        A series exact to ``order`` times a form of degree one is exact to
-        ``order + 1``, and the product says so.
-        """
-        weights = [(i, _frac(wi)) for i, wi in enumerate(w) if wi]
-        den_w = lcm(*(q.denominator for _i, q in weights))
-        den, flat = _flatten(self.terms, self.order)
-        acc = {}
-        for i, q in weights:
-            m = q.numerator * (den_w // q.denominator)
-            for e, _d, p in flat:
-                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                out = acc.get(e2)
-                if out is None:
-                    out = acc[e2] = {}
-                for g, c in p:
-                    out[g] = out.get(g, 0) + c * m
-        return _assemble(self.ring, self.k, self.order + 1, acc, den * den_w)
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a series")
@@ -939,14 +918,6 @@ def canonical_linear_form(w):
     if lead < 0:
         g = -g
     return tuple(x // g for x in w), g
-
-
-def product_of_forms(ring, k, order, forms):
-    """Expand a multiset {form: multiplicity} of linear forms as a series."""
-    one = (0,) * len(ring)
-    acc = {e: {one: c} for e, c in _expand_forms(k, forms).items()
-           if sum(e) <= order}
-    return _assemble(ring, k, order, acc, 1)
 
 
 class LocalizedSum:

@@ -10,6 +10,7 @@ Exit codes: 0 = pass, 1 = input error, 2 = relation/rigidity violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -71,12 +72,19 @@ class JobConfig:
 # builtins
 # ---------------------------------------------------------------------------
 
-def _parse_params(parts):
+def _parse_params(family, parts, keys):
+    """The "<key>=<value>" parameters of a builtin that takes ``keys``;
+    a malformed, unknown or repeated parameter is refused."""
     params = {}
     for part in parts:
         if "=" not in part:
             raise InputError("malformed builtin parameter %r" % part)
         key, value = part.split("=", 1)
+        if key not in keys:
+            raise InputError("builtin %s takes %s, not %r" % (
+                family, " and ".join(keys) or "no parameters", key))
+        if key in params:
+            raise InputError("builtin parameter %r is given twice" % key)
         params[key] = value
     return params
 
@@ -85,10 +93,11 @@ def parse_builtin(spec):
     """Resolve "builtin:<family>[:<param>=<value>]*"."""
     parts = spec.split(":")
     family = parts[1] if len(parts) > 1 else ""
-    params = _parse_params(parts[2:])
     if family in ("s6", "flag3"):
+        _parse_params(family, parts[2:], ())
         return dataset(family)
     if family == "square":
+        params = _parse_params(family, parts[2:], ("eps", "delta"))
         eps = params.get("eps", "-1,-1")
         delta = params.get("delta", "0,0")
         try:
@@ -105,6 +114,7 @@ def parse_builtin(spec):
             n = int(family[2:])
         except ValueError:
             raise InputError("unknown builtin %r" % spec)
+        params = _parse_params(family, parts[2:], ("eps",))
         eps_str = params.get("eps", "-" * n)
         if len(eps_str) != n or any(c not in "+-" for c in eps_str):
             raise InputError("eps for cp%d must be %d characters of +/-" % (n, n))
@@ -171,10 +181,6 @@ def _fixed_points(job, manifold):
     return fpd.flipped() if job.flip_orientation else fpd
 
 
-def _cf_payload(cf):
-    return [{"l": e.l, "value": e.value_str()} for e in cf]
-
-
 def _finish(job, payload, code):
     if job.format == "json":
         job.lines = [json.dumps(payload, sort_keys=True)]
@@ -235,8 +241,9 @@ def _show_fixed_points(job, manifold, fpd):
 
 
 def _value(job, key, prefix, value):
-    job.emit(prefix + str(value))
-    return _finish(job, {"pass": True, key: str(value)}, EXIT_PASS)
+    text = str(value)
+    job.emit(prefix + text)
+    return _finish(job, {"pass": True, key: text}, EXIT_PASS)
 
 
 def _phi(job, manifold, fpd):
@@ -257,9 +264,11 @@ def _check(rigidity):
     """The check-cf (rigidity False) or check-rigidity handler."""
     def handler(job, manifold, fpd):
         cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
-        for e in cf:
-            if not rigidity or e.l >= cf.n:
-                job.emit("cf_%d = %s" % (e.l, e.value_str()))
+        # each entry is rendered once, for the text lines and the payload
+        values = [{"l": e.l, "value": e.value_str()} for e in cf]
+        for v in values:
+            if not rigidity or v["l"] >= cf.n:
+                job.emit("cf_%d = %s" % (v["l"], v["value"]))
         if rigidity:
             ok = cf.rigid()
             first = None if ok else next(
@@ -269,7 +278,7 @@ def _check(rigidity):
             ok = cf.conner_floyd_ok()
             first = None if ok else cf.first_violation()
             job.emit("pass" if ok else "fail at cf_%d" % first)
-        payload = {"cf": _cf_payload(cf), "pass": ok, "first_violation": first}
+        payload = {"cf": values, "pass": ok, "first_violation": first}
         if cf.conner_floyd_ok():
             payload["genus_value"] = str(cf.genus_value())
         return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
@@ -321,17 +330,16 @@ def _special_check(job, manifold, fpd):
     # --flip-orientation says
     own = fpd.flipped() if job.flip_orientation else fpd
     report = special_vanishing(own, job.order, kv, hr)
-    job.emit("krichever value: %s" % report.kv_value)
+    kv_value = str(report.kv_value)
+    hr_value = None if report.hr_value is None else str(report.hr_value)
+    job.emit("krichever value: %s" % kv_value)
     job.emit("krichever rigid to order %d: %s"
              % (job.order, "yes" if report.kv_rigid else "no"))
-    if report.hr_value is not None:
-        job.emit("cobordism class (hurewicz): %s" % report.hr_value)
+    if hr_value is not None:
+        job.emit("cobordism class (hurewicz): %s" % hr_value)
     job.emit("pass" if report.ok else "fail")
-    payload = {"pass": report.ok,
-               "krichever_value": str(report.kv_value),
-               "krichever_rigid": report.kv_rigid,
-               "hurewicz_value":
-               None if report.hr_value is None else str(report.hr_value)}
+    payload = {"pass": report.ok, "krichever_value": kv_value,
+               "krichever_rigid": report.kv_rigid, "hurewicz_value": hr_value}
     return _finish(job, payload, EXIT_PASS if report.ok else EXIT_VIOLATION)
 
 
@@ -398,9 +406,13 @@ def build_parser():
     return parser
 
 
+# one parser serves every main call; parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     # options the command line leaves out keep JobConfig's defaults
-    job = build_parser().parse_args(argv, namespace=JobConfig(command=""))
+    job = _parser().parse_args(argv, namespace=JobConfig(command=""))
     code = run(job)
     out = sys.stdout if code != EXIT_INPUT else sys.stderr
     for line in job.lines:

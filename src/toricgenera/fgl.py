@@ -102,31 +102,14 @@ class GenusSpec:
         return "GenusSpec(%r, order=%d)" % (self.name, self.order)
 
 
-class FGL:
-    """A formal group law F(u1, u2) attached to a genus of the same order."""
-
-    def __init__(self, spec, F):
-        self.spec = spec
-        self.F = F
-
-    def m_series(self, m):
-        """The power system [m](u) = b(m * logarithm(u))."""
-        spec = self.spec
-        return spec.exponential.substitute([spec.logarithm.scale(m)])
-
-    def weight_series(self, w, k):
-        """[w](u1..uk) = b(sum_i w_i m(u_i)); reduces to w.u mod decomposables."""
-        return weight_series(self.spec, w, k)
-
-
 def fgl_from_exponential(spec, order=None):
-    """F(u1, u2) = b(m(u1) + m(u2)), exact to ``order`` (default: the
-    genus's own)."""
+    """The group law F(u1, u2) = b(m(u1) + m(u2)) of the genus, a series
+    in two variables exact to ``order`` (default: the genus's own)."""
     if order is not None:
         spec = spec.at_order(order)
     m = spec.logarithm
     g = m.embed(2, [0]) + m.embed(2, [1])
-    return FGL(spec, spec.exponential.substitute([g]))
+    return spec.exponential.substitute([g])
 
 
 def logarithm_from_fgl(F):
@@ -138,6 +121,11 @@ def logarithm_from_fgl(F):
         raise ValueError("group law is not unital")
     f1 = F.slice_var(1, 1)
     return f1.invert_unit().integrate().truncate(F.order)
+
+
+def m_series(spec, m):
+    """The power system [m](u) = b(m * logarithm(u))."""
+    return spec.exponential.substitute([spec.logarithm.scale(m)])
 
 
 def weight_series(spec, w, k):
@@ -380,7 +368,7 @@ def verify_bsfgl_shape(spec, order):
     spec = spec.at_order(M)
     ring = spec.ring
     a = spec.exp_coefficient(1) * -2
-    F = fgl_from_exponential(spec, M).F
+    F = fgl_from_exponential(spec, M)
     mprime = spec.logarithm.derivative()
     au = MultiSeries(ring, 1, M - 1, {(1,): a})
     c = mprime.invert_unit() + au
@@ -411,7 +399,7 @@ def verify_bsfgl_shape(spec, order):
 def elliptic_fgl_check(order):
     """Does the elliptic group law equal Euler's addition formula?"""
     spec = catalog("elliptic", order)
-    F = fgl_from_exponential(spec, order).F
+    F = fgl_from_exponential(spec, order)
     ring = spec.ring
     d, e = Poly.gen(ring, "delta"), Poly.gen(ring, "eps")
     R = MultiSeries(ring, 1, order, {(0,): Poly.constant(ring, 1),

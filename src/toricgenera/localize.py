@@ -9,6 +9,7 @@ coefficients (the constant one being the non-equivariant genus).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from toricgenera.algebra import (
@@ -78,6 +79,17 @@ def dataset(name):
 # the localized sum of a fixed point datum
 # ---------------------------------------------------------------------------
 
+def _point_forms(point):
+    """The primitive forms of a point's weights, w_j = s_j * form_j, in
+    order, and the content prod_j s_j."""
+    forms, content = [], 1
+    for w in point.weights:
+        form, s = canonical_linear_form(w)
+        forms.append(form)
+        content *= s
+    return forms, content
+
+
 def _point_product(spec, point, k, order):
     """The product of the weight series [w](u) at ``point``, exact to
     ``order``."""
@@ -110,26 +122,17 @@ def localized_sum(fpd, genus, mode, order):
         top = order + n
         aplus = genus.at_order(top + 1).a_plus()
         for point in fpd.points:
-            scale = Fraction(point.sign)
-            den = {}
-            for w in point.weights:
-                prim, s = canonical_linear_form(w)
-                den[prim] = den.get(prim, 0) + 1
-                scale /= s
-            num = MultiSeries.constant(genus.ring, k, top, scale)
+            prims, content = _point_forms(point)
+            num = MultiSeries.constant(genus.ring, k, top,
+                                       Fraction(point.sign, content))
             for w in point.weights:
                 num = num * aplus.compose_at_linear(w, k, top)
-            ls.add_term(num, den)
+            ls.add_term(num, Counter(prims))
         return ls
     exact = order + 2 * n
     spec = genus.at_order(exact)
     for point in fpd.points:
-        prims = []
-        scale = Fraction(1)
-        for w in point.weights:
-            prim, s = canonical_linear_form(w)
-            prims.append(prim)
-            scale *= s
+        prims, content = _point_forms(point)
         Q = _point_product(spec, point, k, exact)
         divided, residual = [], []
         for prim in prims:
@@ -139,10 +142,7 @@ def localized_sum(fpd, genus, mode, order):
             except NotDivisibleError:
                 residual.append(prim)
         if not residual:
-            den = {}
-            for prim in prims:
-                den[prim] = den.get(prim, 0) + 1
-            ls.add_term(Q.invert_unit().scale(point.sign), den)
+            ls.add_term(Q.invert_unit().scale(point.sign), Counter(prims))
             continue
         # geometric tail over the residual linear factors; the product must
         # be exact to the top term's demand plus the n_h degrees consumed
@@ -155,18 +155,13 @@ def localized_sum(fpd, genus, mode, order):
             Q = Q.divide_linear(prim)
         low = Q.homogeneous_component(n_r)
         R = Q - low
-        base_den = {}
-        for prim in divided:
-            base_den[prim] = base_den.get(prim, 0) + 1
         rpow = MultiSeries.constant(genus.ring, k, Q.order, 1)
         for i in range(imax + 1):
-            den = dict(base_den)
-            for prim in residual:
-                den[prim] = den.get(prim, 0) + (i + 1)
             num = rpow.truncate(order + n_h + (i + 1) * n_r)
-            num = num.scale(Fraction(point.sign * (-1) ** i) / scale ** (i + 1))
+            num = num.scale(Fraction(point.sign * (-1) ** i,
+                                     content ** (i + 1)))
             if not num.is_zero():
-                ls.add_term(num, den)
+                ls.add_term(num, Counter(divided + residual * (i + 1)))
             rpow = rpow * R
             if rpow.is_zero():
                 break

@@ -259,6 +259,6 @@ def test_extra_genus_precision_changes_no_result(data_name, genus_name,
             assert projective_space_value(tight, n) == \
                 projective_space_value(loose, n)
         for m in (1, order + 1):
-            law = fgl_from_exponential(tight, m).F
+            law = fgl_from_exponential(tight, m)
             assert law.order == m
-            assert law.to_json() == fgl_from_exponential(loose, m).F.to_json()
+            assert law.to_json() == fgl_from_exponential(loose, m).to_json()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -21,7 +22,7 @@ from toricgenera.cli import (
     run,
 )
 from toricgenera.fgl import GenusSpec
-from toricgenera.localize import dataset
+from toricgenera.localize import CfEntry, dataset
 from toricgenera.quasitoric import (
     FixedPointData,
     QuasitoricPair,
@@ -70,6 +71,18 @@ def test_parse_builtin_rejects_bad():
         parse_builtin("builtin:cp2:eps=+-+")
     with pytest.raises(InputError):
         parse_builtin("builtin:square:eps=1,1:delta=1,1")
+    # unknown, repeated, and given to a builtin that takes none: the
+    # message names the key
+    for spec, key in [("builtin:square:delta=1,0:epsilon=1,1", "'epsilon'"),
+                      ("builtin:cp2:eps=++:eps=--", "'eps'"),
+                      ("builtin:cp3:delta=1,0", "'delta'"),
+                      ("builtin:square:eps=1,1:eps=-1,-1", "'eps'"),
+                      ("builtin:s6:eps=+", "'eps'"),
+                      ("builtin:flag3:order=2", "'order'")]:
+        with pytest.raises(InputError, match=key):
+            parse_builtin(spec)
+    assert main(["genus", "--input", "builtin:square:delta=1,0:epsilon=1,1",
+                 "--genus", "todd"]) == EXIT_INPUT
 
 
 def test_parse_manifold_round_trip(tmp_path):
@@ -396,6 +409,43 @@ def test_deterministic_output():
                            order=2, format="json")
         runs.append((code, tuple(lines)))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, kw", [
+    ("check-cf", dict(input="builtin:flag3", genus="hurewicz", order=1,
+                      genus_order=4)),
+    ("check-rigidity", dict(input="builtin:s6", genus="krichever", order=3)),
+], ids=["check-cf", "check-rigidity"])
+def test_check_renders_each_cf_entry_once(monkeypatch, command, kw, fmt):
+    calls = []
+    value_str = CfEntry.value_str
+
+    def counting_value_str(entry):
+        calls.append(entry.l)
+        return value_str(entry)
+
+    monkeypatch.setattr(CfEntry, "value_str", counting_value_str)
+    code, _lines = _run(command, format=fmt, **kw)
+    assert code == EXIT_PASS
+    # flag3 and s6 have n = 3, so cf_0 .. cf_(3 + order)
+    assert sorted(calls) == list(range(3 + kw["order"] + 1))
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert main(["validate", "--input", "builtin:cp3:eps=+-+"]) == \
+            EXIT_PASS
+    assert len(built) <= 1
+    assert capsys.readouterr().out == "valid\nvalid\n"
 
 
 def test_main_entry_point():
