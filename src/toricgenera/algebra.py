@@ -16,7 +16,9 @@ sum.  ``MultiSeries.compose_at_linear`` writes each term
 c_d (w . u)^d straight into its u-monomials, and
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``), into one such
-accumulator.
+accumulator.  ``MultiSeries.divide_linear``, which performs the
+Conner-Floyd cancellation, is long division on the form's first non-zero
+variable.
 
 Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
 which skip the re-validation of ``__init__``.  They may only be given
@@ -30,6 +32,7 @@ import json
 import operator
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 
 class NotDivisibleError(ArithmeticError):
@@ -62,42 +65,22 @@ class NormalizeError(ArithmeticError):
             "net degree %d" % net_degree)
 
 
-class Generator:
-    """A named ring generator with an even nonnegative degree."""
+class Generator(NamedTuple):
+    """A named ring generator; ``make_ring`` checks its degree is even."""
 
-    __slots__ = ("name", "degree")
-
-    def __init__(self, name, degree):
-        if degree < 0 or degree % 2 != 0:
-            raise ValueError("generator degree must be even and >= 0")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Generator is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Generator)
-                and self.name == other.name and self.degree == other.degree)
-
-    def __hash__(self):
-        return hash((self.name, self.degree))
-
-    def __repr__(self):
-        return "Generator(%r, %d)" % (self.name, self.degree)
+    name: str
+    degree: int
 
 
 def make_ring(*gens):
     """Build a ring (ordered generator tuple) from (name, degree) pairs."""
-    out = []
-    seen = set()
-    for g in gens:
-        g = g if isinstance(g, Generator) else Generator(*g)
-        if g.name in seen:
+    ring = tuple(Generator(*g) for g in gens)
+    for i, g in enumerate(ring):
+        if g.degree < 0 or g.degree % 2 != 0:
+            raise ValueError("generator degree must be even and >= 0")
+        if g.name in (h.name for h in ring[:i]):
             raise ValueError("duplicate generator name %r" % g.name)
-        seen.add(g.name)
-        out.append(g)
-    return tuple(out)
+    return ring
 
 
 QQ = make_ring()  # the rationals: no generators
@@ -287,24 +270,12 @@ class Poly:
                     img = images.get(name)
                     if img is None:
                         img = Poly.gen(target_ring, name)
-                    elif isinstance(img, (int, Fraction)):
+                    elif not isinstance(img, Poly):
                         img = Poly.constant(target_ring, img)
                     cache[key] = img ** ei
                 term = term * cache[key]
             out = out + term
         return out
-
-    def evaluate(self, values):
-        """Evaluate at rational generator values (dict name -> Fraction)."""
-        total = Fraction(0)
-        vals = [values[g.name] for g in self.ring] if self.ring else []
-        for e, c in self.terms.items():
-            v = c
-            for ei, x in zip(e, vals):
-                if ei:
-                    v *= _frac(x) ** ei
-            total += v
-        return total
 
     # -- serialization ------------------------------------------------
     def _sort_key(self, e):
@@ -469,7 +440,7 @@ class MultiSeries:
             if wi:
                 e = [0] * k
                 e[i] = 1
-                terms[tuple(e)] = Fraction(wi)
+                terms[tuple(e)] = _frac(wi)
         return cls(ring, k, order, terms)
 
     # -- basic access -------------------------------------------------
@@ -759,49 +730,39 @@ class MultiSeries:
     def divide_linear(self, w):
         """Exact division by the linear form w . u.
 
-        Works one homogeneous degree at a time, pivoting on the first
-        variable with nonzero weight; the equations for the pivot-free
-        monomials are the divisibility obstruction.
+        Long division on the pivot u_p, the first variable with w_p != 0,
+        one homogeneous degree at a time: from the top u_p-exponent down,
+        each term c u^m becomes the quotient term (c / w_p) u^(m - e_p),
+        and (c / w_p) w_j is taken off the term at m - e_p + e_j for every
+        other j.  A term left at u_p-exponent 0 is the obstruction.
         """
         if len(w) != self.k or not any(w):
             raise ValueError("linear form must be a nonzero length-k vector")
         p = next(i for i, wi in enumerate(w) if wi)
-        wp_inv = 1 / Fraction(w[p])
-        rest = [(j, Fraction(wj)) for j, wj in enumerate(w) if j != p and wj]
-        by_degree = {}
+        wp_inv = 1 / _frac(w[p])
+        rest = [(j, -_frac(wj) * wp_inv) for j, wj in enumerate(w)
+                if j != p and wj]
+        by_degree = {}  # degree -> u_p-exponent -> {u-exponent: Poly}
         for e, c in self.terms.items():
-            by_degree.setdefault(sum(e), {})[e] = c
+            by_degree.setdefault(sum(e), {}).setdefault(e[p], {})[e] = c
         out = {}
         for d in sorted(by_degree):
-            h = by_degree[d]
-            if d == 0:
-                raise NotDivisibleError(0, w)
-            # The equation for a degree-d monomial M is
-            #   H[M] = sum_j w_j Q[M - e_j];
-            # sweeping the pivot exponent downward makes it triangular, and
-            # the pivot-free equations are the divisibility obstruction.
-            q = {}
-            active = {}
-            for m in h:
-                active.setdefault(m[p], set()).add(m)
-            for i in range(d, -1, -1):
-                for m in active.get(i, ()):
-                    val = h.get(m, Poly.zero(self.ring))
-                    for j, wj in rest:
-                        if m[j] >= 1:
-                            prev = q.get(m[:j] + (m[j] - 1,) + m[j + 1:])
-                            if prev is not None:
-                                val = val - prev * wj
-                    if val.is_zero():
-                        continue
-                    if i == 0:
-                        raise NotDivisibleError(d, w)
-                    qe = m[:p] + (m[p] - 1,) + m[p + 1:]
-                    q[qe] = val * wp_inv
-                    for j, _wj in rest:
+            rows = by_degree[d]
+            for i in range(d, 0, -1):
+                below = rows.setdefault(i - 1, {})
+                for m, c in rows.get(i, {}).items():
+                    qe = m[:p] + (i - 1,) + m[p + 1:]
+                    out[qe] = c * wp_inv
+                    for j, f in rest:
                         mm = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
-                        active.setdefault(i - 1, set()).add(mm)
-            out.update(q)
+                        r = below.get(mm)
+                        r = c * f if r is None else r + c * f
+                        if r.is_zero():
+                            del below[mm]
+                        else:
+                            below[mm] = r
+            if rows.get(0):
+                raise NotDivisibleError(d, w)
         return MultiSeries(self.ring, self.k, max(self.order - 1, 0), out)
 
     # -- evaluation ----------------------------------------------------
@@ -814,7 +775,7 @@ class MultiSeries:
         gen_values = gen_values or {}
         out = [Fraction(0)] * (self.order + 1)
         for e, p in self.terms.items():
-            v = p.evaluate(gen_values)
+            v = p.substitute_gens(QQ, gen_values).constant_value()
             for i, ei in enumerate(e):
                 if ei:
                     v *= _frac(direction[i]) ** ei

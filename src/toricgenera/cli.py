@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -89,6 +90,14 @@ def _parse_params(family, parts, keys):
     return params
 
 
+def _decimal(text, pattern="-?(?:0|[1-9][0-9]*)"):
+    """``text`` as an int when it is an ASCII decimal matching ``pattern``:
+    no sign beyond the pattern's, no spaces, underscores or other digits."""
+    if re.fullmatch(pattern, text) is None:
+        raise ValueError("%r is not a decimal integer" % text)
+    return int(text)
+
+
 def parse_builtin(spec):
     """Resolve "builtin:<family>[:<param>=<value>]*"."""
     parts = spec.split(":")
@@ -101,8 +110,8 @@ def parse_builtin(spec):
         eps = params.get("eps", "-1,-1")
         delta = params.get("delta", "0,0")
         try:
-            e1, e2 = (int(x) for x in eps.split(","))
-            d1, d2 = (int(x) for x in delta.split(","))
+            e1, e2 = (_decimal(x) for x in eps.split(","))
+            d1, d2 = (_decimal(x) for x in delta.split(","))
         except ValueError as exc:
             raise InputError("square parameters must be integers: %s" % exc)
         try:
@@ -111,7 +120,7 @@ def parse_builtin(spec):
             raise InputError(str(exc))
     if family.startswith("cp"):
         try:
-            n = int(family[2:])
+            n = _decimal(family[2:], "0|[1-9][0-9]*")
         except ValueError:
             raise InputError("unknown builtin %r" % spec)
         params = _parse_params(family, parts[2:], ("eps",))
@@ -304,7 +313,8 @@ def _pairing(job, manifold, fpd):
     blocks = []
     try:
         for block in job.pairing.split(","):
-            blocks.append([int(x) - 1 for x in block.split("-")])
+            blocks.append([_decimal(x, "[1-9][0-9]*") - 1
+                           for x in block.split("-")])
     except ValueError:
         raise InputError("malformed --pairing %r" % job.pairing)
     report = pairing_obstruction(fpd, augmentation, blocks=blocks)

@@ -107,9 +107,7 @@ def fgl_from_exponential(spec, order=None):
     in two variables exact to ``order`` (default: the genus's own)."""
     if order is not None:
         spec = spec.at_order(order)
-    m = spec.logarithm
-    g = m.embed(2, [0]) + m.embed(2, [1])
-    return spec.exponential.substitute([g])
+    return weight_series(spec, (1, 1), 2)
 
 
 def logarithm_from_fgl(F):

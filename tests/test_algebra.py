@@ -57,7 +57,7 @@ def test_poly_pow_and_substitute():
     y = Poly.gen(make_ring(("y", 2), ("z", 2)), "y")
     z = Poly.gen(make_ring(("y", 2), ("z", 2)), "z")
     p = (y + z) ** 3
-    vals = p.evaluate({"y": F(2), "z": F(3)})
+    vals = p.substitute_gens(QQ, {"y": F(2), "z": F(3)}).constant_value()
     assert vals == 125
     # specialize y -> 0 into the z-only ring
     q = p.substitute_gens(ZRING, {"y": 0, "z": Poly.gen(ZRING, "z")})
@@ -211,6 +211,15 @@ def test_divide_linear_pivot_free_obstruction():
     with pytest.raises(NotDivisibleError) as err:
         p.divide_linear((1, 1))
     assert err.value.degree == 3
+
+
+def test_linear_forms_refuse_float_weights():
+    with pytest.raises(TypeError):
+        MultiSeries.linear_form(QQ, 2, 3, (0.1, 1))
+    p = var(QQ, 2, 3, 0) + var(QQ, 2, 3, 1)
+    for w in [(1.0, 1.0), (1.0, 1), (1, 1.0)]:
+        with pytest.raises(TypeError):
+            p.divide_linear(w)
 
 
 def test_canonical_linear_form():
@@ -458,6 +467,45 @@ def _ref_mul_linear(s, w):
     return MultiSeries(s.ring, s.k, s.order + 1, terms)
 
 
+def _ref_divide_linear(s, w):
+    # the active-set sweep that long division replaced: per degree, solve
+    # H[M] = sum_j w_j Q[M - e_j] with the pivot exponent swept downward
+    p = next(i for i, wi in enumerate(w) if wi)
+    wp_inv = 1 / F(w[p])
+    rest = [(j, F(wj)) for j, wj in enumerate(w) if j != p and wj]
+    by_degree = {}
+    for e, c in s.terms.items():
+        by_degree.setdefault(sum(e), {})[e] = c
+    out = {}
+    for d in sorted(by_degree):
+        h = by_degree[d]
+        if d == 0:
+            raise NotDivisibleError(0, w)
+        q = {}
+        active = {}
+        for m in h:
+            active.setdefault(m[p], set()).add(m)
+        for i in range(d, -1, -1):
+            for m in active.get(i, ()):
+                val = h.get(m, Poly.zero(s.ring))
+                for j, wj in rest:
+                    if m[j] >= 1:
+                        prev = q.get(m[:j] + (m[j] - 1,) + m[j + 1:])
+                        if prev is not None:
+                            val = val - prev * wj
+                if val.is_zero():
+                    continue
+                if i == 0:
+                    raise NotDivisibleError(d, w)
+                qe = m[:p] + (m[p] - 1,) + m[p + 1:]
+                q[qe] = val * wp_inv
+                for j, _wj in rest:
+                    mm = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
+                    active.setdefault(i - 1, set()).add(mm)
+        out.update(q)
+    return MultiSeries(s.ring, s.k, max(s.order - 1, 0), out)
+
+
 def _ref_scale(s, c):
     return MultiSeries(s.ring, s.k, s.order,
                        {e: p * c for e, p in s.terms.items()})
@@ -533,6 +581,36 @@ def test_kernels_drop_cancelled_terms():
 # ---------------------------------------------------------------------------
 # the localization kernels against the loops they replaced
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _divisions(draw):
+    """(s, w): a product q (w . u), or the same with one extra term."""
+    ring, k = draw(_RINGS), draw(st.integers(1, 3))
+    weight = st.one_of(st.integers(-3, 3), _COEFFS)
+    w = tuple(draw(st.lists(weight, min_size=k, max_size=k).filter(any)))
+    s = _ref_mul_linear(draw(_series(ring, k)), w)
+    if draw(st.booleans()):
+        e = draw(st.tuples(*[st.integers(0, s.order)] * k)
+                 .filter(lambda e: sum(e) <= s.order))
+        s = s + MultiSeries(ring, k, s.order, {e: draw(_polys(ring))})
+    return s, w
+
+
+def _division_outcome(divide, s, w):
+    try:
+        q = divide(s, w)
+    except NotDivisibleError as err:
+        return err.degree, err.form
+    return q.terms, q.order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisions())
+def test_divide_linear_matches_the_active_set_sweep(case):
+    s, w = case
+    assert _division_outcome(MultiSeries.divide_linear, s, w) == \
+        _division_outcome(_ref_divide_linear, s, w)
+
 
 def _ref_compose_at_linear(s, w, k, order=None):
     """The power-and-add loop: sum_d c_d (w . u)^d, one shift-and-add

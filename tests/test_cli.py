@@ -85,6 +85,59 @@ def test_parse_builtin_rejects_bad():
                  "--genus", "todd"]) == EXIT_INPUT
 
 
+_SQUARE = "builtin:square:eps=-1,-1:delta=1,0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--input", "builtin:cp1_0"], "unknown builtin 'builtin:cp1_0'"),
+    (["validate", "--input", "builtin:cp+2"], "unknown builtin 'builtin:cp+2'"),
+    (["validate", "--input", "builtin:cp02"], "unknown builtin 'builtin:cp02'"),
+    (["validate", "--input", "builtin:cp 2"], "unknown builtin 'builtin:cp 2'"),
+    (["validate", "--input", "builtin:cp-1"], "unknown builtin 'builtin:cp-1'"),
+    (["validate", "--input", "builtin:cp\u0662"], "unknown builtin"),
+    (["validate", "--input", "builtin:square:eps=+1,-1:delta=1,0"],
+     "square parameters must be integers"),
+    (["validate", "--input", "builtin:square:eps=1,-1:delta=1_0,0"],
+     "square parameters must be integers"),
+    (["validate", "--input", "builtin:square:eps=1, -1:delta=1,0"],
+     "square parameters must be integers"),
+    (["validate", "--input", "builtin:square:eps=1,-1:delta=\u0661,0"],
+     "square parameters must be integers"),
+    (["pairing", "--input", _SQUARE, "--pairing", "+1-4,2-3"],
+     "malformed --pairing '+1-4,2-3'"),
+    (["pairing", "--input", _SQUARE, "--pairing", "01-4,2-3"],
+     "malformed --pairing '01-4,2-3'"),
+    (["pairing", "--input", _SQUARE, "--pairing", "0-4,2-3"],
+     "malformed --pairing '0-4,2-3'"),
+    (["pairing", "--input", _SQUARE, "--pairing", "1-4,2-\u0663"],
+     "malformed --pairing"),
+    (["validate", "--input", "builtin:cp0"],
+     "characteristic matrix shape does not match polytope"),
+])
+def test_builtin_and_pairing_integers_are_ascii_decimals(argv, message,
+                                                         capsys):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--input", "builtin:cp2:eps"],
+     "malformed builtin parameter 'eps'"),
+    (["pairing", "--input", _SQUARE],
+     "provide --pairing blocks or --search-pairings"),
+    (["special-check", "--input", "builtin:s6"],
+     "special-check needs a quasitoric pair"),
+    (["validate", "--input", "no-such-manifold.json"],
+     "cannot read no-such-manifold.json"),
+])
+def test_main_refuses_with_its_message(argv, message, capsys, tmp_path,
+                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_parse_manifold_round_trip(tmp_path):
     pair = square_pair(-1, 1, 2, 0)
     path = tmp_path / "m.json"

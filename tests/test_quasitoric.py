@@ -60,6 +60,23 @@ def test_validate_unrefined():
     assert any("refined" in p for p in validate_pair(pair).problems)
 
 
+def test_validate_missing_initial_vertex():
+    poly = Polytope(1, 3, [(2,), (3,)], [[1, -1, 0]])
+    pair = QuasitoricPair(poly, CharMatrix([[1, 1, -1]]))
+    assert "initial vertex F1...Fn is missing" in validate_pair(pair).problems
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 3, [(1, 2), (2, 4)]), "facet index out of range in vertex"),
+    ((2, 3, [(1, 2), (2, 1)]), "duplicate vertex"),
+    ((2, 3, [(1, 2)], [[1, 0, -1]]), "normals must be an n x m matrix"),
+    ((2, 3, [(1, 2)], [[1, 0], [0, 1]]), "normals must be an n x m matrix"),
+])
+def test_polytope_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        Polytope(*args)
+
+
 # ---------------------------------------------------------------------------
 # refine
 # ---------------------------------------------------------------------------
