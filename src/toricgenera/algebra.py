@@ -13,7 +13,9 @@ flat integer kernels: ``_flatten`` brings each operand over one common
 integer denominator, the kernel adds plain int products per (u-exponent,
 generator-exponent), and ``_assemble`` makes one Fraction per non-zero
 sum.  ``MultiSeries.compose_at_linear`` writes each term
-c_d (w . u)^d straight into its u-monomials, and
+c_d (w . u)^d straight into its u-monomials, and ``_dilated_product``
+multiplies a fixed point's factors a_+(s f . u) in one integer pass, from
+a_+(f . u) composed once per primitive form f and scaled by s^d in degree d.
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``), into one such
 accumulator.  ``MultiSeries.divide_linear``, which performs the
@@ -175,18 +177,13 @@ class Poly:
                 return c
         return None
 
-    def weighted_degrees(self):
-        """Set of generator-graded degrees occurring among the terms."""
-        return {sum(ei * g.degree for ei, g in zip(e, self.ring))
-                for e in self.terms}
-
     # -- arithmetic ---------------------------------------------------
     def _same_ring(self, other):
         if self.ring != other.ring:
             raise ValueError("polynomial ring mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.constant(self.ring, other)
         self._same_ring(other)
         terms = dict(self.terms)
@@ -210,7 +207,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             q = _frac(other)
             if not q:
                 return Poly.zero(self.ring)
@@ -379,6 +376,39 @@ def _expand_forms(k, forms):
     return poly
 
 
+def _dilated_product(ring, k, order, factors, scale):
+    """``scale`` (an int or Fraction) times the product of the series
+    f(s u) over ``factors``, exact to ``order``, in one integer pass.
+    Each factor is ((den, rows), s): a series flattened by ``_flatten``,
+    its rows sorted by degree, and an integer dilation s, which scales
+    the numerators of u-degree d by s^d.
+    """
+    add = operator.add
+    acc = {(0,) * k: {(0,) * len(ring): scale.numerator}}
+    den = scale.denominator
+    for (den_f, flat), s in factors:
+        den *= den_f
+        if s != 1:
+            flat = [(e, d, [(g, c * s ** d) for g, c in p])
+                    for e, d, p in flat]
+        rows = [(e1, order - sum(e1), [(g, c) for g, c in p1.items() if c])
+                for e1, p1 in acc.items()]
+        acc = {}
+        for e1, room, p1 in rows:
+            for e2, d2, p2 in flat:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                for g1, c1 in p1:
+                    for g2, c2 in p2:
+                        g = tuple(map(add, g1, g2))
+                        out[g] = out.get(g, 0) + c1 * c2
+    return _assemble(ring, k, order, acc, den)
+
+
 class MultiSeries:
     """Power series in u1..uk over a Poly coefficient ring, truncated by
     total u-degree ``order`` (all monomials of degree <= order are exact).
@@ -477,7 +507,7 @@ class MultiSeries:
             raise ValueError("series ring or variable-count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if not isinstance(other, MultiSeries):
             other = MultiSeries.constant(self.ring, self.k, self.order, other)
         self._compat(other)
         order = min(self.order, other.order)
@@ -517,7 +547,7 @@ class MultiSeries:
                          den * q.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if not isinstance(other, MultiSeries):
             return self.scale(other)
         self._compat(other)
         order = min(self.order, other.order)

@@ -17,6 +17,8 @@ from toricgenera.algebra import (
     MultiSeries,
     NormalizeError,
     NotDivisibleError,
+    _dilated_product,
+    _flatten,
     canonical_linear_form,
 )
 from toricgenera.fgl import weight_series
@@ -81,13 +83,21 @@ def dataset(name):
 
 def _point_forms(point):
     """The primitive forms of a point's weights, w_j = s_j * form_j, in
-    order, and the content prod_j s_j."""
-    forms, content = [], 1
+    order, their scales s_j and the content prod_j s_j."""
+    forms, scales, content = [], [], 1
     for w in point.weights:
         form, s = canonical_linear_form(w)
         forms.append(form)
+        scales.append(s)
         content *= s
-    return forms, content
+    return forms, scales, content
+
+
+def _flat_unit(aplus, form, k, order):
+    """a_+(form . u) exact to ``order``, flattened for
+    ``_dilated_product``."""
+    den, flat = _flatten(aplus.compose_at_linear(form, k, order).terms, order)
+    return den, sorted(flat, key=lambda row: row[1])
 
 
 def _point_product(spec, point, k, order):
@@ -106,7 +116,9 @@ def localized_sum(fpd, genus, mode, order):
     each factor is a_+(w.u) / (w.u) with the univariate unit a_+ = 1/b_+:
     the numerator of a point is sign(x) / prod_j content(w_j) times
     prod_j a_+(w_j.u), exact to order + n, over the multiset of primitive
-    forms of its weights.
+    forms of its weights.  a_+ is composed once per primitive form f, and
+    a_+(s f.u) is a_+(f.u) with its degree-d terms scaled by s^d, so each
+    numerator is one integer product of dilated factors.
 
     Universal mode (the slow reference for ``phi``) divides the product
     of the full [w](u) exactly by as many of its primitive linear factors
@@ -121,18 +133,22 @@ def localized_sum(fpd, genus, mode, order):
     if mode == "linear":
         top = order + n
         aplus = genus.at_order(top + 1).a_plus()
+        units = {}  # primitive form -> a_+(form . u), flattened
         for point in fpd.points:
-            prims, content = _point_forms(point)
-            num = MultiSeries.constant(genus.ring, k, top,
-                                       Fraction(point.sign, content))
-            for w in point.weights:
-                num = num * aplus.compose_at_linear(w, k, top)
+            prims, scales, content = _point_forms(point)
+            for prim in prims:
+                if prim not in units:
+                    units[prim] = _flat_unit(aplus, prim, k, top)
+            num = _dilated_product(
+                genus.ring, k, top,
+                [(units[prim], s) for prim, s in zip(prims, scales)],
+                Fraction(point.sign, content))
             ls.add_term(num, Counter(prims))
         return ls
     exact = order + 2 * n
     spec = genus.at_order(exact)
     for point in fpd.points:
-        prims, content = _point_forms(point)
+        prims, _scales, content = _point_forms(point)
         Q = _point_product(spec, point, k, exact)
         divided, residual = [], []
         for prim in prims:
@@ -454,10 +470,10 @@ def p_omega(nvars, genus, order):
     u-degree, so the coefficients are read off directly.
     """
     aplus = genus.at_order(order + 1).a_plus()
-    prod = MultiSeries.constant(genus.ring, nvars, order, 1)
+    factors = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
             w = tuple(1 if t == i else (-1 if t == j else 0)
                       for t in range(nvars))
-            prod = prod * aplus.compose_at_linear(w, nvars, order)
-    return {e: p for e, p in prod.terms.items()}
+            factors.append((_flat_unit(aplus, w, nvars, order), 1))
+    return dict(_dilated_product(genus.ring, nvars, order, factors, 1).terms)

@@ -113,6 +113,22 @@ def test_mul_ring_mismatch():
         var(QQ, 1, 4, 0).scale(Poly.gen(ZRING, "z"))
 
 
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b,
+    lambda a, b: a * b,
+    lambda a, b: b + a,
+    lambda a, b: b * a,
+], ids=["add", "mul", "radd", "rmul"])
+@pytest.mark.parametrize("value", [
+    Poly.gen(ZRING, "z") + 1,
+    const(ZRING, 2, 3, 1) + var(ZRING, 2, 3, 1),
+], ids=["Poly", "MultiSeries"])
+@pytest.mark.parametrize("operand", [0.5, "1/2", None])
+def test_inexact_operands_raise_type_error(op, value, operand):
+    with pytest.raises(TypeError):
+        op(value, operand)
+
+
 def test_invert_unit_examples():
     order = 6
     one = const(QQ, 1, order, 1)

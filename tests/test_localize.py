@@ -1,5 +1,7 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,15 @@ from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
     Poly,
+    QQ,
     canonical_linear_form,
 )
-from toricgenera.fgl import catalog, m_series, projective_space_value
+from toricgenera.fgl import (
+    GenusSpec,
+    catalog,
+    m_series,
+    projective_space_value,
+)
 from toricgenera.localize import (
     ConnerFloydViolation,
     FunctionalEquationError,
@@ -28,6 +36,8 @@ from toricgenera.localize import (
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
+    generic_direction,
+    restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
     square_pair,
@@ -122,6 +132,99 @@ def test_linear_sum_equals_divide_invert(data_name, genus_name, order):
         assert num == ref_num
         assert num.order == ref_num.order == order + fpd.n
         assert den == ref_den
+
+
+def _ref_linear_localized_sum(fpd, genus, order):
+    """The linear localized sum as a chain per point: sign / content
+    times one a_+(w.u) at a time, each composed at its full weight."""
+    k, top = fpd.k, order + fpd.n
+    aplus = genus.at_order(top + 1).a_plus()
+    ls = LocalizedSum(genus.ring, k, order)
+    for point in fpd.points:
+        den, content = Counter(), 1
+        for w in point.weights:
+            prim, s = canonical_linear_form(w)
+            den[prim] += 1
+            content *= s
+        num = MultiSeries.constant(genus.ring, k, top,
+                                   F(point.sign, content))
+        for w in point.weights:
+            num = num * aplus.compose_at_linear(w, k, top)
+        ls.add_term(num, den)
+    return ls
+
+
+def _assert_matches_the_chain(fpd, genus, order):
+    new = localized_sum(fpd, genus, "linear", order)
+    ref = _ref_linear_localized_sum(fpd, genus, order)
+    assert new.order == ref.order == order
+    assert len(new) == len(ref) == len(fpd)
+    for (num, den), (ref_num, ref_den) in zip(new, ref):
+        assert num.terms == ref_num.terms
+        assert num.order == ref_num.order == order + fpd.n
+        assert Counter(den) == ref_den
+
+
+def _todd_qq(M):
+    """The Todd exponential e^x - 1 at z = 1, over QQ."""
+    return MultiSeries(QQ, 1, M, {(j + 1,): F(1, factorial(j + 1))
+                                  for j in range(M)})
+
+
+ORACLE_GENERA = {
+    "todd@z=1": GenusSpec("todd@z=1", _todd_qq(3), _todd_qq),
+    "todd": catalog("todd", 1),
+    "cn": catalog("cn", 1),
+    "hurewicz": catalog("hurewicz", 1, generators=3),
+    "t2": catalog("t2", 1),
+}
+
+
+@st.composite
+def fixed_point_data(draw):
+    """Random signs and weights s * v over a small pool of vectors v, so
+    that primitive forms repeat across points, with contents up to 3 and
+    either sign of the leading entry."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    weight = st.builds(lambda v, s: tuple(s * x for x in v),
+                       st.sampled_from(pool),
+                       st.sampled_from((-2, -1, 1, 2, 3)))
+    points = draw(st.lists(
+        st.builds(FixedPoint, st.just("x"), st.sampled_from((1, -1)),
+                  st.lists(weight, min_size=n, max_size=n)),
+        min_size=1, max_size=4))
+    return FixedPointData(n, k, points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fpd=fixed_point_data(),
+       genus_name=st.sampled_from(sorted(ORACLE_GENERA)),
+       order=st.integers(0, 4))
+def test_linear_numerators_match_the_chain(fpd, genus_name, order):
+    _assert_matches_the_chain(fpd, ORACLE_GENERA[genus_name], order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_numerators_match_the_chain_on_generic_circles(n):
+    for eps in itertools.product((1, -1), repeat=n):
+        fpd = signs_and_weights(simplex_pair(n, eps))
+        fpd = restrict_to_subcircle(fpd, generic_direction(fpd))
+        for genus_name in ("todd", "hurewicz"):
+            _assert_matches_the_chain(fpd, ORACLE_GENERA[genus_name], 2)
+
+
+@pytest.mark.parametrize("fpd", [
+    dataset("s6"),
+    dataset("flag3"),
+    signs_and_weights(simplex_pair(3, (-1, -1, -1))),
+], ids=["s6", "flag3", "cp3"])
+def test_linear_numerators_match_the_chain_with_one_sign_flipped(fpd):
+    for i in range(len(fpd)):
+        for genus_name in ("todd@z=1", "cn", "t2"):
+            _assert_matches_the_chain(fpd.flip_one(i),
+                                      ORACLE_GENERA[genus_name], 2)
 
 
 def test_localized_sum_rejects_unknown_mode():
