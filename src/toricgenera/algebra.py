@@ -8,14 +8,14 @@ polynomials in a fixed tuple of named, evenly graded generators.
 All values are immutable after construction; every operation returns a new
 object, so sharing across threads is safe.
 
-Series multiplication (``MultiSeries.__mul__`` and ``scale``) runs on
-flat integer kernels: ``_flatten`` brings each operand over one common
-integer denominator, the kernel adds plain int products per (u-exponent,
-generator-exponent), and ``_assemble`` makes one Fraction per non-zero
-sum.  ``MultiSeries.compose_at_linear`` writes each term
-c_d (w . u)^d straight into its u-monomials, and ``_dilated_product``
-multiplies a fixed point's factors a_+(s f . u) in one integer pass, from
-a_+(f . u) composed once per primitive form f and scaled by s^d in degree d.
+Every series product runs on one flat integer kernel, ``_product``:
+``_flatten`` brings each factor over one common integer denominator, the
+kernel adds plain int products per (u-exponent, generator-exponent), and
+``_assemble`` makes one Fraction per non-zero sum.  ``*``, ``scale`` and
+``**`` call it, and so does each fixed point's product of factors
+a_+(s f . u), from a_+(f . u) composed once per primitive form f and
+scaled by s^d in degree d.  ``MultiSeries.compose_at_linear`` writes each
+term c_d (w . u)^d straight into its u-monomials.
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``), into one such
 accumulator.  ``MultiSeries.divide_linear``, which performs the
@@ -302,10 +302,6 @@ class Poly:
         return [{"gen": list(e), "val": _fmt_frac(c, False)}
                 for e, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json_obj(cls, ring, obj):
-        return cls(ring, {tuple(t["gen"]): Fraction(t["val"]) for t in obj})
-
 
 def _render_terms(term_iter):
     """Render (coefficient, factor-list) pairs canonically."""
@@ -333,11 +329,11 @@ def _flatten(terms, order):
     """Series terms of u-degree <= order over one integer denominator.
 
     Returns ``(L, [(u-exponent, degree, [(generator-exponent, numerator)])])``
-    where L is the lcm of every coefficient's denominator and each
-    coefficient equals numerator / L.
+    where L is the lcm of every coefficient's denominator, each
+    coefficient equals numerator / L, and the rows are sorted by degree.
     """
-    rows = [(e, d, p.terms) for e, p in terms.items()
-            if (d := sum(e)) <= order]
+    rows = sorted(((e, d, p.terms) for e, p in terms.items()
+                   if (d := sum(e)) <= order), key=operator.itemgetter(1))
     den = lcm(*(c.denominator for _e, _d, pt in rows for c in pt.values()))
     return den, [(e, d, [(g, c.numerator * (den // c.denominator))
                          for g, c in pt.items()])
@@ -376,26 +372,35 @@ def _expand_forms(k, forms):
     return poly
 
 
-def _dilated_product(ring, k, order, factors, scale):
+def _product(ring, k, order, factors, scale=1):
     """``scale`` (an int or Fraction) times the product of the series
     f(s u) over ``factors``, exact to ``order``, in one integer pass.
-    Each factor is ((den, rows), s): a series flattened by ``_flatten``,
-    its rows sorted by degree, and an integer dilation s, which scales
-    the numerators of u-degree d by s^d.
+
+    Each factor is ((den, rows), s): a series flattened by ``_flatten``
+    to ``order``, and an integer dilation s, which scales the numerators
+    of u-degree d by s^d.  The first factor's rows, times the numerator
+    of ``scale``, seed the accumulator; with no factors the product is
+    the constant ``scale``.
     """
     add = operator.add
-    acc = {(0,) * k: {(0,) * len(ring): scale.numerator}}
-    den = scale.denominator
-    for (den_f, flat), s in factors:
+    num, den = scale.numerator, scale.denominator
+    seed = acc = None
+    for (den_f, rows), s in factors:
         den *= den_f
-        if s != 1:
-            flat = [(e, d, [(g, c * s ** d) for g, c in p])
-                    for e, d, p in flat]
-        rows = [(e1, order - sum(e1), [(g, c) for g, c in p1.items() if c])
-                for e1, p1 in acc.items()]
+        if s != 1 or num != 1:
+            rows = [(e, d, [(g, c * num * s ** d) for g, c in p])
+                    for e, d, p in rows]
+            num = 1
+        if seed is None:
+            seed = rows
+            continue
+        if acc is not None:
+            seed = [(e, sum(e), [(g, c) for g, c in p.items() if c])
+                    for e, p in acc.items()]
         acc = {}
-        for e1, room, p1 in rows:
-            for e2, d2, p2 in flat:
+        for e1, d1, p1 in seed:
+            room = order - d1
+            for e2, d2, p2 in rows:
                 if d2 > room:
                     break
                 e = tuple(map(add, e1, e2))
@@ -406,6 +411,9 @@ def _dilated_product(ring, k, order, factors, scale):
                     for g2, c2 in p2:
                         g = tuple(map(add, g1, g2))
                         out[g] = out.get(g, 0) + c1 * c2
+    if acc is None:  # fewer than two factors
+        acc = ({e: dict(p) for e, _d, p in seed} if seed is not None
+               else {(0,) * k: {(0,) * len(ring): num}})
     return _assemble(ring, k, order, acc, den)
 
 
@@ -540,46 +548,25 @@ class MultiSeries:
         if isinstance(c, Poly):
             return self * MultiSeries(c.ring, self.k, self.order,
                                       {(0,) * self.k: c})
-        q = _frac(c)
-        den, flat = _flatten(self.terms, self.order)
-        acc = {e: {g: n * q.numerator for g, n in p} for e, _d, p in flat}
-        return _assemble(self.ring, self.k, self.order, acc,
-                         den * q.denominator)
+        return _product(self.ring, self.k, self.order,
+                        [(_flatten(self.terms, self.order), 1)], _frac(c))
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
             return self.scale(other)
         self._compat(other)
         order = min(self.order, other.order)
-        den_a, flat_a = _flatten(self.terms, order)
-        den_b, flat_b = _flatten(other.terms, order)
-        flat_b.sort(key=operator.itemgetter(1))
-        add = operator.add
-        acc = {}
-        for e1, d1, p1 in flat_a:
-            room = order - d1
-            for e2, d2, p2 in flat_b:
-                if d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                out = acc.get(e)
-                if out is None:
-                    out = acc[e] = {}
-                for g1, c1 in p1:
-                    for g2, c2 in p2:
-                        g = tuple(map(add, g1, g2))
-                        out[g] = out.get(g, 0) + c1 * c2
-        return _assemble(self.ring, self.k, order, acc, den_a * den_b)
+        return _product(self.ring, self.k, order,
+                        [(_flatten(self.terms, order), 1),
+                         (_flatten(other.terms, order), 1)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a series")
-        result = MultiSeries.constant(self.ring, self.k, self.order, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _product(self.ring, self.k, self.order,
+                        [(_flatten(self.terms, self.order), 1)] * n)
 
     def __eq__(self, other):
         """Content equality (same ring, k and stored terms)."""
@@ -638,14 +625,14 @@ class MultiSeries:
         return self.power_sum(lambda j: Fraction(1, factorial(j)))
 
     def derivative(self):
-        """d/du of a univariate series."""
+        """d/du of a univariate series, exact to one order less."""
         if self.k != 1:
             raise ValueError("derivative is for univariate series")
         terms = {}
         for (d,), p in self.terms.items():
             if d:
                 terms[(d - 1,)] = p * d
-        return MultiSeries(self.ring, 1, max(self.order - 1, 0), terms)
+        return MultiSeries(self.ring, 1, self.order - 1, terms)
 
     def integrate(self):
         """Termwise integral of a univariate series, vanishing at 0."""
@@ -768,6 +755,9 @@ class MultiSeries:
         """
         if len(w) != self.k or not any(w):
             raise ValueError("linear form must be a nonzero length-k vector")
+        if not self.order:
+            raise ValueError("a quotient of a series exact to order 0 "
+                             "is exact to no order")
         p = next(i for i, wi in enumerate(w) if wi)
         wp_inv = 1 / _frac(w[p])
         rest = [(j, -_frac(wj) * wp_inv) for j, wj in enumerate(w)
@@ -793,7 +783,7 @@ class MultiSeries:
                             below[mm] = r
             if rows.get(0):
                 raise NotDivisibleError(d, w)
-        return MultiSeries(self.ring, self.k, max(self.order - 1, 0), out)
+        return MultiSeries(self.ring, self.k, self.order - 1, out)
 
     # -- evaluation ----------------------------------------------------
     def evaluate_graded(self, direction, gen_values=None):
@@ -845,17 +835,6 @@ class MultiSeries:
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        ring = make_ring(*[(g["name"], g["degree"]) for g in obj["ring"]])
-        terms = {tuple(t["u"]): Poly.from_json_obj(ring, t["coeff"])
-                 for t in obj["terms"]}
-        return cls(ring, obj["k"], obj["order"], terms)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

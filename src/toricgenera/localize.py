@@ -17,8 +17,8 @@ from toricgenera.algebra import (
     MultiSeries,
     NormalizeError,
     NotDivisibleError,
-    _dilated_product,
     _flatten,
+    _product,
     canonical_linear_form,
 )
 from toricgenera.fgl import weight_series
@@ -93,22 +93,6 @@ def _point_forms(point):
     return forms, scales, content
 
 
-def _flat_unit(aplus, form, k, order):
-    """a_+(form . u) exact to ``order``, flattened for
-    ``_dilated_product``."""
-    den, flat = _flatten(aplus.compose_at_linear(form, k, order).terms, order)
-    return den, sorted(flat, key=lambda row: row[1])
-
-
-def _point_product(spec, point, k, order):
-    """The product of the weight series [w](u) at ``point``, exact to
-    ``order``."""
-    prod = MultiSeries.constant(spec.ring, k, order, 1)
-    for w in point.weights:
-        prod = prod * weight_series(spec, w, k)
-    return prod
-
-
 def localized_sum(fpd, genus, mode, order):
     """Represent sum_x sign(x) prod_j 1/(weight series) as a LocalizedSum.
 
@@ -138,8 +122,9 @@ def localized_sum(fpd, genus, mode, order):
             prims, scales, content = _point_forms(point)
             for prim in prims:
                 if prim not in units:
-                    units[prim] = _flat_unit(aplus, prim, k, top)
-            num = _dilated_product(
+                    units[prim] = _flatten(
+                        aplus.compose_at_linear(prim, k, top).terms, top)
+            num = _product(
                 genus.ring, k, top,
                 [(units[prim], s) for prim, s in zip(prims, scales)],
                 Fraction(point.sign, content))
@@ -149,7 +134,9 @@ def localized_sum(fpd, genus, mode, order):
     spec = genus.at_order(exact)
     for point in fpd.points:
         prims, _scales, content = _point_forms(point)
-        Q = _point_product(spec, point, k, exact)
+        Q = _product(genus.ring, k, exact, [
+            (_flatten(weight_series(spec, w, k).terms, exact), 1)
+            for w in point.weights])
         divided, residual = [], []
         for prim in prims:
             try:
@@ -166,7 +153,10 @@ def localized_sum(fpd, genus, mode, order):
         n_h, n_r = len(divided), len(residual)
         imax = order + n
         big = order + 2 * n_h + (imax + 1) * n_r
-        Q = _point_product(genus.at_order(big), point, k, big)
+        big_spec = genus.at_order(big)
+        Q = _product(genus.ring, k, big, [
+            (_flatten(weight_series(big_spec, w, k).terms, big), 1)
+            for w in point.weights])
         for prim in divided:
             Q = Q.divide_linear(prim)
         low = Q.homogeneous_component(n_r)
@@ -475,5 +465,6 @@ def p_omega(nvars, genus, order):
         for j in range(i + 1, nvars):
             w = tuple(1 if t == i else (-1 if t == j else 0)
                       for t in range(nvars))
-            factors.append((_flat_unit(aplus, w, nvars, order), 1))
-    return dict(_dilated_product(genus.ring, nvars, order, factors, 1).terms)
+            factors.append((_flatten(
+                aplus.compose_at_linear(w, nvars, order).terms, order), 1))
+    return dict(_product(genus.ring, nvars, order, factors).terms)

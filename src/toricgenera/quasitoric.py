@@ -470,11 +470,9 @@ def from_json_obj(obj):
             lam = CharMatrix(obj["lambda"])
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed quasitoric object: %s" % exc) from exc
-        pair = QuasitoricPair(polytope, lam, obj.get("name", "pair"))
         if not lam.is_refined():
             lam = refine(polytope, lam)
-            pair = QuasitoricPair(polytope, lam, pair.name)
-        return pair
+        return QuasitoricPair(polytope, lam, obj.get("name", "pair"))
     if kind == "fixed_points":
         try:
             n, k, points = obj["n"], obj["k"], obj["points"]

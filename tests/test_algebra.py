@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -218,6 +219,21 @@ def test_divide_linear_examples():
     with pytest.raises(NotDivisibleError) as err:
         (u1 + u2).divide_linear((1, -1))
     assert err.value.degree == 1
+
+
+def test_order_zero_derivative_and_quotient_raise():
+    # d/du u = 1 and u / u = 1 are not exact to any order when u is known
+    # only to order 0
+    u = var(QQ, 1, 0, 0)
+    with pytest.raises(ValueError):
+        u.derivative()
+    with pytest.raises(ValueError):
+        u.divide_linear((1,))
+    with pytest.raises(ValueError):
+        const(BRING, 2, 0, 3).divide_linear((1, -1))
+    assert var(QQ, 1, 1, 0).derivative() == const(QQ, 1, 0, 1)
+    assert var(QQ, 1, 1, 0).derivative().order == 0
+    assert var(QQ, 1, 1, 0).divide_linear((1,)).order == 0
 
 
 def test_divide_linear_pivot_free_obstruction():
@@ -583,6 +599,18 @@ def test_scale_kernel_matches_termwise_product(data):
     _assert_same(s * c, _ref_scale(s, c))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pow_matches_the_left_to_right_product_chain(data):
+    ring, k = data.draw(_RINGS), data.draw(st.integers(0, 3))
+    s = data.draw(_series(ring, k))
+    n = data.draw(st.integers(0, 4))
+    want = const(ring, k, s.order, 1)
+    for _ in range(n):
+        want = want * s
+    _assert_same(s ** n, want)
+
+
 def test_kernels_drop_cancelled_terms():
     u1, u2 = var(BRING, 2, 3, 0), var(BRING, 2, 3, 1)
     b1, b2 = Poly.gen(BRING, "b1"), Poly.gen(BRING, "b2")
@@ -925,6 +953,16 @@ def test_text_serialization_matches_canonical_example():
     assert str(s) == "1 - 2*b1*u1 + (1/2)*z^2*u1^2"
 
 
+def _from_json(blob):
+    # the reader of MultiSeries.to_json; the package itself only writes
+    obj = json.loads(blob)
+    ring = make_ring(*[(g["name"], g["degree"]) for g in obj["ring"]])
+    terms = {tuple(t["u"]): Poly(ring, {tuple(c["gen"]): F(c["val"])
+                                        for c in t["coeff"]})
+             for t in obj["terms"]}
+    return MultiSeries(ring, obj["k"], obj["order"], terms)
+
+
 def test_json_round_trip_is_bit_exact():
     ring = make_ring(("b1", 2), ("z", 2))
     b1 = Poly.gen(ring, "b1")
@@ -933,7 +971,7 @@ def test_json_round_trip_is_bit_exact():
         (1, 2): b1 + 1,
     })
     blob = s.to_json()
-    t = MultiSeries.from_json(blob)
+    t = _from_json(blob)
     assert t == s and t.order == s.order and t.k == s.k
     assert t.to_json() == blob
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
+    NotDivisibleError,
     Poly,
     QQ,
     canonical_linear_form,
@@ -19,6 +20,7 @@ from toricgenera.fgl import (
     catalog,
     m_series,
     projective_space_value,
+    weight_series,
 )
 from toricgenera.localize import (
     ConnerFloydViolation,
@@ -225,6 +227,78 @@ def test_linear_numerators_match_the_chain_with_one_sign_flipped(fpd):
         for genus_name in ("todd@z=1", "cn", "t2"):
             _assert_matches_the_chain(fpd.flip_one(i),
                                       ORACLE_GENERA[genus_name], 2)
+
+
+def _point_product(spec, point, k, order):
+    """The product of the weight series [w](u) at ``point``, exact to
+    ``order``, as a chain of ``*`` calls."""
+    prod = MultiSeries.constant(spec.ring, k, order, 1)
+    for w in point.weights:
+        prod = prod * weight_series(spec, w, k)
+    return prod
+
+
+def _ref_universal_localized_sum(fpd, genus, order):
+    """The universal localized sum with each point's product taken as a
+    ``*`` chain: exact division by the primitive forms that divide it,
+    then a geometric tail over the residual ones."""
+    k, n = fpd.k, fpd.n
+    ls = LocalizedSum(genus.ring, k, order)
+    exact = order + 2 * n
+    for point in fpd.points:
+        prims, content = [], 1
+        for w in point.weights:
+            prim, s = canonical_linear_form(w)
+            prims.append(prim)
+            content *= s
+        Q = _point_product(genus.at_order(exact), point, k, exact)
+        divided, residual = [], []
+        for prim in prims:
+            try:
+                Q = Q.divide_linear(prim)
+                divided.append(prim)
+            except NotDivisibleError:
+                residual.append(prim)
+        if not residual:
+            ls.add_term(Q.invert_unit().scale(point.sign), Counter(prims))
+            continue
+        n_h, n_r = len(divided), len(residual)
+        imax = order + n
+        big = order + 2 * n_h + (imax + 1) * n_r
+        Q = _point_product(genus.at_order(big), point, k, big)
+        for prim in divided:
+            Q = Q.divide_linear(prim)
+        R = Q - Q.homogeneous_component(n_r)
+        rpow = MultiSeries.constant(genus.ring, k, Q.order, 1)
+        for i in range(imax + 1):
+            num = rpow.truncate(order + n_h + (i + 1) * n_r)
+            num = num.scale(F(point.sign * (-1) ** i, content ** (i + 1)))
+            if not num.is_zero():
+                ls.add_term(num, Counter(divided + residual * (i + 1)))
+            rpow = rpow * R
+            if rpow.is_zero():
+                break
+    return ls
+
+
+@pytest.mark.parametrize("fpd", [
+    dataset("s6"),
+    dataset("flag3"),
+    signs_and_weights(simplex_pair(2, (-1, -1))),
+    signs_and_weights(simplex_pair(3, (1, -1, 1))),
+], ids=["s6", "flag3", "cp2", "cp3:eps=+-+"])
+@pytest.mark.parametrize("genus_name", ["todd", "hurewicz"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_universal_point_products_match_the_chain(fpd, genus_name, order):
+    genus = catalog(genus_name, max(order, 1))
+    new = localized_sum(fpd, genus, "universal", order)
+    ref = _ref_universal_localized_sum(fpd, genus, order)
+    assert new.order == ref.order == order
+    assert len(new) == len(ref)
+    for (num, den), (ref_num, ref_den) in zip(new, ref):
+        assert num.terms == ref_num.terms
+        assert num.order == ref_num.order
+        assert Counter(den) == ref_den
 
 
 def test_localized_sum_rejects_unknown_mode():
