@@ -11,16 +11,14 @@ object, so sharing across threads is safe.
 Every series product runs on one flat integer kernel, ``_product``:
 ``_flatten`` brings each factor over one common integer denominator, the
 kernel adds plain int products per (u-exponent, generator-exponent), and
-``_assemble`` makes one Fraction per non-zero sum.  ``*``, ``scale`` and
-``**`` call it, and so does each fixed point's product of factors
-a_+(s f . u), from a_+(f . u) composed once per primitive form f and
-scaled by s^d in degree d.  ``MultiSeries.compose_at_linear`` writes each
-term c_d (w . u)^d straight into its u-monomials.
+``_assemble`` makes one Fraction per non-zero sum; ``*``, ``scale`` and
+``**`` call it.  ``MultiSeries.compose_at_linear`` writes each term
+c_d (w . u)^d straight into its u-monomials.
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
-int polynomial of its missing forms (``_expand_forms``), into one such
-accumulator.  ``MultiSeries.divide_linear``, which performs the
-Conner-Floyd cancellation, is long division on the form's first non-zero
-variable.
+int polynomial of its missing forms (``_expand_forms``) into one such
+accumulator (a linear localized sum arrives already cross-multiplied).
+``MultiSeries.divide_linear``, the Conner-Floyd cancellation, is long
+division on the form's first non-zero variable.
 
 Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
 which skip the re-validation of ``__init__``.  They may only be given
@@ -373,26 +371,18 @@ def _expand_forms(k, forms):
 
 
 def _product(ring, k, order, factors, scale=1):
-    """``scale`` (an int or Fraction) times the product of the series
-    f(s u) over ``factors``, exact to ``order``, in one integer pass.
-
-    Each factor is ((den, rows), s): a series flattened by ``_flatten``
-    to ``order``, and an integer dilation s, which scales the numerators
-    of u-degree d by s^d.  The first factor's rows, times the numerator
-    of ``scale``, seed the accumulator; with no factors the product is
-    the constant ``scale``.
-    """
+    """``scale`` (an int or Fraction) times the product of ``factors``,
+    series flattened by ``_flatten``, exact to ``order`` in one integer
+    pass.  The first factor's rows, times the numerator of ``scale``, seed
+    the accumulator; with no factors the product is the constant ``scale``."""
     add = operator.add
     num, den = scale.numerator, scale.denominator
     seed = acc = None
-    for (den_f, rows), s in factors:
+    for den_f, rows in factors:
         den *= den_f
-        if s != 1 or num != 1:
-            rows = [(e, d, [(g, c * num * s ** d) for g, c in p])
-                    for e, d, p in rows]
-            num = 1
         if seed is None:
-            seed = rows
+            seed = rows if num == 1 else [
+                (e, d, [(g, c * num) for g, c in p]) for e, d, p in rows]
             continue
         if acc is not None:
             seed = [(e, sum(e), [(g, c) for g, c in p.items() if c])
@@ -549,7 +539,7 @@ class MultiSeries:
             return self * MultiSeries(c.ring, self.k, self.order,
                                       {(0,) * self.k: c})
         return _product(self.ring, self.k, self.order,
-                        [(_flatten(self.terms, self.order), 1)], _frac(c))
+                        [_flatten(self.terms, self.order)], _frac(c))
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
@@ -557,8 +547,8 @@ class MultiSeries:
         self._compat(other)
         order = min(self.order, other.order)
         return _product(self.ring, self.k, order,
-                        [(_flatten(self.terms, order), 1),
-                         (_flatten(other.terms, order), 1)])
+                        [_flatten(self.terms, order),
+                         _flatten(other.terms, order)])
 
     __rmul__ = __mul__
 
@@ -566,7 +556,7 @@ class MultiSeries:
         if n < 0:
             raise ValueError("negative power of a series")
         return _product(self.ring, self.k, self.order,
-                        [(_flatten(self.terms, self.order), 1)] * n)
+                        [_flatten(self.terms, self.order)] * n)
 
     def __eq__(self, other):
         """Content equality (same ring, k and stored terms)."""
@@ -934,10 +924,13 @@ class LocalizedSum:
         return D
 
     def over_common_denominator(self):
-        """Cross-multiply to (numerator, common denominator multiset),
-        over the lcm L of the numerators' denominators."""
+        """Cross-multiply to (numerator, common denominator multiset) over
+        the lcm L of the denominators; a lone term exact to order + deg D
+        is returned as it is."""
         D = self.common_denominator()
         top = self.order + sum(D.values())
+        if len(self.terms) == 1 and self.terms[0][0].order == top:
+            return self.terms[0][0], D
         pieces = []
         for num, den in self.terms:
             missing = {f: m - den.get(f, 0) for f, m in D.items()

@@ -369,6 +369,7 @@ HANDLERS = {
     "list-builtins": (_list_builtins, JOB),
 }
 COMMANDS = tuple(HANDLERS)
+_GENUS_ORDER_COMMANDS = ("phi", "genus", "check-cf", "check-rigidity")
 
 
 def _run(job):
@@ -378,6 +379,10 @@ def _run(job):
         raise InputError("--genus-order must be >= 1")
     if job.command not in HANDLERS:
         raise InputError("unknown command %r" % job.command)
+    if job.genus_order is not None and (job.genus != "hurewicz" or job.command
+                                        not in _GENUS_ORDER_COMMANDS):
+        raise InputError("--genus-order applies only to --genus hurewicz in "
+                         + ", ".join(_GENUS_ORDER_COMMANDS))
     handler, inputs = HANDLERS[job.command]
     if inputs == JOB:
         return handler(job)

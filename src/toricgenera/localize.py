@@ -11,12 +11,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
     NormalizeError,
     NotDivisibleError,
+    QQ,
+    _assemble,
+    _expand_forms,
     _flatten,
     _product,
     canonical_linear_form,
@@ -93,49 +97,111 @@ def _point_forms(point):
     return forms, scales, content
 
 
+def _linear_total(fpd, genus, order):
+    """(S, D) of the linear localized sum in one pass: a weight s f takes
+    each state, an int polynomial in u per partition mu of the degrees used
+    so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
+    the base-B digits of one int."""
+    k, n = fpd.k, fpd.n
+    top = order + n
+    den_a, flat = _flatten(genus.at_order(top + 1).a_plus().terms, top)
+    coeff = {d: p for _e, d, p in flat}  # a_t = coeff[t] / den_a
+    T = sorted(coeff)
+    points = [(point.sign,) + _point_forms(point) for point in fpd.points]
+    D = Counter()
+    for _sign, prims, _scales, _content in points:
+        D |= Counter(prims)
+    B = order + sum(D.values()) + 1
+    digits = [B ** i for i in range(k)]
+
+    def pack(e):
+        return sum(x * d for x, d in zip(e, digits))
+
+    # (f, s) -> [(t, (s f . u)^t)], from the rows of sum_(t in T) x^t at f . u
+    ones, powers = MultiSeries(QQ, 1, T[-1], {(t,): 1 for t in T}), {}
+    for _sign, prims, scales, _content in points:
+        for f, s in zip(prims, scales):
+            if (f, 1) not in powers:
+                table = powers[f, 1] = [(t, []) for t in T]
+                for e, d, p in _flatten(
+                        ones.compose_at_linear(f, k).terms, T[-1])[1]:
+                    table[T.index(d)][1].append((pack(e), p[0][1]))
+            if (f, s) not in powers:
+                powers[f, s] = [(t, [(e, c * s ** t) for e, c in rows])
+                                for t, rows in powers[f, 1]]
+    L = lcm(*(content for *_rest, content in points))
+    Z = {}  # partition -> {packed u-exponent: int}, over L
+    for sign, prims, scales, content in points:
+        # the last step, into Z: sign L / content times the missing forms
+        missing = _expand_forms(k, D - Counter(prims))
+        steps = [powers[w] for w in zip(prims, scales)] + [[(0, [
+            (pack(e), c * sign * L // content) for e, c in missing.items()])]]
+        states = {(): {0: 1}}
+        for step in steps:
+            grown = Z if step is steps[-1] else {}
+            for mu, poly in states.items():
+                for t, rows in step:
+                    if t + sum(mu) > top:
+                        break
+                    out = grown.setdefault(
+                        tuple(sorted(mu + (t,))) if t else mu, {})
+                    for e1, c1 in poly.items():
+                        for e2, c2 in rows:
+                            e = e1 + e2
+                            out[e] = out.get(e, 0) + c1 * c2
+            states = grown
+    # a_lam over den_a^n from a_(lam minus its last part), which is in Z
+    # too (t = 0 is in T); lam has at most n parts, so den_a divides exactly
+    ring_of = {(): [((0,) * len(genus.ring), den_a ** n)]}
+    acc = {}
+    for lam in sorted(Z, key=len):
+        if lam:
+            out = {}
+            for g1, c1 in ring_of[lam[:-1]]:
+                for g2, c2 in coeff[lam[-1]]:
+                    g = tuple(x + y for x, y in zip(g1, g2))
+                    out[g] = out.get(g, 0) + c1 * c2
+            ring_of[lam] = [(g, c // den_a) for g, c in out.items() if c]
+        for e, c in Z[lam].items():
+            if c:
+                out = acc.setdefault(e, {})
+                for g, a in ring_of[lam]:
+                    out[g] = out.get(g, 0) + a * c
+    acc = {tuple(e // d % B for d in digits): p for e, p in acc.items()}
+    return _assemble(genus.ring, k, B - 1, acc, den_a ** n * L), dict(D)
+
+
 def localized_sum(fpd, genus, mode, order):
     """Represent sum_x sign(x) prod_j 1/(weight series) as a LocalizedSum.
 
-    In linear mode the weight series of w is b(w.u) = (w.u) b_+(w.u), so
-    each factor is a_+(w.u) / (w.u) with the univariate unit a_+ = 1/b_+:
-    the numerator of a point is sign(x) / prod_j content(w_j) times
-    prod_j a_+(w_j.u), exact to order + n, over the multiset of primitive
-    forms of its weights.  a_+ is composed once per primitive form f, and
-    a_+(s f.u) is a_+(f.u) with its degree-d terms scaled by s^d, so each
-    numerator is one integer product of dilated factors.
+    In linear mode b(w.u) = (w.u) a_+(w.u)^-1 with a_+ = sum_t a_t x^t, and
+    the sum is one term: the cross-multiplied numerator S, exact to
+    order + deg D, over the common denominator D of the primitive forms.
+    S = sum_lam a_lam Z_lam over partitions lam, where a_lam = prod_i
+    a_(lam_i) holds the genus and Z_lam = sum_x sign(x) / content(x)
+    (missing forms of x) m_lam(w_1(x).u, ..., w_n(x).u) the fixed points.
+    This is exact: prod_j a_+(l_j) = sum_alpha prod_j a_(alpha_j)
+    l_j^alpha_j, whose ring factor depends only on the multiset of alpha.
+    At order 0 it is Hirzebruch's phi[M] = sum_lam a_lam s_lam[M].
 
-    Universal mode (the slow reference for ``phi``) divides the product
-    of the full [w](u) exactly by as many of its primitive linear factors
-    as possible; any residual factors are expanded as a finite geometric
-    tail, which is exact to the working order.  Division failures surface
-    later, in normalize().
+    Universal mode (the slow reference for ``phi``) divides the product of
+    the full [w](u) exactly by as many of its primitive forms as possible
+    and expands the rest as a finite geometric tail, exact to the working
+    order.  Division failures surface later, in normalize().
     """
     if mode not in ("linear", "universal"):
         raise ValueError("mode must be 'linear' or 'universal'")
     k, n = fpd.k, fpd.n
     ls = LocalizedSum(genus.ring, k, order)
     if mode == "linear":
-        top = order + n
-        aplus = genus.at_order(top + 1).a_plus()
-        units = {}  # primitive form -> a_+(form . u), flattened
-        for point in fpd.points:
-            prims, scales, content = _point_forms(point)
-            for prim in prims:
-                if prim not in units:
-                    units[prim] = _flatten(
-                        aplus.compose_at_linear(prim, k, top).terms, top)
-            num = _product(
-                genus.ring, k, top,
-                [(units[prim], s) for prim, s in zip(prims, scales)],
-                Fraction(point.sign, content))
-            ls.add_term(num, Counter(prims))
+        ls.add_term(*_linear_total(fpd, genus, order))
         return ls
     exact = order + 2 * n
     spec = genus.at_order(exact)
     for point in fpd.points:
         prims, _scales, content = _point_forms(point)
         Q = _product(genus.ring, k, exact, [
-            (_flatten(weight_series(spec, w, k).terms, exact), 1)
+            _flatten(weight_series(spec, w, k).terms, exact)
             for w in point.weights])
         divided, residual = [], []
         for prim in prims:
@@ -155,7 +221,7 @@ def localized_sum(fpd, genus, mode, order):
         big = order + 2 * n_h + (imax + 1) * n_r
         big_spec = genus.at_order(big)
         Q = _product(genus.ring, k, big, [
-            (_flatten(weight_series(big_spec, w, k).terms, big), 1)
+            _flatten(weight_series(big_spec, w, k).terms, big)
             for w in point.weights])
         for prim in divided:
             Q = Q.divide_linear(prim)
@@ -364,8 +430,7 @@ def _block_vanishes(fpd, indices, augmentation):
     """
     sub = FixedPointData(fpd.n, fpd.k, [fpd.points[i] for i in indices])
     ls = localized_sum(sub, augmentation, "linear", 0)
-    S, _D = ls.over_common_denominator()
-    return S.is_zero()
+    return ls.over_common_denominator()[0].is_zero()
 
 
 class PairingReport:
@@ -465,6 +530,6 @@ def p_omega(nvars, genus, order):
         for j in range(i + 1, nvars):
             w = tuple(1 if t == i else (-1 if t == j else 0)
                       for t in range(nvars))
-            factors.append((_flatten(
-                aplus.compose_at_linear(w, nvars, order).terms, order), 1))
+            factors.append(_flatten(
+                aplus.compose_at_linear(w, nvars, order).terms, order))
     return dict(_product(genus.ring, nvars, order, factors).terms)

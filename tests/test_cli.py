@@ -401,6 +401,42 @@ def test_run_refuses_orders_out_of_range(command, kw, message):
         (EXIT_INPUT, ["error: " + message])
 
 
+GENUS_ORDER_REFUSED = ("error: --genus-order applies only to --genus "
+                       "hurewicz in phi, genus, check-cf, check-rigidity")
+
+
+@pytest.mark.parametrize("entry", ["main", "run"])
+@pytest.mark.parametrize("command, kw", [
+    ("phi", dict(input="builtin:s6", genus="todd", order=1)),
+    ("genus", dict(input="builtin:cp2", genus="krichever")),
+    ("check-cf", dict(input="builtin:s6", genus="todd", order=0)),
+    ("check-rigidity", dict(input="builtin:s6", genus="t2", order=1)),
+    ("pairing", dict(input="builtin:square:eps=-1,-1:delta=1,0",
+                     pairing="1-3,2-4")),
+    ("special-check", dict(input="builtin:square:eps=-1,1:delta=2,0",
+                           order=1)),
+    ("validate", dict(input="builtin:cp2")),
+    ("list-builtins", dict()),
+], ids=["phi-todd", "genus-krichever", "check-cf-todd", "check-rigidity-t2",
+        "pairing", "special-check", "validate", "list-builtins"])
+def test_genus_order_outside_hurewicz_exits_1(capsys, entry, command, kw):
+    # the option is refused wherever it would be dropped, never ignored
+    code, lines = _job(entry, capsys, command, genus_order=5, **kw)
+    assert (code, lines) == (EXIT_INPUT, [GENUS_ORDER_REFUSED])
+    assert _job(entry, capsys, command, **kw)[0] != EXIT_INPUT
+
+
+@pytest.mark.parametrize("entry", ["main", "run"])
+@pytest.mark.parametrize("command", ["phi", "genus", "check-cf",
+                                     "check-rigidity"])
+def test_genus_order_sizes_the_hurewicz_ring(capsys, entry, command):
+    kw = dict(input="builtin:s6", genus="hurewicz", order=0)
+    code, lines = _job(entry, capsys, command, genus_order=2, **kw)
+    assert code != EXIT_INPUT
+    # a ring of two generators, so no b3 in the value
+    assert any("b2" in l for l in lines) and not any("b3" in l for l in lines)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_special_check_violation_exits_2(tmp_path, capsys, fmt):
     # reversing facet 4's normal flips the signs at its two vertices: the

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgenera import localize
 from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
@@ -16,6 +19,7 @@ from toricgenera.algebra import (
     canonical_linear_form,
 )
 from toricgenera.fgl import (
+    CATALOG_NAMES,
     GenusSpec,
     catalog,
     m_series,
@@ -126,14 +130,21 @@ LINEAR_DATA = {
 def test_linear_sum_equals_divide_invert(data_name, genus_name, order):
     fpd = LINEAR_DATA[data_name]
     genus = catalog(genus_name, max(order, 1))
-    new = localized_sum(fpd, genus, "linear", order)
-    old = _divide_invert_sum(fpd, genus, order)
-    assert new.order == old.order == order
-    assert len(new) == len(old) == len(fpd)
-    for (num, den), (ref_num, ref_den) in zip(new, old):
-        assert num == ref_num
-        assert num.order == ref_num.order == order + fpd.n
-        assert den == ref_den
+    _assert_same_total(localized_sum(fpd, genus, "linear", order),
+                       _divide_invert_sum(fpd, genus, order))
+
+
+def _assert_same_total(new, ref):
+    """The linear sum is one term, equal to the reference cross-multiplied:
+    the same numerator terms and order, over the same denominator."""
+    assert new.order == ref.order
+    assert len(new) == 1
+    (S, D), (ref_S, ref_D) = (new.over_common_denominator(),
+                              ref.over_common_denominator())
+    assert S.terms == ref_S.terms
+    assert S.order == ref_S.order == new.order + sum(D.values())
+    assert D == ref_D
+    return S, D
 
 
 def _ref_linear_localized_sum(fpd, genus, order):
@@ -157,14 +168,8 @@ def _ref_linear_localized_sum(fpd, genus, order):
 
 
 def _assert_matches_the_chain(fpd, genus, order):
-    new = localized_sum(fpd, genus, "linear", order)
-    ref = _ref_linear_localized_sum(fpd, genus, order)
-    assert new.order == ref.order == order
-    assert len(new) == len(ref) == len(fpd)
-    for (num, den), (ref_num, ref_den) in zip(new, ref):
-        assert num.terms == ref_num.terms
-        assert num.order == ref_num.order == order + fpd.n
-        assert Counter(den) == ref_den
+    return _assert_same_total(localized_sum(fpd, genus, "linear", order),
+                              _ref_linear_localized_sum(fpd, genus, order))
 
 
 def _todd_qq(M):
@@ -227,6 +232,84 @@ def test_linear_numerators_match_the_chain_with_one_sign_flipped(fpd):
         for genus_name in ("todd@z=1", "cn", "t2"):
             _assert_matches_the_chain(fpd.flip_one(i),
                                       ORACLE_GENERA[genus_name], 2)
+
+
+MORE_GENERA = {
+    # no odd a_t, a_+ = 1 (T = {0}), and two rings of several generators
+    name: catalog(name, 1) for name in ("signature", "elliptic",
+                                        "augmentation", "krichever")
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(fpd=fixed_point_data(),
+       genus_name=st.sampled_from(sorted(MORE_GENERA)),
+       order=st.integers(0, 4))
+def test_linear_total_matches_the_chain_for_sparse_and_trivial_units(
+        fpd, genus_name, order):
+    _assert_matches_the_chain(fpd, MORE_GENERA[genus_name], order)
+
+
+LINEAR_EDGE_CASES = {
+    "no points": FixedPointData(2, 2, []),
+    "n = 0": FixedPointData(0, 2, [FixedPoint("x", 1, []),
+                                   FixedPoint("y", -1, []),
+                                   FixedPoint("z", 1, [])]),
+    "repeated form": FixedPointData(2, 2, [
+        FixedPoint("x", 1, [(1, 1), (2, 2)]),
+        FixedPoint("y", -1, [(1, -1), (-1, -1)])]),
+    "negative contents": FixedPointData(2, 2, [
+        FixedPoint("x", -1, [(-2, 0), (0, -3)]),
+        FixedPoint("y", 1, [(2, 4), (-3, 0)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_EDGE_CASES))
+@pytest.mark.parametrize("genus_name", ["todd", "hurewicz", "signature"])
+@pytest.mark.parametrize("order", [0, 2])
+def test_linear_total_edge_cases(name, genus_name, order):
+    fpd = LINEAR_EDGE_CASES[name]
+    genus = {**ORACLE_GENERA, **MORE_GENERA}[genus_name]
+    S, D = _assert_matches_the_chain(fpd, genus, order)
+    if name == "no points":
+        assert S.is_zero() and D == {}
+    if name == "n = 0":
+        assert D == {} and S == MultiSeries.constant(genus.ring, 2, order, 1)
+    if name == "repeated form":
+        assert D == {(1, 1): 2, (1, -1): 1}
+
+
+# each mutant of the pass, as (original text, replacement), must be caught
+MUTANTS = {
+    "s^t dilation dropped": ("(e, c * s ** t)", "(e, c)"),
+    "den_a padding not divided": ("c // den_a", "c"),
+    "t = 0 skipped": ("for t, rows in powers[f, 1]]",
+                      "for t, rows in powers[f, 1] if t]"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_hand_made_mutants_of_the_linear_total_fail(mutant):
+    old, new = MUTANTS[mutant]
+    source = textwrap.dedent(inspect.getsource(localize._linear_total))
+    assert source.count(old) == 1
+    namespace = dict(vars(localize))
+    exec(source.replace(old, new), namespace)
+    cases = [(LINEAR_EDGE_CASES["negative contents"], "todd", 2),
+             (LINEAR_EDGE_CASES["repeated form"], "hurewicz", 1),
+             (LINEAR_DATA["cp2"], "todd", 1)]
+    caught = 0
+    for fpd, genus_name, order in cases:
+        genus = ORACLE_GENERA[genus_name]
+        try:
+            S, D = namespace["_linear_total"](fpd, genus, order)
+        except LookupError:  # a partition reached without its sub-partitions
+            caught += 1
+            continue
+        ref_S, ref_D = _ref_linear_localized_sum(
+            fpd, genus, order).over_common_denominator()
+        caught += (S.terms, D) != (ref_S.terms, ref_D)
+    assert caught
 
 
 def _point_product(spec, point, k, order):
@@ -368,6 +451,17 @@ def test_phi_cpn_todd_constant():
         fpd = signs_and_weights(simplex_pair(n, (-1,) * n))
         val = genus_value(fpd, td)
         assert val == (-z) ** n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cpn_genus_is_hirzebruchs_coefficient(n):
+    # phi(CP^n) = [x^n] a_+(x)^(n+1), the classical formula, which takes no
+    # localization and no division
+    fpd = signs_and_weights(simplex_pair(n, (-1,) * n))
+    for name in CATALOG_NAMES:
+        spec = catalog(name, n)
+        want = (spec.at_order(n + 1).a_plus() ** (n + 1)).coefficient((n,))
+        assert genus_value(fpd, spec) == want, name
 
 
 def test_phi_invalid_data_raises():
