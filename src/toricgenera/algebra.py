@@ -12,8 +12,11 @@ Every series product runs on one flat integer kernel, ``_product``:
 ``_flatten`` brings each factor over one common integer denominator, the
 kernel adds plain int products per (u-exponent, generator-exponent), and
 ``_assemble`` makes one Fraction per non-zero sum; ``*``, ``scale`` and
-``**`` call it.  ``MultiSeries.compose_at_linear`` writes each term
-c_d (w . u)^d straight into its u-monomials.
+``**`` call it.  Beside it, ``MultiSeries._recurrence`` builds unit powers
+and exp (``invert_unit``, ``sqrt_unit``, ``exp``) by a degree recurrence
+in one such pass, and ``revert`` fills an int power table.
+``MultiSeries.compose_at_linear`` writes each term c_d (w . u)^d straight
+into its u-monomials.
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``) into one such
 accumulator (a linear localized sum arrives already cross-multiplied).
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -92,14 +96,6 @@ def _frac(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected an exact rational, got %r" % (x,))
-
-
-def binomial(alpha, j):
-    """The coefficient of t^j in (1 + t)^alpha, for a rational alpha."""
-    out = Fraction(1)
-    for i in range(j):
-        out = out * (alpha - i) / (i + 1)
-    return out
 
 
 def _fmt_frac(q, product_context):
@@ -228,12 +224,8 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = Poly.constant(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -253,22 +245,14 @@ class Poly:
         to the target generator with the same name.
         """
         out = Poly.zero(target_ring)
-        cache = {}
         for e, c in self.terms.items():
             term = Poly.constant(target_ring, c)
-            for i, ei in enumerate(e):
-                if not ei:
-                    continue
-                name = self.ring[i].name
-                key = (name, ei)
-                if key not in cache:
-                    img = images.get(name)
+            for g, ei in zip(self.ring, e):
+                if ei:
+                    img = images.get(g.name)
                     if img is None:
-                        img = Poly.gen(target_ring, name)
-                    elif not isinstance(img, Poly):
-                        img = Poly.constant(target_ring, img)
-                    cache[key] = img ** ei
-                term = term * cache[key]
+                        img = Poly.gen(target_ring, g.name)
+                    term = term * img ** ei
             out = out + term
         return out
 
@@ -393,18 +377,23 @@ def _product(ring, k, order, factors, scale=1):
             for e2, d2, p2 in rows:
                 if d2 > room:
                     break
-                e = tuple(map(add, e1, e2))
-                out = acc.get(e)
-                if out is None:
-                    out = acc[e] = {}
-                for g1, c1 in p1:
-                    for g2, c2 in p2:
-                        g = tuple(map(add, g1, g2))
-                        out[g] = out.get(g, 0) + c1 * c2
+                _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
+                             p1, p2)
     if acc is None:  # fewer than two factors
         acc = ({e: dict(p) for e, _d, p in seed} if seed is not None
                else {(0,) * k: {(0,) * len(ring): num}})
     return _assemble(ring, k, order, acc, den)
+
+
+def _add_product(out, p1, p2, m=1):
+    """out[g1 + g2] += m * c1 * c2 over the (generator-exponent, int)
+    pairs of ``p1`` and ``p2``."""
+    add = operator.add
+    for g1, c1 in p1:
+        c1 *= m
+        for g2, c2 in p2:
+            g = tuple(map(add, g1, g2))
+            out[g] = out.get(g, 0) + c1 * c2
 
 
 class MultiSeries:
@@ -487,11 +476,8 @@ class MultiSeries:
 
     def slice_var(self, j, power):
         """Coefficient of u_j^power, as a series in the remaining variables."""
-        terms = {}
-        for e, p in self.terms.items():
-            if e[j] == power:
-                terms[e[:j] + e[j + 1:]] = p
-        return MultiSeries(self.ring, self.k - 1, self.order - power, terms)
+        return MultiSeries(self.ring, self.k - 1, self.order - power, {
+            e[:j] + e[j + 1:]: p for e, p in self.terms.items() if e[j] == power})
 
     def truncate(self, order):
         """Restrict to degrees <= order; never claims more exactness."""
@@ -572,66 +558,81 @@ class MultiSeries:
         return self.truncate(n).terms == other.truncate(n).terms
 
     # -- core series operations ---------------------------------------
-    def power_sum(self, coefficient):
-        """sum_j coefficient(j) * self^j for a series with zero constant
-        term: self^j starts at degree j, so the sum is exact to ``order``.
+    def _recurrence(self, a, b, c0=1, scale=1):
+        """``scale`` * P to ``order``, s being self's part of degree >= 1
+        over c0: P_0 = 1, d P_d = sum_{j=1..d} (a j + b d) s_j P_(d-j).
 
-        ``coefficient`` maps j >= 0 to a rational or Poly; powers are
-        accumulated, and a coefficient 1 adds its power unscaled.
+        The Euler operator sum_i u_i d/du_i is d on degree d, so (a, b) =
+        (alpha + 1, -1) gives (1 + s)^alpha and (1, 0) gives exp(s), for
+        every k.  In ints, with a = p/q and s_j = S_j / L, P_d is
+        N_d / ((L q)^d d!) and N_d = sum_j (p j + q b d) (L q)^(j-1)
+        (d-1)!/(d-j)! S_j N_(d-j).
         """
-        if not self.constant_term().is_zero():
-            raise ValueError("power_sum requires zero constant term")
-        result = MultiSeries.constant(self.ring, self.k, self.order,
-                                      coefficient(0))
-        power = MultiSeries.constant(self.ring, self.k, self.order, 1)
-        for j in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            c = coefficient(j)
-            result = result + (power if c == 1 else power.scale(c))
-        return result
+        order, add = self.order, operator.add
+        den, rows = _flatten(self.terms, order)
+        p, q = a.numerator, a.denominator
+        sign = c0.denominator if c0 > 0 else -c0.denominator
+        Lq = den * abs(c0.numerator) * q
+        comps = {d: [(e, g) for e, _d, g in row]
+                 for d, row in groupby(rows, operator.itemgetter(1)) if d}
+        N = [{(0,) * self.k: [((0,) * len(self.ring), 1)]}]
+        for d in range(1, order + 1):
+            acc = {}
+            for j, s_j in comps.items():
+                if j > d:
+                    break
+                m = sign * (p * j + q * b * d) * Lq ** (j - 1) \
+                    * (factorial(d - 1) // factorial(d - j))
+                for e1, p1 in s_j:
+                    for e2, p2 in N[d - j].items():
+                        e = tuple(map(add, e1, e2))
+                        _add_product(acc.setdefault(e, {}), p1, p2, m)
+            N.append({e: nz for e, out in acc.items()
+                      if (nz := [(g, c) for g, c in out.items() if c])})
+        top = factorial(order)
+        lift = [scale.numerator * Lq ** (order - d) * (top // factorial(d))
+                for d in range(order + 1)]
+        return _assemble(self.ring, self.k, order, {
+            e: {g: c * lift[d] for g, c in pd}
+            for d, Nd in enumerate(N) for e, pd in Nd.items()},
+            Lq ** order * top * scale.denominator)
 
     def invert_unit(self):
-        """Inverse of a series whose constant term is a nonzero rational:
-        the geometric series in t = 1 - self / c0, over c0."""
+        """Inverse of a series whose constant term is a nonzero rational
+        c0: (1 + s)^(-1) / c0 at s = self / c0 - 1, by ``_recurrence``."""
         c0 = self.constant_term().constant_value()
         if c0 is None:
-            raise ValueError("constant term is not rational; cannot invert")
+            raise ValueError("invert_unit: constant term is not rational")
         if c0 == 0:
-            raise ZeroDivisionError("constant term is zero; not a unit")
-        t = 1 - self.scale(1 / c0)
-        return t.power_sum(lambda j: 1).scale(1 / c0)
+            raise ZeroDivisionError("invert_unit: constant term is zero")
+        return self._recurrence(0, -1, c0, 1 / c0)
 
     def sqrt_unit(self):
-        """Square root of a series with constant term 1: the binomial
-        series of (1 + t)^(1/2) at t = self - 1."""
+        """Square root of a series with constant term 1: (1 + s)^(1/2) at
+        s = self - 1, by ``_recurrence``."""
         if self.constant_term().constant_value() != 1:
-            raise ValueError("sqrt requires constant term 1")
-        return (self - 1).power_sum(lambda j: binomial(Fraction(1, 2), j))
+            raise ValueError("sqrt_unit requires constant term 1")
+        return self._recurrence(Fraction(3, 2), -1)
 
     def exp(self):
-        """exp of a series with zero constant term."""
-        return self.power_sum(lambda j: Fraction(1, factorial(j)))
+        """exp of a series with zero constant term, by ``_recurrence``."""
+        if not self.constant_term().is_zero():
+            raise ValueError("exp requires zero constant term")
+        return self._recurrence(1, 0)
 
     def derivative(self):
         """d/du of a univariate series, exact to one order less."""
         if self.k != 1:
             raise ValueError("derivative is for univariate series")
-        terms = {}
-        for (d,), p in self.terms.items():
-            if d:
-                terms[(d - 1,)] = p * d
-        return MultiSeries(self.ring, 1, self.order - 1, terms)
+        return MultiSeries(self.ring, 1, self.order - 1, {
+            (d - 1,): p * d for (d,), p in self.terms.items() if d})
 
     def integrate(self):
         """Termwise integral of a univariate series, vanishing at 0."""
         if self.k != 1:
             raise ValueError("integrate is for univariate series")
-        terms = {}
-        for (d,), p in self.terms.items():
-            terms[(d + 1,)] = p * Fraction(1, d + 1)
-        return MultiSeries(self.ring, 1, self.order + 1, terms)
+        return MultiSeries(self.ring, 1, self.order + 1, {
+            (d + 1,): p * Fraction(1, d + 1) for (d,), p in self.terms.items()})
 
     def shift_down(self, i, n=1):
         """Exact division by u_i^n; fails if any term has u_i-exponent < n."""
@@ -715,9 +716,12 @@ class MultiSeries:
         return _assemble(self.ring, k, order, acc, den * den_w ** order)
 
     def revert(self):
-        """Inverse series of a univariate f = x + O(x^2).
+        """Inverse series g of a univariate f = x + sum_{j>=2} f_j x^j.
 
-        Solved degree by degree: g is corrected so that f(g(x)) = x.
+        g = x - sum_{j>=2} f_j g^j is solved by degree with the power table
+        G[j][d] = [x^d] g^j = sum_i g_i G[j-1][d-i], which for j >= 2 needs
+        only g_1..g_(d-1).  Over f's denominator L, G[j][d] is an int
+        polynomial over L^(d-j), so the table sums ints unscaled.
         """
         if self.k != 1:
             raise ValueError("revert is for univariate series")
@@ -726,13 +730,24 @@ class MultiSeries:
         if self.coefficient((1,)).constant_value() != 1:
             raise ValueError("revert requires leading coefficient 1")
         order = self.order
-        g = MultiSeries.variable(self.ring, 1, order, 0)
+        den, rows = _flatten(self.terms, order)
+        f = {d: p for _e, d, p in rows if d > 1}
+        G = [None] + [{j: [((0,) * len(self.ring), 1)]}  # g^j = x^j + ...
+                      for j in range(1, max(f, default=1) + 1)]
         for d in range(2, order + 1):
-            err = self.substitute([g]) - MultiSeries.variable(self.ring, 1, order, 0)
-            c = err.coefficient((d,))
-            if not c.is_zero():
-                g = g - MultiSeries(self.ring, 1, order, {(d,): c})
-        return g
+            for j in range(2, min(d, len(G))):
+                out = {}
+                for i in range(1, d - j + 2):
+                    _add_product(out, G[1][i], G[j - 1][d - i])
+                G[j][d] = [(g, c) for g, c in out.items() if c]
+            out = {}
+            for j, fj in f.items():
+                if j <= d:
+                    _add_product(out, fj, G[j][d], -den ** (j - 2))
+            G[1][d] = [(g, c) for g, c in out.items() if c]
+        return _assemble(self.ring, 1, order, {
+            (d,): {g: c * den ** (order - d) for g, c in p}
+            for d, p in G[1].items() if p}, den ** (order - 1))
 
     def divide_linear(self, w):
         """Exact division by the linear form w . u.
@@ -774,23 +789,6 @@ class MultiSeries:
             if rows.get(0):
                 raise NotDivisibleError(d, w)
         return MultiSeries(self.ring, self.k, self.order - 1, out)
-
-    # -- evaluation ----------------------------------------------------
-    def evaluate_graded(self, direction, gen_values=None):
-        """Evaluate along u = direction * t; returns t-coefficients [c0..cN].
-
-        ``direction`` is a rational k-vector; generator values (if the ring
-        is nontrivial) are given by ``gen_values``.
-        """
-        gen_values = gen_values or {}
-        out = [Fraction(0)] * (self.order + 1)
-        for e, p in self.terms.items():
-            v = p.substitute_gens(QQ, gen_values).constant_value()
-            for i, ei in enumerate(e):
-                if ei:
-                    v *= _frac(direction[i]) ** ei
-            out[sum(e)] += v
-        return out
 
     # -- serialization ------------------------------------------------
     def sorted_terms(self):

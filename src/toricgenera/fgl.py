@@ -17,7 +17,6 @@ from toricgenera.algebra import (
     MultiSeries,
     Poly,
     QQ,
-    binomial,
     make_ring,
 )
 
@@ -175,53 +174,46 @@ _ELLIPTIC_RING = make_ring(("delta", 4), ("eps", 8))
 
 
 def _todd(M):
-    z = Poly.gen(_Z_RING, "z")
-    terms = {(j + 1,): z ** j * Fraction(1, factorial(j + 1)) for j in range(M)}
-    return MultiSeries(_Z_RING, 1, M, terms)
+    return MultiSeries(_Z_RING, 1, M, {
+        (j + 1,): Poly(_Z_RING, {(j,): Fraction(1, factorial(j + 1))})
+        for j in range(M)})
 
 
 def _cn(M):
-    v = Poly.gen(_V_RING, "v")
-    return MultiSeries(_V_RING, 1, M, {(j + 1,): (-v) ** j for j in range(M)})
+    return MultiSeries(_V_RING, 1, M, {
+        (j + 1,): Poly(_V_RING, {(j,): (-1) ** j}) for j in range(M)})
 
 
-def _complete_homogeneous(ring, j):
-    """h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
-    y, z = Poly.gen(ring, "y"), Poly.gen(ring, "z")
-    out = Poly.zero(ring)
-    for i in range(j + 1):
-        out = out + y ** i * z ** (j - i)
-    return out
+def _complete_homogeneous(j, c, shift=0):
+    """c * h_j(y, z) * (y z)^shift, h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
+    return Poly(_YZ_RING, {(i + shift, j - i + shift): c for i in range(j + 1)})
 
 
 def _abel(M):
     return MultiSeries(_YZ_RING, 1, M, {
-        (j + 1,): _complete_homogeneous(_YZ_RING, j)
-        * Fraction(1, factorial(j + 1)) for j in range(M)})
+        (j + 1,): _complete_homogeneous(j, Fraction(1, factorial(j + 1)))
+        for j in range(M)})
 
 
 def _t2(M):
     # (e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
     # cancelled exactly from numerator and denominator so that y = z is
     # a legal specialization; the numerator is the abel exponential.
-    ring = _YZ_RING
-    yz = Poly.gen(ring, "y") * Poly.gen(ring, "z")
-    den_terms = {(0,): Poly.constant(ring, 1)}
+    den_terms = {(0,): 1}
     for m in range(2, M + 1):
-        den_terms[(m,)] = -yz * _complete_homogeneous(ring, m - 2) \
-            * Fraction(1, factorial(m))
-    den = MultiSeries(ring, 1, M, den_terms)
+        den_terms[(m,)] = _complete_homogeneous(
+            m - 2, Fraction(-1, factorial(m)), 1)
+    den = MultiSeries(_YZ_RING, 1, M, den_terms)
     return _abel(M) * den.invert_unit()
 
 
 def _signature(M):
-    z = Poly.gen(_Z_RING, "z")
     sinh = MultiSeries(_Z_RING, 1, M, {
-        (2 * j + 1,): z ** (2 * j) * Fraction(1, factorial(2 * j + 1))
-        for j in range(0, (M + 1) // 2)})
+        (j,): Poly(_Z_RING, {(j - 1,): Fraction(1, factorial(j))})
+        for j in range(1, M + 1, 2)})
     cosh = MultiSeries(_Z_RING, 1, M, {
-        (2 * j,): z ** (2 * j) * Fraction(1, factorial(2 * j))
-        for j in range(0, M // 2 + 1)})
+        (j,): Poly(_Z_RING, {(j,): Fraction(1, factorial(j))})
+        for j in range(0, M + 1, 2)})
     return sinh * cosh.invert_unit()
 
 
@@ -229,8 +221,8 @@ def _elliptic(M):
     ring = _ELLIPTIC_RING
     d, e = Poly.gen(ring, "delta"), Poly.gen(ring, "eps")
     # (1 - 2 delta t^2 + eps t^4)^(-1/2), integrated, then reverted
-    w = MultiSeries(ring, 1, M, {(2,): d * -2, (4,): e})
-    integrand = w.power_sum(lambda j: binomial(Fraction(-1, 2), j))
+    R = MultiSeries(ring, 1, M, {(0,): 1, (2,): d * -2, (4,): e})
+    integrand = R._recurrence(Fraction(1, 2), -1)  # alpha = -1/2
     return integrand.integrate().truncate(M).revert()
 
 
@@ -280,7 +272,7 @@ def _krichever(M):
     ring = _KRING
     # Taylor coefficients of p(z - s) in s, via the algebraic derivative
     wp = [Poly.gen(ring, "p2")]
-    for _ in range(M):
+    for _ in range(M - 2):
         wp.append(_weierstrass_derivative(wp[-1]))
     # integral of zeta(z - s) - zeta(z) from 0 to x
     terms = {}

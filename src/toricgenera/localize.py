@@ -456,8 +456,12 @@ def pairing_obstruction(fpd, augmentation, blocks=None, search=False):
         if len(idx) % 2:
             raise ValueError("perfect pairings need an even point count")
         found = []
+        known = {}  # block -> vanishes; each block is localized once
         for pairing in _perfect_pairings(idx):
-            vanishing = [_block_vanishes(fpd, b, augmentation) for b in pairing]
+            for b in map(tuple, pairing):
+                if b not in known:
+                    known[b] = _block_vanishes(fpd, b, augmentation)
+            vanishing = [known[tuple(b)] for b in pairing]
             if all(vanishing):
                 found.append(PairingReport(pairing, vanishing))
         return found

@@ -14,11 +14,10 @@ from toricgenera.algebra import (
     NotDivisibleError,
     Poly,
     QQ,
-    binomial,
     canonical_linear_form,
     make_ring,
 )
-from toricgenera.fgl import catalog
+from toricgenera.fgl import _KRING, catalog
 from toricgenera.localize import dataset, localized_sum
 from toricgenera.quasitoric import (
     FixedPointData,
@@ -428,6 +427,17 @@ def test_property_normalize_split_invariance_and_value():
         assert ls2.normalize() == value
 
 
+def _along(series, r):
+    """The t-coefficients [c0..cN] of a series over QQ along u = r t."""
+    out = [F(0)] * (series.order + 1)
+    for e, p in series.terms.items():
+        v = p.constant_value()
+        for ri, ei in zip(r, e):
+            v *= ri ** ei
+        out[sum(e)] += v
+    return out
+
+
 def test_property_numeric_rational_point_oracle():
     rng = random.Random(20260814)
     forms = [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -454,11 +464,11 @@ def test_property_numeric_rational_point_oracle():
             continue
         cases += 1
         # series along u = r t, as t-coefficients
-        series_t = series.evaluate_graded(r)
+        series_t = _along(series, r)
         # sum of rational functions along u = r t: Laurent coefficients in t
         laurent = {}
         for num, den in ls:
-            nt = num.evaluate_graded(r)
+            nt = _along(num, r)
             dval = F(1)
             dshift = 0
             for f, m in den.items():
@@ -560,6 +570,8 @@ def _assert_same(got, want):
 # exercise the common-denominator step
 _COEFFS = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3, 4, 6]))
 _RINGS = st.sampled_from([QQ, ZRING, BRING])
+# the rational numbers and two rings of genera: b1..b3 and the Krichever ring
+_ORACLE_RINGS = st.sampled_from([QQ, BRING, _KRING])
 
 
 @st.composite
@@ -895,7 +907,7 @@ def _ref_binomial_half(j):
 
 @st.composite
 def _series_with_constant(draw, constant):
-    ring, k = draw(_RINGS), draw(st.integers(0, 3))
+    ring, k = draw(st.one_of(_RINGS, _ORACLE_RINGS)), draw(st.integers(0, 3))
     s = draw(_series(ring, k))
     return s - s.constant_term() + constant
 
@@ -924,18 +936,125 @@ def test_sqrt_unit_matches_the_degreewise_solve(s):
     _assert_same(root ** 2, s)
 
 
+def _binomial(alpha, j):
+    """The coefficient of t^j in (1 + t)^alpha, for a rational alpha."""
+    out = F(1)
+    for i in range(j):
+        out = out * (alpha - i) / (i + 1)
+    return out
+
+
+def _ref_power_sum(s, coefficient):
+    """sum_j coefficient(j) s^j, one full series product per power: the
+    evaluator behind invert_unit, exp and sqrt_unit before the degree
+    recurrence."""
+    result = const(s.ring, s.k, s.order, coefficient(0))
+    power = const(s.ring, s.k, s.order, 1)
+    for j in range(1, s.order + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        c = coefficient(j)
+        result = result + (power if c == 1 else power.scale(c))
+    return result
+
+
+def _ref_revert(f):
+    """The inverse series corrected one degree at a time through a full
+    substitution f(g) - x: the reversion before the power table."""
+    order, x = f.order, var(f.ring, 1, f.order, 0)
+    g = x
+    for d in range(2, order + 1):
+        c = (f.substitute([g]) - x).coefficient((d,))
+        if not c.is_zero():
+            g = g - MultiSeries(f.ring, 1, order, {(d,): c})
+    return g
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_unit_powers_match_the_power_sum_loop(data):
+    ring, k = data.draw(_ORACLE_RINGS), data.draw(st.integers(0, 3))
+    s = data.draw(_series(ring, k))
+    s = s - s.constant_term()
+    alpha = F(data.draw(st.sampled_from([-1, F(1, 2), F(-1, 2), 3,
+                                         F(-2, 3)])))
+    c0 = F(data.draw(st.sampled_from([1, -1, 2, F(-3, 2)])))
+    unit = (1 + s).scale(c0)
+    got = unit._recurrence(alpha + 1, -1, c0)
+    _assert_same(got, _ref_power_sum(s, lambda j: _binomial(alpha, j)))
+    # P^q = (1 + s)^p for alpha = p / q
+    p, q = alpha.numerator, alpha.denominator
+    one = const(ring, k, s.order, 1)
+    if p >= 0:
+        _assert_same(got ** q, (1 + s) ** p)
+    else:
+        _assert_same(got ** q * (1 + s) ** -p, one)
+    if alpha == -1:
+        _assert_same(unit.invert_unit(), got.scale(1 / c0))
+    if alpha == F(1, 2) and c0 == 1:
+        _assert_same(unit.sqrt_unit(), got)
+
+
+@st.composite
+def _reversible(draw):
+    ring = draw(_ORACLE_RINGS)
+    order = draw(st.integers(1, 9))
+    degrees = st.integers(2, max(order, 2)).map(lambda d: (d,))
+    terms = draw(st.dictionaries(degrees, _polys(ring), max_size=3))
+    terms[(1,)] = 1
+    return MultiSeries(ring, 1, order, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reversible())
+def test_revert_matches_the_substitution_loop(f):
+    _assert_same(f.revert(), _ref_revert(f))
+
+
+def test_revert_and_unit_powers_of_the_catalog_match_the_loops():
+    for name in ("todd", "t2", "elliptic", "krichever"):
+        b = catalog(name, 7).exponential
+        _assert_same(b.revert(), _ref_revert(b))
+        unit = b.shift_down(0)
+        s = unit - 1
+        _assert_same(unit.invert_unit(),
+                     _ref_power_sum(s, lambda j: (-1) ** j))
+        _assert_same(unit._recurrence(F(1, 3), -1),
+                     _ref_power_sum(s, lambda j: _binomial(F(-2, 3), j)))
+        _assert_same((s * s).exp(),
+                     _ref_power_sum(s * s, lambda j: F(1, _factorial(j))))
+
+
 def test_binomial_and_power_sum():
-    assert [binomial(F(-1, 2), j) for j in range(8)] == \
+    assert [_binomial(F(-1, 2), j) for j in range(8)] == \
         [_ref_binomial_half(j) for j in range(8)]
-    assert [binomial(3, j) for j in range(5)] == [1, 3, 3, 1, 0]
+    assert [_binomial(3, j) for j in range(5)] == [1, 3, 3, 1, 0]
     u = var(BRING, 1, 5, 0)
     b1 = Poly.gen(BRING, "b1")
-    # (1 + u)^3 through its binomial coefficients, and a Poly coefficient
-    _assert_same(u.power_sum(lambda j: binomial(3, j)), (u + 1) ** 3)
-    _assert_same(u.power_sum(lambda j: b1 if j == 2 else 0),
-                 (u * u).scale(b1))
-    with pytest.raises(ValueError):
-        (u + 1).power_sum(lambda j: 1)
+    # (1 + u)^3 and (1 + b1 u^2)^(-1/2) as unit powers, against their
+    # binomial coefficients
+    _assert_same((u + 1)._recurrence(4, -1), (u + 1) ** 3)
+    w = (u * u).scale(b1)
+    _assert_same((w + 1)._recurrence(F(1, 2), -1),
+                 MultiSeries(BRING, 1, 5, {
+                     (2 * j,): Poly.gen(BRING, "b1", j) * _binomial(F(-1, 2), j)
+                     for j in range(3)}))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: s.exp(), ValueError, "exp requires zero constant term"),
+    (lambda s: (s - 1).sqrt_unit(), ValueError,
+     "sqrt_unit requires constant term 1"),
+    (lambda s: (s - 1).invert_unit(), ZeroDivisionError,
+     "invert_unit: constant term is zero"),
+    (lambda s: (s + MultiSeries.constant(BRING, 1, 4, Poly.gen(BRING, "b1")))
+     .invert_unit(), ValueError, "invert_unit: constant term is not rational"),
+])
+def test_unit_power_refusals_name_their_method(call, error, message):
+    s = const(BRING, 1, 4, 1) + var(BRING, 1, 4, 0)
+    with pytest.raises(error, match="^%s$" % message):
+        call(s)
 
 
 # ---------------------------------------------------------------------------

@@ -799,6 +799,35 @@ def test_pairing_search_iff_delta_product_zero():
                 assert [0, 2] not in rep.blocks
 
 
+def _ref_pairing_search(fpd, ag):
+    """Every perfect pairing whose blocks all vanish, each block localized
+    again in every pairing that contains it."""
+    found = []
+    for pairing in localize._perfect_pairings(list(range(len(fpd.points)))):
+        vanishing = [localize._block_vanishes(fpd, b, ag) for b in pairing]
+        if all(vanishing):
+            found.append((pairing, vanishing))
+    return found
+
+
+@pytest.mark.parametrize("name", ["flag3", "s6", "cp3"])
+def test_pairing_search_localizes_each_block_once(name, monkeypatch):
+    ag = catalog("augmentation", 2)
+    fpd = (signs_and_weights(simplex_pair(3, (-1, -1, -1))) if name == "cp3"
+           else dataset(name))
+    want = _ref_pairing_search(fpd, ag)
+    calls = []
+    block_vanishes = localize._block_vanishes
+    monkeypatch.setattr(localize, "_block_vanishes",
+                        lambda *args: calls.append(args[1])
+                        or block_vanishes(*args))
+    found = pairing_obstruction(fpd, ag, search=True)
+    assert [(rep.blocks, rep.vanishing) for rep in found] == want
+    assert len(calls) == len({tuple(b) for b in calls})
+    if name == "flag3":
+        assert len(calls) == 15
+
+
 def test_pairing_blocks_must_partition():
     ag = catalog("augmentation", 2)
     fpd = signs_and_weights(square_pair(-1, -1, 0, 0))
