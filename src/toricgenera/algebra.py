@@ -23,6 +23,12 @@ accumulator (a linear localized sum arrives already cross-multiplied).
 ``MultiSeries.divide_linear``, the Conner-Floyd cancellation, is long
 division on the form's first non-zero variable.
 
+Both classes serialize through one canonical form: ``_sorted_terms`` orders
+a term dict by weighted degree (generator degrees for a ``Poly``, 1 per
+u-variable for a series), then by descending exponents, and ``_render``
+writes rows of (u-exponent, coefficient ``Poly``) as text; a ``Poly`` is
+the single row ``((), self)``.
+
 Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
 which skip the re-validation of ``__init__``.  They may only be given
 fresh dicts that no one else holds, with no zero coefficient, exponent
@@ -98,19 +104,12 @@ def _frac(x):
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
-def _fmt_frac(q, product_context):
-    if q.denominator == 1:
-        return str(q.numerator)
-    s = "%d/%d" % (q.numerator, q.denominator)
-    return "(%s)" % s if product_context else s
-
-
 class Poly:
     """Sparse polynomial over Q in the ring's generators.
 
     Terms map generator-exponent tuples to nonzero Fractions; zero
-    coefficients are never stored and serialization order is graded-lex,
-    so equal polynomials have identical representations.
+    coefficients are never stored and serialization follows the one
+    canonical order, so equal polynomials have identical representations.
     """
 
     __slots__ = ("ring", "terms")
@@ -234,9 +233,6 @@ class Poly:
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     # -- substitution and evaluation ----------------------------------
     def substitute_gens(self, target_ring, images):
         """Map each generator to a Poly (or rational) over ``target_ring``.
@@ -257,54 +253,52 @@ class Poly:
         return out
 
     # -- serialization ------------------------------------------------
-    def _sort_key(self, e):
-        return (sum(ei * g.degree for ei, g in zip(e, self.ring)),
-                tuple(-x for x in e))
-
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: self._sort_key(t[0]))
-
-    def _term_strings(self):
-        for e, c in self.sorted_terms():
-            factors = []
-            for g, ei in zip(self.ring, e):
-                if ei == 1:
-                    factors.append(g.name)
-                elif ei:
-                    factors.append("%s^%d" % (g.name, ei))
-            yield c, factors
+        return _sorted_terms(self.terms, [g.degree for g in self.ring])
 
     def __str__(self):
-        return _render_terms(self._term_strings())
+        return _render(self.ring, (((), self),))
 
     def __repr__(self):
         return "Poly(%s)" % self
 
     def to_json_obj(self):
-        return [{"gen": list(e), "val": _fmt_frac(c, False)}
+        return [{"gen": list(e), "val": str(c)}
                 for e, c in self.sorted_terms()]
 
 
-def _render_terms(term_iter):
-    """Render (coefficient, factor-list) pairs canonically."""
-    parts = []
-    for c, factors in term_iter:
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if factors:
-            body = "*".join(factors)
-            if c != 1:
-                body = "%s*%s" % (_fmt_frac(c, True), body)
-        else:
-            body = _fmt_frac(c, False)
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+def _sorted_terms(terms, weights):
+    """The canonical order of a term dict: by weighted degree, then by
+    descending exponents (the keys are distinct, so ``reverse`` is exact)."""
+    return sorted(terms.items(), reverse=True,
+                  key=lambda t: (-sum(map(operator.mul, t[0], weights)), t[0]))
+
+
+def _factors(names, e):
+    return [n if x == 1 else "%s^%d" % (n, x) for n, x in zip(names, e) if x]
+
+
+def _render(ring, rows):
+    """The one renderer: rows of (u-exponent, coefficient Poly) as a sum of
+    terms, each its sign, coefficient, generator factors, then u-factors."""
+    names = [g.name for g in ring]
+    out = []
+    for u, p in rows:
+        ufactors = _factors(["u%d" % (i + 1) for i in range(len(u))], u)
+        for e, c in p.sorted_terms():
+            num, den = c.numerator, c.denominator
+            q = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+            body = "*".join(_factors(names, e) + ufactors)
+            if not body:
+                body = q
+            elif q != "1":
+                body = "%s*%s" % (q if den == 1 else "(%s)" % q, body)
+            if out:
+                out.append(" - " if num < 0 else " + ")
+            elif num < 0:
+                out.append("-")
+            out.append(body)
+    return "".join(out) or "0"
 
 
 def _flatten(terms, order):
@@ -792,22 +786,10 @@ class MultiSeries:
 
     # -- serialization ------------------------------------------------
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
-
-    def _term_strings(self):
-        for e, p in self.sorted_terms():
-            ufactors = []
-            for i, ei in enumerate(e):
-                if ei == 1:
-                    ufactors.append("u%d" % (i + 1))
-                elif ei:
-                    ufactors.append("u%d^%d" % (i + 1, ei))
-            for c, gfactors in p._term_strings():
-                yield c, gfactors + ufactors
+        return _sorted_terms(self.terms, (1,) * self.k)
 
     def __str__(self):
-        return _render_terms(self._term_strings())
+        return _render(self.ring, self.sorted_terms())
 
     def __repr__(self):
         return "MultiSeries(k=%d, order=%d: %s)" % (self.k, self.order, self)

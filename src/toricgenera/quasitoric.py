@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from toricgenera.algebra import _as_int, _as_rational, _fmt_frac
+from toricgenera.algebra import _as_int, _as_rational
 
 
 class InvalidPairError(ValueError):
@@ -433,8 +433,7 @@ def pair_to_json_obj(pair):
             "m": pair.polytope.m,
             "vertices": [list(v) for v in pair.polytope.vertices],
             "normals": None if pair.polytope.normals is None else
-            [[_fmt_frac(x, False) for x in row]
-             for row in pair.polytope.normals],
+            [[str(x) for x in row] for row in pair.polytope.normals],
             **({"orientations": list(pair.polytope.orientations)}
                if pair.polytope.orientations is not None else {}),
         },

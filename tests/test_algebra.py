@@ -1100,3 +1100,130 @@ def test_k_zero_series_is_bare_poly():
     t = s * s
     assert t.constant_term() == Poly.gen(BRING, "b1") ** 2
 
+
+
+def test_poly_is_unhashable_like_multiseries():
+    # equal objects must hash equal, and a Poly equals its rational value
+    p = Poly.constant(QQ, 3)
+    assert p == 3 and p == F(3)
+    with pytest.raises(TypeError):
+        hash(p)
+    with pytest.raises(TypeError):
+        hash(const(QQ, 1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the one renderer against the two it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_fmt_frac(q, product_context):
+    if q.denominator == 1:
+        return str(q.numerator)
+    s = "%d/%d" % (q.numerator, q.denominator)
+    return "(%s)" % s if product_context else s
+
+
+def _ref_poly_sorted(p):
+    return sorted(p.terms.items(), key=lambda t: (
+        sum(ei * g.degree for ei, g in zip(t[0], p.ring)),
+        tuple(-x for x in t[0])))
+
+
+def _ref_series_sorted(s):
+    return sorted(s.terms.items(),
+                  key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
+
+
+def _ref_poly_term_strings(p):
+    for e, c in _ref_poly_sorted(p):
+        factors = []
+        for g, ei in zip(p.ring, e):
+            if ei == 1:
+                factors.append(g.name)
+            elif ei:
+                factors.append("%s^%d" % (g.name, ei))
+        yield c, factors
+
+
+def _ref_series_term_strings(s):
+    for e, p in _ref_series_sorted(s):
+        ufactors = []
+        for i, ei in enumerate(e):
+            if ei == 1:
+                ufactors.append("u%d" % (i + 1))
+            elif ei:
+                ufactors.append("u%d^%d" % (i + 1, ei))
+        for c, gfactors in _ref_poly_term_strings(p):
+            yield c, gfactors + ufactors
+
+
+def _ref_render_terms(term_iter):
+    parts = []
+    for c, factors in term_iter:
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        if factors:
+            body = "*".join(factors)
+            if c != 1:
+                body = "%s*%s" % (_ref_fmt_frac(c, True), body)
+        else:
+            body = _ref_fmt_frac(c, False)
+        parts.append((sign, body))
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += " %s %s" % (sign, body)
+    return out
+
+
+def _ref_str(x):
+    """The text of a Poly or MultiSeries as the two per-class renderers
+    (``Poly._term_strings``, ``MultiSeries._term_strings`` and
+    ``_render_terms``) wrote it before the one renderer."""
+    if isinstance(x, Poly):
+        return _ref_render_terms(_ref_poly_term_strings(x))
+    return _ref_render_terms(_ref_series_term_strings(x))
+
+
+def _ref_poly_json(p):
+    return [{"gen": list(e), "val": _ref_fmt_frac(c, False)}
+            for e, c in _ref_poly_sorted(p)]
+
+
+def _ref_series_json(s):
+    return {"ring": [{"name": g.name, "degree": g.degree} for g in s.ring],
+            "k": s.k, "order": s.order,
+            "terms": [{"u": list(e), "coeff": _ref_poly_json(p)}
+                      for e, p in _ref_series_sorted(s)]}
+
+
+# the rational numbers, a one-generator ring and two rings of genera
+_RENDER_RINGS = st.sampled_from([QQ, ZRING, BRING, _KRING])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_render_matches_the_per_class_renderers(data):
+    ring, k = data.draw(_RENDER_RINGS), data.draw(st.integers(0, 3))
+    p, s = data.draw(_polys(ring)), data.draw(_series(ring, k))
+    assert str(p) == _ref_str(p)
+    assert p.to_json_obj() == _ref_poly_json(p)
+    assert str(s) == _ref_str(s)
+    assert s.to_json_obj() == _ref_series_json(s)
+
+
+@pytest.mark.parametrize("value, text", [
+    (Poly.zero(ZRING), "0"),
+    (const(QQ, 2, 3, 0), "0"),
+    (Poly.constant(QQ, F(-1, 2)), "-1/2"),
+    (const(QQ, 0, 0, F(-1, 2)), "-1/2"),
+    (Poly.gen(ZRING, "z", 3) * -1, "-z^3"),
+    (var(QQ, 2, 3, 0) * -1 + var(QQ, 2, 3, 1) * 3, "-u1 + 3*u2"),
+    (const(ZRING, 1, 2, Poly.gen(ZRING, "z", 2) * F(1, 2))
+     * var(ZRING, 1, 2, 0) ** 2, "(1/2)*z^2*u1^2"),
+], ids=["zero-poly", "zero-series", "rational-poly", "rational-series",
+        "negative-unit-poly", "negative-unit-series", "fraction-product"])
+def test_render_pins(value, text):
+    assert str(value) == text == _ref_str(value)

@@ -470,6 +470,26 @@ def test_genus_on_a_pair_with_a_minor_of_determinant_2_exits_1(tmp_path,
     assert err == "error: invalid pair: vertex (1, 3) has minor determinant 2\n"
 
 
+def test_genus_on_a_pair_with_neither_normals_nor_orientations_exits_1(
+        tmp_path, capsys):
+    obj = pair_to_json_obj(simplex_pair(2, (-1, -1)))
+    path = tmp_path / "oriented.json"
+    # the signs of the vertices' normal determinants stand in for the
+    # normals and give the same genus value
+    obj["polytope"].update(normals=None, orientations=[1, 1, -1])
+    path.write_text(json.dumps(obj))
+    assert main(["genus", "--input", str(path), "--genus", "todd"]) == \
+        EXIT_PASS
+    assert capsys.readouterr().out == "genus_value: z^2\n"
+    del obj["polytope"]["orientations"]
+    path.write_text(json.dumps(obj))
+    assert main(["genus", "--input", str(path), "--genus", "todd"]) == \
+        EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: signs need facet normals or vertex orientations\n"
+
+
 def test_commands_keep_their_order():
     assert COMMANDS == ("validate", "fixed-points", "phi", "genus",
                         "check-cf", "check-rigidity", "pairing",

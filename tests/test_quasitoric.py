@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -366,19 +367,64 @@ def test_fixed_point_invariants():
         FixedPointData(2, 2, [FixedPoint("x", 1, [(1, 0)])])
 
 
+# ---------------------------------------------------------------------------
+# vertex orientations, the second source of signs
+# ---------------------------------------------------------------------------
+
+def _with_orientations(pair):
+    """The pair with its normals replaced by the sign of each vertex's
+    normal determinant."""
+    P = pair.polytope
+    orientations = [1 if _bareiss(P.normal_columns(v))[0] > 0 else -1
+                    for v in P.vertices]
+    return QuasitoricPair(Polytope(P.n, P.m, P.vertices,
+                                   orientations=orientations),
+                          pair.lam, pair.name)
+
+
+def _signs(pair):
+    return [(p.label, p.sign, p.weights)
+            for p in signs_and_weights(pair).points]
+
+
+_ORIENTED_PAIRS = [
+    simplex_pair(2, (-1, -1)),
+    simplex_pair(3, (1, -1, 1)),
+    square_pair(-1, 1, 2, 0),
+    product_pair(simplex_pair(1, (-1,)), simplex_pair(2, (1, -1))),
+]
+
+
+@pytest.mark.parametrize("pair", _ORIENTED_PAIRS,
+                         ids=["cp2", "cp3", "square", "product"])
+def test_orientations_give_the_signs_of_the_normals(pair):
+    oriented = _with_orientations(pair)
+    assert oriented.polytope.normals is None
+    assert _signs(oriented) == _signs(pair)
+    # the key survives the JSON round trip
+    obj = pair_to_json_obj(oriented)
+    assert obj["polytope"]["orientations"] == oriented.polytope.orientations
+    back = from_json_obj(json.loads(json.dumps(obj)))
+    assert back.polytope.orientations == oriented.polytope.orientations
+    assert _signs(back) == _signs(pair)
+
+
+@pytest.mark.parametrize("orientations, message", [
+    ([1, -1], "orientations must give"),
+    ([1, 0, 1], "orientations must give"),
+    ([1, 2, 1], "orientations must give"),
+    ([1, True, 1], "orientation is not an integer: True"),
+    ([1, "1", 1], "orientation is not an integer: '1'")],
+    ids=["length", "0", "2", "true", "string"])
+def test_orientations_refuse_bad_entries(orientations, message):
+    with pytest.raises(ValueError, match=message):
+        Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], orientations=orientations)
+
+
 def test_vertex_orientation_surrogate():
     # normals replaced by the per-vertex sign of det N(P)_x
     ref = simplex_pair(2, (1, -1))
-    surrogate_signs = []
-    for v in ref.polytope.vertices:
-        d = _bareiss(ref.polytope.normal_columns(v))[0]
-        surrogate_signs.append(1 if d > 0 else -1)
-    bare = Polytope(2, 3, ref.polytope.vertices, None, surrogate_signs)
-    pair = QuasitoricPair(bare, ref.lam, "surrogate")
-    got = signs_and_weights(pair)
-    want = signs_and_weights(ref)
-    assert [(p.sign, p.weights) for p in got.points] == \
-        [(p.sign, p.weights) for p in want.points]
+    assert _signs(_with_orientations(ref)) == _signs(ref)
 
     naked = QuasitoricPair(Polytope(2, 3, ref.polytope.vertices), ref.lam)
     with pytest.raises(ValueError):
@@ -432,3 +478,4 @@ def test_bareiss_determinant_and_adjugate(rows):
     if all(type(x) is int for row in rows for x in row):
         assert type(det) is int
         assert all(type(x) is int for row in adj for x in row)
+
