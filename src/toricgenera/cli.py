@@ -166,17 +166,20 @@ def _check_genus(job):
                          % (job.genus, ", ".join(CATALOG_NAMES)))
 
 
-def _build_genus(job, extra=0):
-    """The job's genus at catalog order ``max(order, 1) + extra``.
+def _build_genus(job, extra=0, least=0):
+    """The job's genus at catalog order ``max(order, least, 1) + extra``.
 
     A torus job on n-dimensional data passes ``extra = n - 1``, so that
     ``localized_sum`` (which needs the genus to ``order + n + 1``) never
-    rebuilds it; the hurewicz ring keeps its ``--genus-order`` size.
+    rebuilds it; a genus value, which needs it to ``n + 1`` whatever the
+    order, passes ``least = n - 1``.  The hurewicz ring keeps its
+    ``--genus-order`` size.
     """
     generators = None
     if job.genus == "hurewicz":
         generators = job.genus_order or max(job.order, 1)
-    return catalog(job.genus, max(job.order, 1) + extra, generators=generators)
+    return catalog(job.genus, max(job.order, least, 1) + extra,
+                   generators=generators)
 
 
 def _fixed_points(job, manifold):
@@ -266,7 +269,7 @@ def _genus(job, manifold, fpd):
     value_of = circle_genus_value if isinstance(manifold, QuasitoricPair) \
         else genus_value
     return _value(job, "genus_value", "genus_value: ",
-                  value_of(fpd, _build_genus(job)))
+                  value_of(fpd, _build_genus(job, least=fpd.n - 1)))
 
 
 def _check(rigidity):

@@ -209,6 +209,10 @@ def test_phi_command_universal():
     ("check-rigidity", dict(input="builtin:s6", genus="t2", order=2)),
     ("special-check", dict(input="builtin:square:eps=-1,1:delta=2,0",
                            order=3)),
+    # a genus value needs the genus to n + 1 at every --order
+    ("genus", dict(input="builtin:cp4", genus="krichever", order=0)),
+    ("genus", dict(input="builtin:cp3", genus="hurewicz", order=1)),
+    ("genus", dict(input="builtin:flag3", genus="todd", order=0)),
 ])
 def test_torus_job_builds_its_genus_once(monkeypatch, command, kw):
     # the genus is built at the order localization needs, never rebuilt
@@ -488,6 +492,22 @@ def test_genus_on_a_pair_with_neither_normals_nor_orientations_exits_1(
     out, err = capsys.readouterr()
     assert not out
     assert err == "error: signs need facet normals or vertex orientations\n"
+
+
+def test_a_pair_with_both_normals_and_orientations_exits_1(
+        tmp_path, capsys):
+    # the orientations contradict the normal determinants [1, 1, -1]
+    obj = pair_to_json_obj(simplex_pair(2, (-1, -1)))
+    obj["polytope"]["orientations"] = [-1, -1, 1]
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "genus"):
+        assert main([command, "--input", str(path), "--genus", "todd"]) == \
+            EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == ("error: a polytope takes normals or orientations, "
+                       "not both\n")
 
 
 def test_commands_keep_their_order():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgenera import quasitoric
 from toricgenera.quasitoric import (
     _bareiss,
+    _eliminate,
     CharMatrix,
     FixedPoint,
     FixedPointData,
@@ -421,6 +423,20 @@ def test_orientations_refuse_bad_entries(orientations, message):
         Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], orientations=orientations)
 
 
+def test_normals_and_orientations_together_are_refused():
+    # the orientations contradict the normal determinants [1, 1, -1]
+    P = simplex_pair(2, (-1, -1)).polytope
+    message = "a polytope takes normals or orientations, not both"
+    with pytest.raises(ValueError, match=message):
+        Polytope(2, 3, P.vertices, P.normals, orientations=[-1, -1, 1])
+    obj = pair_to_json_obj(simplex_pair(2, (-1, -1)))
+    obj["polytope"]["orientations"] = [1, 1, -1]
+    with pytest.raises(ValueError, match=message):
+        from_json_obj(obj)
+    obj["polytope"]["normals"] = None
+    assert from_json_obj(obj).polytope.orientations == [1, 1, -1]
+
+
 def test_vertex_orientation_surrogate():
     # normals replaced by the per-vertex sign of det N(P)_x
     ref = simplex_pair(2, (1, -1))
@@ -478,4 +494,122 @@ def test_bareiss_determinant_and_adjugate(rows):
     if all(type(x) is int for row in rows for x in row):
         assert type(det) is int
         assert all(type(x) is int for row in adj for x in row)
+
+
+
+# ---------------------------------------------------------------------------
+# vertex minors along the edges of P
+# ---------------------------------------------------------------------------
+
+def _ref_eliminate(pair):
+    """The per-vertex loop the edge walk replaced: one elimination of
+    every minor of Lambda and of the normals."""
+    P, lam = pair.polytope, pair.lam
+    problems = []
+    if not lam.is_refined():
+        problems.append("matrix is not refined (first n columns != identity)")
+    if tuple(range(1, P.n + 1)) not in P.vertices:
+        problems.append("initial vertex F1...Fn is missing")
+    minors = [_bareiss(lam.minor(v)) for v in P.vertices]
+    for v, (det, _adj) in zip(P.vertices, minors):
+        if abs(det) != 1:
+            problems.append("vertex %r has minor determinant %s" % (v, det))
+    signs = None
+    if P.normals is not None:
+        dets = [_bareiss(P.normal_columns(v))[0] for v in P.vertices]
+        signs = [(det > 0) - (det < 0) for det in dets]
+        for v, det in zip(P.vertices, dets):
+            if det == 0:
+                problems.append("vertex %r has dependent normals" % (v,))
+    return problems, minors, signs
+
+
+def _cp1(k):
+    pair = simplex_pair(1, (-1,))
+    for _ in range(k - 1):
+        pair = product_pair(pair, simplex_pair(1, (-1,)))
+    return pair
+
+
+# (n, m, vertices): the vertex lists of simple polytopes, a disconnected
+# list, and a path whose middle minor is singular under _SINGULAR_PATH
+_SHAPES = [(p.polytope.n, p.polytope.m, p.polytope.vertices) for p in (
+    [simplex_pair(n, (-1,) * n) for n in range(1, 5)]
+    + [square_pair(-1, -1, 0, 0), _cp1(3), _cp1(4),
+       product_pair(simplex_pair(2, (-1, -1)), simplex_pair(1, (-1,))),
+       product_pair(simplex_pair(2, (-1, -1)), simplex_pair(2, (-1, -1))),
+       product_pair(square_pair(-1, -1, 0, 0), simplex_pair(1, (-1,)))])]
+_DISCONNECTED = (2, 4, [(1, 2), (3, 4)])
+_PATH = (2, 4, [(1, 2), (2, 3), (3, 4)])
+# minor (2, 3) has det 0, so (3, 4) is reached only through it
+_SINGULAR_PATH = [[1, 0, 0, 1], [0, 1, 2, 1]]
+_SHAPES += [_DISCONNECTED, _PATH]
+
+
+@st.composite
+def vertex_minor_pairs(draw):
+    n, m, vertices = draw(st.sampled_from(_SHAPES))
+    entry = st.integers(-2, 2)
+    if (n, m, vertices) == _PATH and draw(st.booleans()):
+        lam = [row[:] for row in _SINGULAR_PATH]
+    else:
+        lam = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        for r in range(n):
+            lam[r][:n] = [int(r == c) for c in range(n)]
+    normals = None
+    if draw(st.booleans()):
+        normals = [[draw(st.fractions(-2, 2, max_denominator=3))
+                    for _ in range(m)] for _ in range(n)]
+    return QuasitoricPair(Polytope(n, m, vertices, normals), CharMatrix(lam))
+
+
+@settings(max_examples=400, deadline=None)
+@given(vertex_minor_pairs())
+def test_vertex_minors_match_the_per_vertex_loop(pair):
+    problems, minors, signs = _eliminate(pair)
+    ref_problems, ref_minors, ref_signs = _ref_eliminate(pair)
+    assert problems == ref_problems
+    assert minors == ref_minors
+    assert all(type(x) is int for det, adj in minors
+               for x in [det] + [y for row in adj for y in row])
+    assert signs == ref_signs
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    bareiss = quasitoric._bareiss
+
+    def counting_bareiss(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(quasitoric, "_bareiss", counting_bareiss)
+    return calls
+
+
+@pytest.mark.parametrize("pair", [simplex_pair(5, (-1,) * 5), _cp1(4)],
+                         ids=["cp5", "cp1^4"])
+def test_eliminate_seeds_once_per_matrix(monkeypatch, pair):
+    # the vertex graph of P is connected: one elimination of Lambda and
+    # one of the normals, every other vertex by a pivot along an edge
+    calls = _count_bareiss(monkeypatch)
+    assert validate_pair(pair).ok
+    assert calls == [pair.polytope.n] * 2
+    assert _eliminate(pair)[1] == _ref_eliminate(pair)[1]
+
+
+@pytest.mark.parametrize("shape, lam, seeds", [
+    (_DISCONNECTED, [[1, 0, 1, 1], [0, 1, 1, 2]], 2),
+    (_PATH, [[1, 0, 1, 1], [0, 1, 1, 2]], 1),
+    (_PATH, _SINGULAR_PATH, 2),
+], ids=["disconnected", "path", "singular-path"])
+def test_eliminate_seeds_every_part_it_cannot_reach(monkeypatch, shape, lam,
+                                                    seeds):
+    n, m, vertices = shape
+    pair = QuasitoricPair(Polytope(n, m, vertices), CharMatrix(lam))
+    ref = _ref_eliminate(pair)
+    calls = _count_bareiss(monkeypatch)
+    assert _eliminate(pair) == ref
+    assert len(calls) == seeds
 
