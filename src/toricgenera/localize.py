@@ -19,6 +19,7 @@ from toricgenera.algebra import (
     NormalizeError,
     NotDivisibleError,
     QQ,
+    _add_product,
     _assemble,
     _expand_forms,
     _flatten,
@@ -157,10 +158,7 @@ def _linear_total(fpd, genus, order):
     for lam in sorted(Z, key=len):
         if lam:
             out = {}
-            for g1, c1 in ring_of[lam[:-1]]:
-                for g2, c2 in coeff[lam[-1]]:
-                    g = tuple(x + y for x, y in zip(g1, g2))
-                    out[g] = out.get(g, 0) + c1 * c2
+            _add_product(out, ring_of[lam[:-1]], coeff[lam[-1]])
             ring_of[lam] = [(g, c // den_a) for g, c in out.items() if c]
         for e, c in Z[lam].items():
             if c:

@@ -3,7 +3,7 @@
 A pair is a simple polytope given by facet/vertex incidence (plus inward
 facet normals) together with a refined n x m characteristic matrix; signs
 and weight vectors of the torus fixed points are extracted from vertex
-minors.  Everything is exact integer/rational arithmetic.
+minors.  Everything is exact; the eliminations run over the integers.
 
 The minors are found by walking the edges of P: two vertices that share
 n - 1 facets differ in one column, so one fraction-free Bareiss
@@ -15,8 +15,8 @@ vertex instead of an O(n^3) elimination (see ``_vertex_minors``).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm
 from operator import mul
 
 from toricgenera.algebra import _as_int, _as_rational
@@ -27,23 +27,20 @@ class InvalidPairError(ValueError):
 
 
 def _bareiss(rows):
-    """(det A, adj A) of a square int or Fraction matrix, exactly, by
-    fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | I].
+    """(det A, adj A) of a square integer matrix, exactly, by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) on [A | I].
 
-    Row r is first scaled by the lcm s_r of its denominators, so B = SA
-    is integral; det A = det B / det S and adj A = adj B S / det S.
-    After step k every entry is a (k+1)-minor of the permuted [B | I],
-    so each division by the previous pivot is exact.  Pivoting over rows
-    and columns keeps every pivot but the last non-zero; if none is left
-    before the last step, A has rank <= n - 2 and adj A = 0.  For
-    det A = +-1, A^-1 = det A * adj A.
+    After step k every entry is a (k+1)-minor of the permuted [A | I], so
+    each division by the previous pivot is exact, and the last pivot is
+    det A up to the sign of the permutations; the 0 x 0 matrix gives
+    (1, []).  Pivoting over rows and columns keeps every pivot but the
+    last non-zero; if none is left before the last step, A has rank
+    <= n - 2 and adj A = 0.  For det A = +-1, A^-1 = det A * adj A.
     """
     n = len(rows)
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (s // x.denominator) for x in row] +
-         [int(i == j) for j in range(n)]
-         for i, (row, s) in enumerate(zip(rows, scales))]
-    cols = list(range(n))   # column k of the eliminated B is B's cols[k]
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    cols = list(range(n))   # column k of the eliminated A is A's cols[k]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next(((r, c) for c in range(k, n) for r in range(k, n)
@@ -71,12 +68,7 @@ def _bareiss(rows):
     adj = [None] * n
     for k in range(n):
         adj[cols[k]] = [sign * x for x in m[k][n:]]
-    det_s = prod(scales)
-    if det_s == 1:
-        return sign * m[n - 1][n - 1], adj
-    return (Fraction(sign * m[n - 1][n - 1], det_s),
-            [[Fraction(x * s, det_s) for x, s in zip(row, scales)]
-             for row in adj])
+    return sign * prev, adj
 
 
 def _vertex_minors(columns, vertices):
@@ -106,8 +98,7 @@ def _vertex_minors(columns, vertices):
     for seed, v in enumerate(vertices):
         if out[seed] is not None:
             continue
-        out[seed] = _bareiss([list(row)
-                              for row in zip(*(columns[f - 1] for f in v))])
+        out[seed] = _bareiss(list(zip(*(columns[f - 1] for f in v))))
         todo = [seed]
         while todo:
             a = todo.pop()
@@ -426,7 +417,9 @@ def square_pair(e1, e2, d1, d2, name=None):
 
 def product_pair(p, q, name=None):
     """Product of two pairs: block-diagonal data with the columns
-    reordered so the result is again refined."""
+    reordered so the result is again refined.  Unless both factors carry
+    normals it carries orientations, o_p(vp) o_q(vq) times the sign of the
+    permutation that sorts the facets of vp followed by those of vq."""
     P, Q = p.polytope, q.polytope
     n, m = P.n + Q.n, P.m + Q.m
 
@@ -436,23 +429,30 @@ def product_pair(p, q, name=None):
     def map_q(j):
         return P.n + j if j <= Q.n else P.m + j
 
-    vertices = []
+    vertices, parities = [], []
     for vp in P.vertices:
         for vq in Q.vertices:
-            vertices.append(tuple(sorted([map_p(i) for i in vp] +
-                                         [map_q(j) for j in vq])))
-    normals = [[Fraction(0)] * m for _ in range(n)]
+            a, b = [map_p(i) for i in vp], [map_q(j) for j in vq]
+            vertices.append(tuple(sorted(a + b)))
+            parities.append(sum(x > y for x in a for y in b) % 2)
+    normals = orientations = None
+    if P.normals is not None and Q.normals is not None:
+        normals = [[0] * m for _ in range(n)]
+    else:
+        sp, sq = (x.polytope.orientations if x.polytope.normals is None
+                  else _eliminate(x)[2] for x in (p, q))
+        if sp is not None and sq is not None:
+            orientations = [s * t * (-1) ** odd for (s, t), odd
+                            in zip(product(sp, sq), parities)]
     entries = [[0] * m for _ in range(n)]
-    for r in range(P.n):
-        for c in range(P.m):
-            normals[r][map_p(c + 1) - 1] = P.normals[r][c]
-            entries[r][map_p(c + 1) - 1] = p.lam.entries[r][c]
-    for r in range(Q.n):
-        for c in range(Q.m):
-            normals[P.n + r][map_q(c + 1) - 1] = Q.normals[r][c]
-            entries[P.n + r][map_q(c + 1) - 1] = q.lam.entries[r][c]
+    for X, lam, top, place in ((P, p.lam, 0, map_p), (Q, q.lam, P.n, map_q)):
+        for r in range(X.n):
+            for c in range(X.m):
+                entries[top + r][place(c + 1) - 1] = lam.entries[r][c]
+                if normals is not None:
+                    normals[top + r][place(c + 1) - 1] = X.normals[r][c]
     name = name or ("%s x %s" % (p.name, q.name))
-    return QuasitoricPair(Polytope(n, m, vertices, normals),
+    return QuasitoricPair(Polytope(n, m, vertices, normals, orientations),
                           CharMatrix(entries), name)
 
 

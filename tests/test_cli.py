@@ -21,7 +21,7 @@ from toricgenera.cli import (
     parse_manifold,
     run,
 )
-from toricgenera.fgl import GenusSpec
+from toricgenera.fgl import CATALOG_NAMES, GenusSpec
 from toricgenera.localize import CfEntry, dataset
 from toricgenera.quasitoric import (
     FixedPointData,
@@ -508,6 +508,26 @@ def test_a_pair_with_both_normals_and_orientations_exits_1(
         assert not out
         assert err == ("error: a polytope takes normals or orientations, "
                        "not both\n")
+
+
+# a point: the 0-dimensional pair, one vertex on no facets
+_POINT = {"type": "quasitoric",
+          "polytope": {"n": 0, "m": 0, "vertices": [[]], "normals": []},
+          "lambda": []}
+
+
+def test_a_point_is_a_valid_pair_with_genus_1(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(_POINT))
+    expected = [("validate", [], "valid\n"),
+                ("fixed-points", [], "x            sign=+1 weights=[]\n")]
+    expected += [("genus", ["--genus", g], "genus_value: 1\n")
+                 for g in CATALOG_NAMES]
+    expected += [("check-cf", ["--genus", g, "--order", "1"],
+                  "cf_0 = 1\ncf_1 = 0\npass\n") for g in CATALOG_NAMES]
+    for command, argv, out in expected:
+        assert main([command, "--input", str(path)] + argv) == EXIT_PASS
+        assert capsys.readouterr() == (out, "")
 
 
 def test_commands_keep_their_order():

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricgenera import quasitoric
@@ -215,11 +215,11 @@ def test_sign_well_defined_under_facet_permutation():
     pair = square_pair(-1, 1, 2, 0)
     for v in pair.polytope.vertices:
         base = (_bareiss(pair.lam.minor(v))[0]
-                * _bareiss(pair.polytope.normal_columns(v))[0])
+                * _leibniz(pair.polytope.normal_columns(v)))
         rev = tuple(reversed(v))
         swapped = (_bareiss([[row[1], row[0]] for row in pair.lam.minor(v)])[0]
-                   * _bareiss([[row[1], row[0]]
-                               for row in pair.polytope.normal_columns(v)])[0])
+                   * _leibniz([[row[1], row[0]]
+                               for row in pair.polytope.normal_columns(v)]))
         assert base == swapped
         assert rev  # orientation data only enters through determinants
 
@@ -377,7 +377,7 @@ def _with_orientations(pair):
     """The pair with its normals replaced by the sign of each vertex's
     normal determinant."""
     P = pair.polytope
-    orientations = [1 if _bareiss(P.normal_columns(v))[0] > 0 else -1
+    orientations = [1 if _leibniz(P.normal_columns(v)) > 0 else -1
                     for v in P.vertices]
     return QuasitoricPair(Polytope(P.n, P.m, P.vertices,
                                    orientations=orientations),
@@ -423,6 +423,30 @@ def test_orientations_refuse_bad_entries(orientations, message):
         Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], orientations=orientations)
 
 
+_FACTORS = {"cp1": simplex_pair(1, (-1,)), "cp2--": simplex_pair(2, (-1, -1)),
+            "cp2+-": simplex_pair(2, (1, -1)),
+            "cp3+-+": simplex_pair(3, (1, -1, 1)),
+            "square": square_pair(-1, 1, 2, 0)}
+
+
+@pytest.mark.parametrize("p, q", itertools.product(_FACTORS, repeat=2))
+def test_products_of_oriented_factors_carry_orientations(p, q):
+    p, q = _FACTORS[p], _FACTORS[q]
+    ref = _signs(product_pair(p, q))
+    for x, y in [(_with_orientations(p), _with_orientations(q)),
+                 (p, _with_orientations(q)), (_with_orientations(p), q)]:
+        product = product_pair(x, y)
+        assert product.polytope.normals is None
+        assert _signs(product) == ref
+
+
+def test_a_product_with_an_unsigned_factor_carries_no_signs():
+    cp1 = simplex_pair(1, (-1,))
+    naked = QuasitoricPair(Polytope(1, 2, cp1.polytope.vertices), cp1.lam)
+    product = product_pair(cp1, naked).polytope
+    assert product.normals is None and product.orientations is None
+
+
 def test_normals_and_orientations_together_are_refused():
     # the orientations contradict the normal determinants [1, 1, -1]
     P = simplex_pair(2, (-1, -1)).polytope
@@ -464,13 +488,12 @@ def _leibniz(rows):
 
 @st.composite
 def square_matrices(draw):
-    n = draw(st.integers(1, 4))
-    entry = st.one_of(st.integers(-3, 3),
-                      st.fractions(-3, 3, max_denominator=4))
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     # the last ``dependent`` rows become combinations of the others, so
     # singular matrices of every rank >= 1 are drawn
-    dependent = draw(st.integers(0, n - 1))
+    dependent = draw(st.integers(0, max(n - 1, 0)))
     for i in range(n - dependent, n):
         coeffs = [draw(st.integers(-2, 2)) for _ in range(n - dependent)]
         rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows))
@@ -480,6 +503,7 @@ def square_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
+@example([])
 def test_bareiss_determinant_and_adjugate(rows):
     n = len(rows)
     det, adj = _bareiss(rows)
@@ -491,9 +515,8 @@ def test_bareiss_determinant_and_adjugate(rows):
             cofactor = [[rows[r][c] for c in range(n) if c != i]
                         for r in range(n) if r != j]
             assert adj[i][j] == (-1) ** (i + j) * _leibniz(cofactor)
-    if all(type(x) is int for row in rows for x in row):
-        assert type(det) is int
-        assert all(type(x) is int for row in adj for x in row)
+    assert type(det) is int
+    assert all(type(x) is int for row in adj for x in row)
 
 
 
@@ -516,7 +539,7 @@ def _ref_eliminate(pair):
             problems.append("vertex %r has minor determinant %s" % (v, det))
     signs = None
     if P.normals is not None:
-        dets = [_bareiss(P.normal_columns(v))[0] for v in P.vertices]
+        dets = [_leibniz(P.normal_columns(v)) for v in P.vertices]
         signs = [(det > 0) - (det < 0) for det in dets]
         for v, det in zip(P.vertices, dets):
             if det == 0:
