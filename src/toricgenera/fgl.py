@@ -4,16 +4,19 @@ A genus is described by its exponential series b(x) = x + b1 x^2 + ... over
 a graded coefficient ring; the logarithm m(x) is the reverse series and the
 group law is F(u1, u2) = b(m(u1) + m(u2)).  The catalog covers the familiar
 examples (Todd, signature, c_n, Abel, two-parameter Todd, elliptic) together
-with the Krichever genus built from Weierstrass functions.
+with the Krichever genus x exp(E), E built from Weierstrass functions by
+integer recurrences for the Taylor and Laurent coefficients of p.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from toricgenera.algebra import (
+    _add_product,
+    _assemble,
     MultiSeries,
     Poly,
     QQ,
@@ -231,64 +234,61 @@ def _elliptic(M):
 _KRING = make_ring(("a", 2), ("p2", 4), ("p3", 6), ("g2", 8))
 
 
-def _weierstrass_derivative(poly):
-    """The z-derivative on Q[a, p2, p3, g2]: p2 -> p3, p3 -> 6 p2^2 - g2/2."""
-    ring = poly.ring
-    images = {
-        "a": Poly.zero(ring),
-        "p2": Poly.gen(ring, "p3"),
-        "p3": Poly.gen(ring, "p2") ** 2 * 6 - Poly.gen(ring, "g2") * Fraction(1, 2),
-        "g2": Poly.zero(ring),
-    }
-    out = Poly.zero(ring)
-    for e, c in poly.terms.items():
-        for i, ei in enumerate(e):
-            if not ei:
-                continue
-            name = ring[i].name
-            de = list(e)
-            de[i] -= 1
-            out = out + Poly(ring, {tuple(de): c * ei}) * images[name]
-    return out
+def _weierstrass_taylor(count):
+    """R_0..R_(count-1), int polynomials {exponent over (a, p2, p3, g2): int}."""
+    R = [{(0, 1, 0, 0): 2}, {(0, 0, 1, 0): 2},
+         {(0, 2, 0, 0): 12, (0, 0, 0, 1): -1}]
+    for j in range(1, count - 2):
+        acc = {}
+        for i in range(j + 1):
+            _add_product(acc, R[i].items(), R[j - i].items(), 3 * comb(j, i))
+        R.append({g: c for g, c in acc.items() if c})
+    return R[:max(count, 0)]
 
 
-def weierstrass_p_coefficients(count):
-    """Laurent coefficients c_j of p(x) = 1/x^2 + sum c_j x^{2j-2}, j >= 2."""
-    ring = _KRING
-    p2, p3, g2 = (Poly.gen(ring, n) for n in ("p2", "p3", "g2"))
-    g3 = p2 ** 3 * 4 - g2 * p2 - p3 ** 2
-    c = {2: g2 * Fraction(1, 20), 3: g3 * Fraction(1, 28)}
+def _weierstrass_laurent(count):
+    """{j: (int polynomial, denominator) of c_j} for 2 <= j <= max(count, 3)."""
+    c = {2: ({(0, 0, 0, 1): 1}, 20),
+         3: ({(0, 3, 0, 0): 4, (0, 1, 0, 1): -1, (0, 0, 2, 0): -1}, 28)}
     for j in range(4, count + 1):
-        acc = Poly.zero(ring)
-        for i in range(2, j - 1):
-            acc = acc + c[i] * c[j - i]
-        c[j] = acc * Fraction(3, (2 * j + 1) * (j - 3))
+        pairs = [(c[i], c[j - i]) for i in range(2, j - 1)]
+        den = lcm(*(d1 * d2 for (_n1, d1), (_n2, d2) in pairs))
+        acc = {}
+        for (n1, d1), (n2, d2) in pairs:
+            _add_product(acc, n1.items(), n2.items(), 3 * den // (d1 * d2))
+        c[j] = ({g: x for g, x in acc.items() if x}, (2 * j + 1) * (j - 3) * den)
     return c
 
 
 def _krichever(M):
-    """The Baker-Akhiezer exponential x e^{ax} / (x phi(x, z)) over
-    Q[a, p2, p3, g2] with p2 = p(z), p3 = p'(z)."""
-    ring = _KRING
-    # Taylor coefficients of p(z - s) in s, via the algebraic derivative
-    wp = [Poly.gen(ring, "p2")]
-    for _ in range(M - 2):
-        wp.append(_weierstrass_derivative(wp[-1]))
-    # integral of zeta(z - s) - zeta(z) from 0 to x
-    terms = {}
-    for j in range(0, M - 1):
-        terms[(j + 2,)] = wp[j] * Fraction((-1) ** j, factorial(j + 2))
-    integral = MultiSeries(ring, 1, M, terms)
-    # log(sigma(x)/x) = - sum c_j x^{2j} / (2j (2j-1)), cut at degree M
-    cs = weierstrass_p_coefficients(M // 2 + 1)
-    sig_terms = {}
-    for j, cj in cs.items():
-        sig_terms[(2 * j,)] = cj * Fraction(-1, 2 * j * (2 * j - 1))
-    log_sigma = MultiSeries(ring, 1, M, sig_terms)
-    ax = MultiSeries(ring, 1, M, {(1,): Poly.gen(ring, "a")})
-    exponent = ax + integral + log_sigma
-    x = MultiSeries.variable(ring, 1, M, 0)
-    return x * exponent.exp()
+    """The Baker-Akhiezer exponential x e^{ax} / (x phi(x, z)) = x exp(E)
+    over Q[a, p2, p3, g2] with p2 = p(z), p3 = p'(z).
+
+    E = a x + (integral of zeta(z - s) - zeta(z) from 0 to x) + log(sigma(x)
+    / x).  Its x^(j+2) term is (-1)^j R_j / (2 (j+2)!), with R_j = 2 D^j(p2)
+    for the derivation D p2 = p3, D p3 = 6 p2^2 - g2/2: R_0 = 2 p2, R_1 =
+    2 p3, R_2 = 12 p2^2 - g2 and R_(j+2) = 3 sum_(i=0..j) C(j, i) R_i R_(j-i)
+    for j >= 1.  Its x^(2j) term is -c_j / (2j (2j-1)), with c_j the Laurent
+    coefficients of p(x) = 1/x^2 + sum c_j x^(2j-2): c_2 = g2/20, c_3 = g3/28
+    with g3 = 4 p2^3 - g2 p2 - p3^2, and c_j = 3/((2j+1)(j-3)) sum_(i=2..j-2)
+    c_i c_(j-i) for j >= 4.  exp(E) is taken once, to order M - 1, and
+    shifted up one degree."""
+    top = M - 1
+    parts = [(1, {(1, 0, 0, 0): 1}, 1)]  # (degree, int polynomial, divisor)
+    parts += [(j + 2, R_j, (-1) ** j * 2 * factorial(j + 2))
+              for j, R_j in enumerate(_weierstrass_taylor(top - 1))]
+    parts += [(2 * j, c_j, -2 * j * (2 * j - 1) * den)
+              for j, (c_j, den) in _weierstrass_laurent(top // 2).items()]
+    parts = [part for part in parts if part[0] <= top]
+    den = lcm(*(q for _d, _p, q in parts))
+    acc = {}
+    for d, poly, q in parts:
+        out = acc.setdefault((d,), {})
+        for g, c in poly.items():
+            out[g] = out.get(g, 0) + c * (den // q)
+    exponent = _assemble(_KRING, 1, top, acc, den)
+    return MultiSeries._trusted(_KRING, 1, M, {
+        (d + 1,): p for (d,), p in exponent.exp().terms.items()})
 
 
 def krichever_exponential(order):

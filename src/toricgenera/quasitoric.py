@@ -444,6 +444,10 @@ def product_pair(p, q, name=None):
         if sp is not None and sq is not None:
             orientations = [s * t * (-1) ** odd for (s, t), odd
                             in zip(product(sp, sq), parities)]
+            if not all(orientations):  # a factor's normal sign is 0
+                raise InvalidPairError("; ".join(
+                    "vertex %r has dependent normals" % (v,)
+                    for v, o in zip(vertices, orientations) if not o))
     entries = [[0] * m for _ in range(n)]
     for X, lam, top, place in ((P, p.lam, 0, map_p), (Q, q.lam, P.n, map_q)):
         for r in range(X.n):

@@ -1,9 +1,14 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from toricgenera.algebra import MultiSeries, Poly, QQ, make_ring
 from toricgenera.fgl import (
+    _KRING,
+    _krichever,
+    _weierstrass_laurent,
+    _weierstrass_taylor,
     CATALOG_NAMES,
     BsfglShapeError,
     GenusSpec,
@@ -356,6 +361,105 @@ def test_krichever_homogeneous_grading():
         degs = {sum(ei * g.degree for ei, g in zip(e, kv.ring))
                 for e in kv.exp_coefficient(j).terms}
         assert degs <= {2 * j}
+
+
+# the Poly chain-rule builder the integer recurrences replaced, kept as the
+# reference they must reproduce term for term
+
+def _ref_weierstrass_derivative(poly):
+    """The z-derivative on Q[a, p2, p3, g2]: p2 -> p3, p3 -> 6 p2^2 - g2/2."""
+    ring = poly.ring
+    images = {
+        "a": Poly.zero(ring),
+        "p2": Poly.gen(ring, "p3"),
+        "p3": Poly.gen(ring, "p2") ** 2 * 6 - Poly.gen(ring, "g2") * F(1, 2),
+        "g2": Poly.zero(ring),
+    }
+    out = Poly.zero(ring)
+    for e, c in poly.terms.items():
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            de = list(e)
+            de[i] -= 1
+            out = out + Poly(ring, {tuple(de): c * ei}) * images[ring[i].name]
+    return out
+
+
+def _ref_weierstrass_p_coefficients(count):
+    """Laurent coefficients c_j of p(x) = 1/x^2 + sum c_j x^{2j-2}, j >= 2."""
+    p2, p3, g2 = (Poly.gen(_KRING, n) for n in ("p2", "p3", "g2"))
+    g3 = p2 ** 3 * 4 - g2 * p2 - p3 ** 2
+    c = {2: g2 * F(1, 20), 3: g3 * F(1, 28)}
+    for j in range(4, count + 1):
+        acc = Poly.zero(_KRING)
+        for i in range(2, j - 1):
+            acc = acc + c[i] * c[j - i]
+        c[j] = acc * F(3, (2 * j + 1) * (j - 3))
+    return c
+
+
+def _ref_krichever(M):
+    """x exp(a x + integral of zeta(z - s) - zeta(z) + log(sigma(x)/x)),
+    with the Taylor coefficients of p(z - s) from chain-rule derivatives."""
+    wp = [Poly.gen(_KRING, "p2")]
+    for _ in range(M - 2):
+        wp.append(_ref_weierstrass_derivative(wp[-1]))
+    integral = MultiSeries(_KRING, 1, M, {
+        (j + 2,): wp[j] * F((-1) ** j, factorial(j + 2))
+        for j in range(0, M - 1)})
+    log_sigma = MultiSeries(_KRING, 1, M, {
+        (2 * j,): cj * F(-1, 2 * j * (2 * j - 1))
+        for j, cj in _ref_weierstrass_p_coefficients(M // 2 + 1).items()})
+    ax = MultiSeries(_KRING, 1, M, {(1,): Poly.gen(_KRING, "a")})
+    x = MultiSeries.variable(_KRING, 1, M, 0)
+    return x * (ax + integral + log_sigma).exp()
+
+
+@pytest.mark.parametrize("M", range(1, 15))
+def test_krichever_matches_the_chain_rule_reference(M):
+    got, ref = _krichever(M), _ref_krichever(M)
+    assert got.terms == ref.terms and got.order == ref.order == M
+    assert str(got) == str(ref)
+    assert got.to_json() == ref.to_json()
+
+
+def test_weierstrass_taylor_matches_chain_rule_derivatives():
+    R = _weierstrass_taylor(11)
+    assert len(R) == 11
+    assert [_weierstrass_taylor(n) for n in range(-1, 4)] == \
+        [[], [], R[:1], R[:2], R[:3]]
+    wp = Poly.gen(_KRING, "p2")
+    for j in range(11):
+        assert Poly(_KRING, R[j]) == wp * 2, j
+        assert all(isinstance(c, int) for c in R[j].values())
+        wp = _ref_weierstrass_derivative(wp)
+
+
+def _laurent_polys(count):
+    return {j: Poly(_KRING, {g: F(c, den) for g, c in num.items()})
+            for j, (num, den) in _weierstrass_laurent(count).items()}
+
+
+def test_weierstrass_laurent_matches_abramowitz_stegun():
+    # A&S 18.5.25: c_2 = g2/20, c_3 = g3/28, c_4 = g2^2/1200 and
+    # c_5 = 3 g2 g3/6160, g3 = 4 p2^3 - g2 p2 - p3^2; exponents over
+    # (a, p2, p3, g2)
+    expect = {
+        2: Poly(_KRING, {(0, 0, 0, 1): F(1, 20)}),
+        3: Poly(_KRING, {(0, 3, 0, 0): F(1, 7), (0, 1, 0, 1): F(-1, 28),
+                         (0, 0, 2, 0): F(-1, 28)}),
+        4: Poly(_KRING, {(0, 0, 0, 2): F(1, 1200)}),
+        5: Poly(_KRING, {(0, 3, 0, 1): F(3, 1540), (0, 1, 0, 2): F(-3, 6160),
+                         (0, 0, 2, 1): F(-3, 6160)}),
+    }
+    assert _laurent_polys(5) == expect
+    assert _ref_weierstrass_p_coefficients(5) == expect
+
+
+def test_weierstrass_laurent_matches_the_reference():
+    assert _laurent_polys(9) == _ref_weierstrass_p_coefficients(9)
+    assert set(_weierstrass_laurent(1)) == {2, 3}
 
 
 def test_bsfgl_shape_abel():

@@ -440,6 +440,27 @@ def test_products_of_oriented_factors_carry_orientations(p, q):
         assert _signs(product) == ref
 
 
+def test_a_product_with_dependent_normals_names_them():
+    # the normal [1, 0] is dependent at vertex (2,) of cp1; a product with
+    # an oriented factor names the vertices that the product with the
+    # factor's normals names
+    cp1 = simplex_pair(1, (-1,))
+    flat = QuasitoricPair(Polytope(1, 2, cp1.polytope.vertices, [[1, 0]]),
+                          cp1.lam)
+    signed = _with_orientations(cp1)
+    for x, y, normal in [(flat, signed, (flat, cp1)),
+                         (signed, flat, (cp1, flat))]:
+        with pytest.raises(InvalidPairError) as both:
+            signs_and_weights(product_pair(*normal))
+        with pytest.raises(InvalidPairError) as mixed:
+            product_pair(x, y)
+        assert str(mixed.value) == str(both.value)
+    with pytest.raises(InvalidPairError,
+                       match=r"^vertex \(1, 4\) has dependent normals; "
+                             r"vertex \(3, 4\) has dependent normals$"):
+        product_pair(signed, flat)
+
+
 def test_a_product_with_an_unsigned_factor_carries_no_signs():
     cp1 = simplex_pair(1, (-1,))
     naked = QuasitoricPair(Polytope(1, 2, cp1.polytope.vertices), cp1.lam)
