@@ -21,7 +21,9 @@ into its u-monomials.
 int polynomial of its missing forms (``_expand_forms``) into one such
 accumulator (a linear localized sum arrives already cross-multiplied).
 ``MultiSeries.divide_linear``, the Conner-Floyd cancellation, is long
-division on the form's first non-zero variable.
+division on the form's first non-zero variable; ``_divide_forms`` is the
+same division on int polynomials, which the linear localized sum runs on
+its genus-free partition sums before any coefficient ring enters.
 
 Both classes serialize through one canonical form: ``_sorted_terms`` orders
 a term dict by weighted degree (generator degrees for a ``Poly``, 1 per
@@ -335,6 +337,48 @@ def _times_form(poly, form):
             e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
             out[e2] = out.get(e2, 0) + c * m
     return {e: c for e, c in out.items() if c}
+
+
+def _divide_forms(poly, forms, base):
+    """The exact quotient of an int polynomial {packed u-exponent: int},
+    with no zero coefficient and u-exponents the base-``base`` digits of
+    one int, by a list of primitive forms, each given as its non-zero
+    (place value base^i, m_i) with the pivot first; None if there is none.
+
+    Long division on the pivot u_p, from its top exponent down: a term
+    c u^m gives the quotient term (c / m_p) u^(m - e_p) and takes
+    (c / m_p) m_j off the term at m - e_p + e_j.  A primitive form leaves
+    every exact quotient integral (Gauss's lemma), so a remainder of c
+    by m_p, or a term left at pivot exponent 0, proves there is none.  A
+    coordinate form u_p is a shift of every exponent.
+    """
+    for (place, lead), *rest in forms:
+        if not rest:  # u_p, as the form is primitive
+            if any(e // place % base == 0 for e in poly):
+                return None
+            poly = {e - place: c for e, c in poly.items()}
+            continue
+        rows = {}  # pivot exponent -> {packed u-exponent: int}
+        for e, c in poly.items():
+            rows.setdefault(e // place % base, {})[e] = c
+        poly = {}
+        for i in range(max(rows, default=0), 0, -1):
+            row = rows.get(i)
+            if not row:
+                continue
+            below = rows.setdefault(i - 1, {})
+            for m, c in row.items():
+                if c:
+                    q, r = divmod(c, lead)
+                    if r:
+                        return None
+                    m -= place
+                    poly[m] = q
+                    for d, m_j in rest:
+                        below[m + d] = below.get(m + d, 0) - q * m_j
+        if any(rows.get(0, {}).values()):
+            return None
+    return poly
 
 
 def _expand_forms(k, forms):

@@ -3,7 +3,10 @@
 A fixed-point datum contributes sign(x) / prod_j (weight-series of w_j(x));
 the sum over fixed points is an honest power series exactly when the
 Conner-Floyd relations hold, and its homogeneous pieces are the cf
-coefficients (the constant one being the non-equivariant genus).
+coefficients (the constant one being the non-equivariant genus).  The
+linear sum divides its genus-free partition sums Z_lam by the common
+denominator over the integers before the genus enters; only data that
+fail the universal relations leave the division to the genus's Fractions.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from toricgenera.algebra import (
     QQ,
     _add_product,
     _assemble,
+    _divide_forms,
     _expand_forms,
     _flatten,
     _product,
@@ -102,7 +106,8 @@ def _linear_total(fpd, genus, order):
     """(S, D) of the linear localized sum in one pass: a weight s f takes
     each state, an int polynomial in u per partition mu of the degrees used
     so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
-    the base-B digits of one int."""
+    the base-B digits of one int.  When every Z_lam divides by D over the
+    integers, the ring step runs on the quotients and returns (S / D, {})."""
     k, n = fpd.k, fpd.n
     top = order + n
     den_a, flat = _flatten(genus.at_order(top + 1).a_plus().terms, top)
@@ -151,6 +156,24 @@ def _linear_total(fpd, genus, order):
                             e = e1 + e2
                             out[e] = out.get(e, 0) + c1 * c2
             states = grown
+    # divide each Z_lam by D over the integers, lowest |lam| first; one with
+    # |lam| < n must vanish, as its quotient would have negative degree
+    forms = [[(d, m) for d, m in zip(digits, form) if m]
+             for form, mult in sorted(D.items()) for _ in range(mult)]
+    nums = {}  # partition -> Z_lam / D
+    for lam in sorted(Z, key=sum):
+        poly = {e: c for e, c in Z[lam].items() if c}
+        if sum(lam) < n:
+            if poly:
+                break
+        elif poly:
+            nums[lam] = _divide_forms(poly, forms, B)
+            if nums[lam] is None:
+                break
+    else:  # the sum is the series S / D, over no denominator
+        D = Counter()
+    if D:  # S over D: its Fraction division decides for this genus
+        nums = Z
     # a_lam over den_a^n from a_(lam minus its last part), which is in Z
     # too (t = 0 is in T); lam has at most n parts, so den_a divides exactly
     ring_of = {(): [((0,) * len(genus.ring), den_a ** n)]}
@@ -160,13 +183,14 @@ def _linear_total(fpd, genus, order):
             out = {}
             _add_product(out, ring_of[lam[:-1]], coeff[lam[-1]])
             ring_of[lam] = [(g, c // den_a) for g, c in out.items() if c]
-        for e, c in Z[lam].items():
+        for e, c in nums.get(lam, {}).items():
             if c:
                 out = acc.setdefault(e, {})
                 for g, a in ring_of[lam]:
                     out[g] = out.get(g, 0) + a * c
     acc = {tuple(e // d % B for d in digits): p for e, p in acc.items()}
-    return _assemble(genus.ring, k, B - 1, acc, den_a ** n * L), dict(D)
+    return _assemble(genus.ring, k, order + sum(D.values()), acc,
+                     den_a ** n * L), dict(D)
 
 
 def localized_sum(fpd, genus, mode, order):
@@ -181,6 +205,11 @@ def localized_sum(fpd, genus, mode, order):
     This is exact: prod_j a_+(l_j) = sum_alpha prod_j a_(alpha_j)
     l_j^alpha_j, whose ring factor depends only on the multiset of alpha.
     At order 0 it is Hirzebruch's phi[M] = sum_lam a_lam s_lam[M].
+    Each Z_lam is first divided by D over the integers.  When all divide,
+    as for data that meet the universal Conner-Floyd relations, the one
+    term is (S / D, {}): a power series exact to ``order``, already
+    normalized.  Otherwise it is (S, D), and the Fraction division in
+    ``_quotients`` decides for this genus alone.
 
     Universal mode (the slow reference for ``phi``) divides the product of
     the full [w](u) exactly by as many of its primitive forms as possible

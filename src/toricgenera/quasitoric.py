@@ -246,6 +246,17 @@ class FixedPoint:
             if not any(w):
                 raise ValueError("zero weight vector at %r" % (label,))
 
+    @classmethod
+    def _trusted(cls, label, sign, weights):
+        """A point built as is, without the checks of ``__init__``: the
+        sign is +-1 and ``weights`` is a fresh list of non-zero int tuples,
+        as the weights a valid pair or a generic circle yields."""
+        self = object.__new__(cls)
+        self.label = label
+        self.sign = sign
+        self.weights = weights
+        return self
+
     def __repr__(self):
         return "FixedPoint(%r, %+d, %r)" % (self.label, self.sign, self.weights)
 
@@ -371,7 +382,8 @@ def signs_and_weights(pair):
         # Lambda_x^-1 = det * adj, integral since det = +-1
         weights = [tuple(det * x for x in row) for row in adj]
         label = "x" + ",".join(str(i) for i in v)
-        points.append(FixedPoint(label, 1 if det * det_n > 0 else -1, weights))
+        points.append(FixedPoint._trusted(
+            label, 1 if det * det_n > 0 else -1, weights))
     return FixedPointData(P.n, P.n, points)
 
 
@@ -496,7 +508,7 @@ def restrict_to_subcircle(fpd, nu):
                     "direction %r is not generic: weight %r at %r pairs to 0"
                     % (nu, w, pt.label))
             weights.append((val,))
-        points.append(FixedPoint(pt.label, pt.sign, weights))
+        points.append(FixedPoint._trusted(pt.label, pt.sign, weights))
     return FixedPointData(fpd.n, 1, points)
 
 

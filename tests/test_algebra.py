@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from toricgenera.algebra import (
     NotDivisibleError,
     Poly,
     QQ,
+    _divide_forms,
+    _expand_forms,
     canonical_linear_form,
     make_ring,
 )
@@ -242,6 +245,81 @@ def test_divide_linear_pivot_free_obstruction():
     with pytest.raises(NotDivisibleError) as err:
         p.divide_linear((1, 1))
     assert err.value.degree == 3
+
+
+def _packed(poly, base):
+    return {sum(x * base ** i for i, x in enumerate(e)): c
+            for e, c in poly.items()}
+
+
+def _packed_forms(forms, base):
+    return [[(base ** i, m) for i, m in enumerate(form) if m]
+            for form in forms]
+
+
+def _divide_forms_by_series(poly, forms, k, top):
+    """The quotient of an int polynomial {u-exponent: int} of degree <= top
+    by the forms, one ``divide_linear`` each over QQ, or None."""
+    q = MultiSeries(QQ, k, top, poly)
+    try:
+        for form in forms:
+            q = q.divide_linear(form)
+    except NotDivisibleError:
+        return None
+    return {e: c.constant_value() for e, c in q.terms.items()}
+
+
+def _times_poly(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_divide_forms_matches_divide_linear(data):
+    # quotients that exist (a cofactor times the forms, nudged or not) and
+    # ones that do not, by forms whose pivot entry may exceed 1
+    k = data.draw(st.integers(1, 3))
+    form = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(
+        any).map(lambda w: canonical_linear_form(w)[0])
+    forms = data.draw(st.lists(form, max_size=3))
+    exps = st.tuples(*[st.integers(0, 3)] * k)
+    cofactor = data.draw(st.dictionaries(exps, st.integers(-4, 4).filter(
+        bool), max_size=4))
+    poly = _times_poly(_expand_forms(k, Counter(forms)), cofactor)
+    for e, c in data.draw(st.dictionaries(exps, st.integers(-2, 2),
+                                          max_size=2)).items():
+        poly[e] = poly.get(e, 0) + c
+    poly = {e: c for e, c in poly.items() if c}
+    top = 3 * k + len(forms)
+    base = top + 1
+    got = _divide_forms(_packed(poly, base), _packed_forms(forms, base),
+                        base)
+    want = _divide_forms_by_series(poly, forms, k, top)
+    if want is not None:
+        want = _packed(want, base)
+        assert all(type(c) is int for c in got.values())
+    assert got == want
+
+
+def test_divide_forms_examples():
+    # u1 by 2 u1 + u2 leaves a remainder of the pivot entry; u1 u2 by u2
+    # is a shift, u1 by u2 is not; (2 u1 + u2)(u1 - u2) by both forms is 1
+    base = 4
+    u1, u2 = 1, base
+    two_one, one_minus_one, coord = _packed_forms(
+        [(2, 1), (1, -1), (0, 1)], base)
+    assert _divide_forms({u1: 1}, [two_one], base) is None
+    assert _divide_forms({u1 + u2: 3}, [coord], base) == {u1: 3}
+    assert _divide_forms({u1: 3}, [coord], base) is None
+    product = {2 * u1: 2, u1 + u2: -1, 2 * u2: -1}
+    assert _divide_forms(product, [two_one, one_minus_one], base) == {0: 1}
+    assert _divide_forms(product, [], base) == product
+    assert _divide_forms({}, [two_one, coord], base) == {}
 
 
 def test_linear_forms_refuse_float_weights():

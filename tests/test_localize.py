@@ -1,9 +1,11 @@
 import inspect
 import itertools
+import json
 import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from toricgenera.algebra import (
     NotDivisibleError,
     Poly,
     QQ,
+    _divide_forms,
     canonical_linear_form,
 )
+from toricgenera.cli import main
 from toricgenera.fgl import (
     CATALOG_NAMES,
     GenusSpec,
@@ -42,7 +46,9 @@ from toricgenera.localize import (
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
+    fpd_to_json_obj,
     generic_direction,
+    product_pair,
     restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
@@ -134,16 +140,29 @@ def test_linear_sum_equals_divide_invert(data_name, genus_name, order):
                        _divide_invert_sum(fpd, genus, order))
 
 
+def _same_total(S, D, ref_S, ref_D):
+    """Whether (S, D) is the rational function ref_S / prod(ref_D): a sum
+    divided ahead (D == {}) times the reference's forms is ref_S exactly,
+    and an undivided one is the same numerator over the same forms."""
+    if D:
+        return (S.terms, S.order, D) == (ref_S.terms, ref_S.order, ref_D)
+    top = S.order + sum(ref_D.values())
+    total = MultiSeries(S.ring, S.k, top, S.terms)
+    for form, mult in ref_D.items():
+        for _ in range(mult):
+            total = total * MultiSeries.linear_form(S.ring, S.k, top, form)
+    return (total.terms, total.order) == (ref_S.terms, ref_S.order)
+
+
 def _assert_same_total(new, ref):
-    """The linear sum is one term, equal to the reference cross-multiplied:
-    the same numerator terms and order, over the same denominator."""
+    """The linear sum is one term, equal to the reference cross-multiplied
+    as a rational function, and exact to order + deg D."""
     assert new.order == ref.order
     assert len(new) == 1
     (S, D), (ref_S, ref_D) = (new.over_common_denominator(),
                               ref.over_common_denominator())
-    assert S.terms == ref_S.terms
-    assert S.order == ref_S.order == new.order + sum(D.values())
-    assert D == ref_D
+    assert S.order == new.order + sum(D.values())
+    assert _same_total(S, D, ref_S, ref_D)
     return S, D
 
 
@@ -279,25 +298,51 @@ def test_linear_total_edge_cases(name, genus_name, order):
         assert D == {(1, 1): 2, (1, -1): 1}
 
 
-# each mutant of the pass, as (original text, replacement), must be caught
+# raw data that fails the universal Conner-Floyd relations (cf_2 under
+# hurewicz) but passes todd: Z_lam with |lam| < n do not vanish, while on
+# a circle every Z_lam of higher degree divides by D = u^3
+TODD_ONLY = FixedPointData(3, 1, [
+    FixedPoint("x", -1, [(-3,), (2,), (1,)]),
+    FixedPoint("y", 1, [(-3,), (1,), (-1,)]),
+    FixedPoint("z", -1, [(-1,), (1,), (-2,)])])
+
+
+# each mutant of the pass or of its integer division, as (function,
+# original text, replacement), must be caught
 MUTANTS = {
-    "s^t dilation dropped": ("(e, c * s ** t)", "(e, c)"),
-    "den_a padding not divided": ("c // den_a", "c"),
-    "t = 0 skipped": ("for t, rows in powers[f, 1]]",
+    "s^t dilation dropped": (localize._linear_total,
+                             "(e, c * s ** t)", "(e, c)"),
+    "den_a padding not divided": (localize._linear_total,
+                                  "c // den_a", "c"),
+    "t = 0 skipped": (localize._linear_total,
+                      "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
+    "|lam| < n check dropped": (localize._linear_total,
+                                "if poly:\n                break", "pass"),
+    "remainder check dropped": (_divide_forms, "if r:", "if False:"),
 }
+# (packed polynomial, packed forms, base, quotient): u1 by 2 u1 + u2 has
+# none, (2 u1 + u2)(u1 - u2) by both forms is 1
+DIVISIONS = [({1: 1}, [[(1, 2), (4, 1)]], 4, None),
+             ({2: 2, 5: -1, 8: -1}, [[(1, 2), (4, 1)], [(1, 1), (4, -1)]],
+              4, {0: 1})]
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_hand_made_mutants_of_the_linear_total_fail(mutant):
-    old, new = MUTANTS[mutant]
-    source = textwrap.dedent(inspect.getsource(localize._linear_total))
+def _mutant_catches(function, old, new):
+    """How many cases the pass, with ``old`` replaced by ``new`` in the
+    source of ``function``, gets wrong."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = dict(vars(localize))
     exec(source.replace(old, new), namespace)
+    if function is not localize._linear_total:
+        exec(textwrap.dedent(inspect.getsource(localize._linear_total)),
+             namespace)
     cases = [(LINEAR_EDGE_CASES["negative contents"], "todd", 2),
              (LINEAR_EDGE_CASES["repeated form"], "hurewicz", 1),
-             (LINEAR_DATA["cp2"], "todd", 1)]
+             (LINEAR_DATA["cp2"], "todd", 1),
+             (LINEAR_DATA["cp2:eps=+-/flip1"], "hurewicz", 1),
+             (TODD_ONLY, "hurewicz", 1)]
     caught = 0
     for fpd, genus_name, order in cases:
         genus = ORACLE_GENERA[genus_name]
@@ -308,8 +353,115 @@ def test_hand_made_mutants_of_the_linear_total_fail(mutant):
             continue
         ref_S, ref_D = _ref_linear_localized_sum(
             fpd, genus, order).over_common_denominator()
-        caught += (S.terms, D) != (ref_S.terms, ref_D)
-    assert caught
+        caught += not _same_total(S, D, ref_S, ref_D)
+    for poly, forms, base, quotient in DIVISIONS:
+        caught += namespace["_divide_forms"](poly, forms, base) != quotient
+    return caught
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_hand_made_mutants_of_the_linear_total_fail(mutant):
+    function, old, new = MUTANTS[mutant]
+    assert _mutant_catches(function, old, old) == 0
+    assert _mutant_catches(function, old, new)
+
+
+# ---------------------------------------------------------------------------
+# the integer pre-division against the Fraction division of the chain
+# ---------------------------------------------------------------------------
+
+def _by_chain(fpd, genus, mode, order):
+    assert mode == "linear"
+    return _ref_linear_localized_sum(fpd, genus, order)
+
+
+def _outcomes(fpd, genus, order):
+    """The cf strings and phi in both modes (or the violation), as text."""
+    out = [[e.value_str() for e in cf_series(fpd, genus, order)]]
+    for mode in ("linear", "universal"):
+        try:
+            out.append(str(phi(fpd, genus, mode, order)))
+        except ConnerFloydViolation as exc:
+            out.append("cf_%d: %s" % (exc.l, exc))
+    return out
+
+
+def _outcomes_by_chain(fpd, genus, order):
+    """``_outcomes`` with every linear sum built by the chain, so that its
+    ``_quotients`` divide by D in Fractions, genus by genus."""
+    with mock.patch.object(localize, "localized_sum", _by_chain):
+        return _outcomes(fpd, genus, order)
+
+
+BUILTIN_DATA = {
+    **{"cp%d" % n: signs_and_weights(simplex_pair(n, (-1,) * n))
+       for n in range(1, 5)},
+    "square": signs_and_weights(square_pair(-1, -1, 0, 0)),
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+}
+
+
+@st.composite
+def builtin_data(draw):
+    """A builtin's fixed points, or the same with one sign flipped."""
+    fpd = BUILTIN_DATA[draw(st.sampled_from(sorted(BUILTIN_DATA)))]
+    flip = draw(st.integers(-1, len(fpd) - 1))
+    return fpd if flip < 0 else fpd.flip_one(flip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fpd=st.one_of(fixed_point_data(), builtin_data()),
+       genus_name=st.sampled_from(CATALOG_NAMES),
+       order=st.integers(0, 4))
+def test_pre_division_matches_the_fraction_division(fpd, genus_name, order):
+    genus = catalog(genus_name, max(order, 1), generators=3)
+    assert _outcomes(fpd, genus, order) == \
+        _outcomes_by_chain(fpd, genus, order)
+
+
+def _validated_pairs():
+    yield from (simplex_pair(n, eps) for n in range(1, 5)
+                for eps in itertools.product((1, -1), repeat=n))
+    for e1, e2, d1, d2 in itertools.product((1, -1), (1, -1), (-1, 0, 1),
+                                            (-1, 0, 1)):
+        if abs(e1 * e2 - d1 * d2) == 1:
+            yield square_pair(e1, e2, d1, d2)
+    cp1, cp2 = simplex_pair(1, (-1,)), simplex_pair(2, (-1, -1))
+    yield from (product_pair(cp1, cp1), product_pair(product_pair(cp1, cp1),
+                                                     cp1),
+                product_pair(cp2, cp1), product_pair(cp2, cp2))
+
+
+def test_validated_pairs_divide_ahead_and_a_flipped_sign_does_not():
+    # the Z_lam hold no genus, so one genus stands for all
+    hurewicz = ORACLE_GENERA["hurewicz"]
+    pairs = list(_validated_pairs())
+    assert len(pairs) == 30 + 20 + 4
+    for pair in pairs:
+        ls = localized_sum(signs_and_weights(pair), hurewicz, "linear", 2)
+        assert ls.common_denominator() == {}
+    flipped = LINEAR_DATA["cp2"].flip_one(1)  # the bench's cp2fp-flip1
+    ls = localized_sum(flipped, hurewicz, "linear", 2)
+    assert ls.common_denominator() == {(0, 1): 1, (1, 0): 1, (1, -1): 1}
+    _assert_same_total(ls, _ref_linear_localized_sum(flipped, hurewicz, 2))
+
+
+@pytest.mark.parametrize("genus_name, code, verdict", [
+    ("todd", 0, "pass"), ("hurewicz", 2, "fail at cf_2")])
+def test_data_passing_todd_alone_take_the_fraction_division(
+        genus_name, code, verdict, tmp_path, capsys):
+    genus = catalog(genus_name, 3)
+    ls = localized_sum(TODD_ONLY, genus, "linear", 1)
+    assert ls.common_denominator() == {(1,): 3}
+    _assert_same_total(ls, _ref_linear_localized_sum(TODD_ONLY, genus, 1))
+    assert _outcomes(TODD_ONLY, genus, 1) == \
+        _outcomes_by_chain(TODD_ONLY, genus, 1)
+    path = tmp_path / "todd_only.json"
+    path.write_text(json.dumps(fpd_to_json_obj(TODD_ONLY)))
+    assert main(["check-cf", "--input", str(path), "--genus", genus_name,
+                 "--order", "1"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
 
 
 def _point_product(spec, point, k, order):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -367,6 +368,27 @@ def test_fixed_point_invariants():
         FixedPoint("x", 1, [(0, 0)])
     with pytest.raises(ValueError):
         FixedPointData(2, 2, [FixedPoint("x", 1, [(1, 0)])])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0, 0], "zero weight vector at 'y'"),
+    ([1, 1.5], "weight entry at 'y' is not an integer: 1.5"),
+    ([True, 1], "weight entry at 'y' is not an integer: True"),
+    ([1, "2"], "weight entry at 'y' is not an integer: '2'"),
+])
+def test_trusted_points_leave_json_weights_checked(bad, message):
+    # the points of a pair skip the checks; read points keep them
+    fpd = signs_and_weights(simplex_pair(2, (1, -1)))
+    checked = [FixedPoint(p.label, p.sign, p.weights) for p in fpd.points]
+    assert [(p.label, p.sign, p.weights) for p in fpd.points] == \
+        [(p.label, p.sign, p.weights) for p in checked]
+    assert all(type(x) is int for p in fpd.points for w in p.weights
+               for x in w)
+    obj = fpd_to_json_obj(fpd)
+    obj["points"][1].update(label="y")
+    obj["points"][1]["weights"][0] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------
