@@ -4,7 +4,8 @@ A fixed-point datum contributes sign(x) / prod_j (weight-series of w_j(x));
 the sum over fixed points is an honest power series exactly when the
 Conner-Floyd relations hold, and its homogeneous pieces are the cf
 coefficients (the constant one being the non-equivariant genus).  The
-linear sum divides its genus-free partition sums Z_lam by the common
+linear sum builds its genus-free partition sums Z_lam from int power
+rows (a shift for a coordinate form u_i) and divides them by the common
 denominator over the integers before the genus enters; only data that
 fail the universal relations leave the division to the genus's Fractions.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from toricgenera.algebra import (
     LocalizedSum,
@@ -28,7 +29,6 @@ from toricgenera.algebra import (
     _expand_forms,
     _flatten,
     _product,
-    canonical_linear_form,
 )
 from toricgenera.fgl import weight_series
 from toricgenera.quasitoric import (
@@ -92,11 +92,15 @@ def dataset(name):
 
 def _point_forms(point):
     """The primitive forms of a point's weights, w_j = s_j * form_j, in
-    order, their scales s_j and the content prod_j s_j."""
+    order, their scales s_j and the content prod_j s_j: the split of
+    ``canonical_linear_form`` without its checks, which a ``FixedPoint``
+    has made (its weights are non-zero int tuples)."""
     forms, scales, content = [], [], 1
     for w in point.weights:
-        form, s = canonical_linear_form(w)
-        forms.append(form)
+        s = gcd(*w)
+        if next(filter(None, w)) < 0:
+            s = -s
+        forms.append(tuple(x // s for x in w))
         scales.append(s)
         content *= s
     return forms, scales, content
@@ -106,8 +110,10 @@ def _linear_total(fpd, genus, order):
     """(S, D) of the linear localized sum in one pass: a weight s f takes
     each state, an int polynomial in u per partition mu of the degrees used
     so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
-    the base-B digits of one int.  When every Z_lam divides by D over the
-    integers, the ring step runs on the quotients and returns (S / D, {})."""
+    the base-B digits of one int, so (u_i)^t is the shift t B^i; only a
+    form that is not a coordinate runs ``compose_at_linear``.  When every
+    Z_lam divides by D over the integers, the ring step runs on the
+    quotients and returns (S / D, {})."""
     k, n = fpd.k, fpd.n
     top = order + n
     den_a, flat = _flatten(genus.at_order(top + 1).a_plus().terms, top)
@@ -123,15 +129,23 @@ def _linear_total(fpd, genus, order):
     def pack(e):
         return sum(x * d for x, d in zip(e, digits))
 
-    # (f, s) -> [(t, (s f . u)^t)], from the rows of sum_(t in T) x^t at f . u
-    ones, powers = MultiSeries(QQ, 1, T[-1], {(t,): 1 for t in T}), {}
+    # (f, s) -> [(t, (s f . u)^t)]: a coordinate form u_i shifts the
+    # exponent; any other f reads its rows off sum_(t in T) x^t at f . u,
+    # whose coefficients are ints, as f is
+    ones, powers = None, {}
     for _sign, prims, scales, _content in points:
         for f, s in zip(prims, scales):
             if (f, 1) not in powers:
-                table = powers[f, 1] = [(t, []) for t in T]
-                for e, d, p in _flatten(
-                        ones.compose_at_linear(f, k).terms, T[-1])[1]:
-                    table[T.index(d)][1].append((pack(e), p[0][1]))
+                if f.count(0) == k - 1:  # f is primitive: its entry is 1
+                    unit = digits[f.index(1)]
+                    powers[f, 1] = [(t, [(t * unit, 1)]) for t in T]
+                else:
+                    if ones is None:
+                        ones = MultiSeries(QQ, 1, T[-1], {(t,): 1 for t in T})
+                    table = {t: [] for t in T}
+                    for e, p in ones.compose_at_linear(f, k).terms.items():
+                        table[sum(e)].append((pack(e), p.terms[()].numerator))
+                    powers[f, 1] = list(table.items())
             if (f, s) not in powers:
                 powers[f, s] = [(t, [(e, c * s ** t) for e, c in rows])
                                 for t, rows in powers[f, 1]]

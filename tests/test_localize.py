@@ -4,11 +4,11 @@ import json
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricgenera import localize
@@ -228,8 +228,41 @@ def fixed_point_data(draw):
 @given(fpd=fixed_point_data(),
        genus_name=st.sampled_from(sorted(ORACLE_GENERA)),
        order=st.integers(0, 4))
+# coordinate forms u_3 and u_2 (scaled by 2), and u_1 + u_2 beside them
+@example(fpd=FixedPointData(2, 3, [
+    FixedPoint("x", 1, [(0, 0, 1), (0, 2, 0)]),
+    FixedPoint("y", -1, [(0, 0, -1), (1, 1, 0)])]),
+    genus_name="hurewicz", order=2)
+# a form whose one entry 1 sits beside other non-zero entries
+@example(fpd=FixedPointData(2, 3, [
+    FixedPoint("x", 1, [(1, 2, -2), (0, 1, 0)]),
+    FixedPoint("y", 1, [(-1, -2, 2), (0, 0, -1)])]),
+    genus_name="todd", order=2)
+# a_+ = 1, so T = [0], with a non-coordinate form
+@example(fpd=FixedPointData(2, 2, [
+    FixedPoint("x", 1, [(1, -1), (0, 1)]),
+    FixedPoint("y", -1, [(-1, 1), (1, 0)])]),
+    genus_name="augmentation", order=1)
 def test_linear_numerators_match_the_chain(fpd, genus_name, order):
-    _assert_matches_the_chain(fpd, ORACLE_GENERA[genus_name], order)
+    genus = {**ORACLE_GENERA, **MORE_GENERA}[genus_name]
+    _assert_matches_the_chain(fpd, genus, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_forms_match_canonical_linear_form(data):
+    # non-zero vectors with zeros anywhere and either sign of the leading
+    # entry, times contents up to 10^6
+    k = data.draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-5, 5), min_size=k, max_size=k).filter(any)
+    weight = st.builds(lambda v, s: tuple(s * x for x in v), vector,
+                       st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    weights = data.draw(st.lists(weight, min_size=1, max_size=4))
+    forms, scales, content = localize._point_forms(
+        FixedPoint("x", 1, weights))
+    assert list(zip(forms, scales)) == [canonical_linear_form(w)
+                                        for w in weights]
+    assert content == prod(scales)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -320,6 +353,11 @@ MUTANTS = {
     "|lam| < n check dropped": (localize._linear_total,
                                 "if poly:\n                break", "pass"),
     "remainder check dropped": (_divide_forms, "if r:", "if False:"),
+    "coordinate test loosened": (localize._linear_total,
+                                 "f.count(0) == k - 1", "f.count(1) == 1"),
+    "shift on the first variable": (localize._linear_total,
+                                    "digits[f.index(1)]", "digits[0]"),
+    "scale sign not normalized": (localize._point_forms, "s = -s", "pass"),
 }
 # (packed polynomial, packed forms, base, quotient): u1 by 2 u1 + u2 has
 # none, (2 u1 + u2)(u1 - u2) by both forms is 1
@@ -348,7 +386,9 @@ def _mutant_catches(function, old, new):
         genus = ORACLE_GENERA[genus_name]
         try:
             S, D = namespace["_linear_total"](fpd, genus, order)
-        except LookupError:  # a partition reached without its sub-partitions
+        # a partition reached without its sub-partitions, or a coordinate
+        # form left with entry -1
+        except (LookupError, ValueError):
             caught += 1
             continue
         ref_S, ref_D = _ref_linear_localized_sum(
