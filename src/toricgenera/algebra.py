@@ -16,7 +16,8 @@ kernel adds plain int products per (u-exponent, generator-exponent), and
 and exp (``invert_unit``, ``sqrt_unit``, ``exp``) by a degree recurrence
 in one such pass, and ``revert`` fills an int power table.
 ``MultiSeries.compose_at_linear`` writes each term c_d (w . u)^d straight
-into its u-monomials.
+into its u-monomials, and ``MultiSeries.substitute`` runs one such pass
+per variable over int power tables of the images.
 ``LocalizedSum.over_common_denominator`` multiplies each numerator by the
 int polynomial of its missing forms (``_expand_forms``) into one such
 accumulator (a linear localized sum arrives already cross-multiplied).
@@ -397,7 +398,6 @@ def _product(ring, k, order, factors, scale=1):
     series flattened by ``_flatten``, exact to ``order`` in one integer
     pass.  The first factor's rows, times the numerator of ``scale``, seed
     the accumulator; with no factors the product is the constant ``scale``."""
-    add = operator.add
     num, den = scale.numerator, scale.denominator
     seed = acc = None
     for den_f, rows in factors:
@@ -409,18 +409,25 @@ def _product(ring, k, order, factors, scale=1):
         if acc is not None:
             seed = [(e, sum(e), [(g, c) for g, c in p.items() if c])
                     for e, p in acc.items()]
-        acc = {}
-        for e1, d1, p1 in seed:
-            room = order - d1
-            for e2, d2, p2 in rows:
-                if d2 > room:
-                    break
-                _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
-                             p1, p2)
+        acc = _rows_product(seed, rows, order)
     if acc is None:  # fewer than two factors
         acc = ({e: dict(p) for e, _d, p in seed} if seed is not None
                else {(0,) * k: {(0,) * len(ring): num}})
     return _assemble(ring, k, order, acc, den)
+
+
+def _rows_product(seed, rows, order):
+    """The int product {u-exponent: {generator-exponent: int}}, to
+    ``order``, of two lists of flattened rows, ``rows`` sorted by degree."""
+    add = operator.add
+    acc = {}
+    for e1, d1, p1 in seed:
+        room = order - d1
+        for e2, d2, p2 in rows:
+            if d2 > room:
+                break
+            _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}), p1, p2)
+    return acc
 
 
 def _add_product(out, p1, p2, m=1):
@@ -695,7 +702,15 @@ class MultiSeries:
         return MultiSeries(self.ring, k, self.order, terms)
 
     def substitute(self, images):
-        """Compose: substitute images[i] (zero constant term) for u_i."""
+        """Compose: substitute images[i] (zero constant term) for u_i.
+
+        One integer pass per variable, over one denominator: a term
+        p u_i^t (rest) v^a becomes p [v^b] images[i]^t (rest) v^(a + b),
+        with images[i]^t an int power table over den_i^t, lifted to
+        den_i^top.  Every image starts in degree >= 1, so a term whose
+        v-degree plus its remaining u-degree passes ``order`` is dropped
+        at once.  ``_assemble`` runs once, at the end.
+        """
         if len(images) != self.k:
             raise ValueError("need %d images, got %d" % (self.k, len(images)))
         if not images:
@@ -707,24 +722,36 @@ class MultiSeries:
                 raise ValueError("image ring or variable-count mismatch")
             if not g.constant_term().is_zero():
                 raise ValueError("substitution image has nonzero constant term")
-        one = MultiSeries.constant(self.ring, k2, order, 1)
-        powers = [{0: one} for _ in range(self.k)]
-        out = MultiSeries.zero(self.ring, k2, order)
-        for e, p in sorted(self.terms.items(), key=lambda t: sum(t[0])):
-            if sum(e) > order:
-                continue
-            term = MultiSeries.constant(self.ring, k2, order, p)
-            for i, ei in enumerate(e):
-                if not ei:
-                    continue
-                cache = powers[i]
-                top = max(cache)
-                while top < ei:
-                    cache[top + 1] = cache[top] * images[i]
-                    top += 1
-                term = term * cache[ei]
-            out = out + term
-        return out
+        add, one = operator.add, (0,) * len(self.ring)
+        den, rows = _flatten(self.terms, order)
+        # (u-exponents still to substitute, v-exponent, its degree) -> terms
+        state = {(e, (0,) * k2, 0): p for e, _d, p in rows}
+        for image in images:
+            den_i, base = _flatten(image.terms, order)
+            top = max((e[0] for e, _a, _d in state), default=0)
+            powers = [[((0,) * k2, 0, [(one, 1)])]]  # images[i]^t, by degree
+            for _t in range(top):
+                powers.append(sorted(
+                    ((b, sum(b), nz) for b, out in
+                     _rows_product(powers[-1], base, order).items()
+                     if (nz := [(g, c) for g, c in out.items() if c])),
+                    key=operator.itemgetter(1)))
+            lift = [den_i ** (top - t) for t in range(top + 1)]
+            grown = {}
+            for (e, a, d), p in state.items():
+                t, rest = e[0], e[1:]
+                room = order - d - sum(rest)
+                for b, d2, q in powers[t]:
+                    if d2 > room:
+                        break
+                    _add_product(grown.setdefault(
+                        (rest, tuple(map(add, a, b)), d + d2), {}),
+                        p, q, lift[t])
+            state = {key: nz for key, out in grown.items()
+                     if (nz := [(g, c) for g, c in out.items() if c])}
+            den *= den_i ** top
+        return _assemble(self.ring, k2, order,
+                         {a: dict(p) for (_e, a, _d), p in state.items()}, den)
 
     def compose_at_linear(self, w, k, order=None):
         """Univariate series evaluated at the linear form w . u (k variables).
@@ -1007,8 +1034,13 @@ class LocalizedSum:
         """The honest power series represented by the sum, to ``order``.
 
         Raises NormalizeError (with the lowest non-cancelling net degree)
-        when the terms do not cancel to a power series.
+        when the terms do not cancel to a power series.  A lone term over
+        no forms, exact to ``order``, is that series and is returned as is.
         """
+        if len(self.terms) == 1:
+            num, den = self.terms[0]
+            if not any(den.values()) and num.order == self.order:
+                return num
         terms = {}
         for net, _comp, quotient in self._quotients():
             if quotient is None:

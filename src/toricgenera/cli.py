@@ -291,7 +291,7 @@ def _check(rigidity):
             first = None if ok else cf.first_violation()
             job.emit("pass" if ok else "fail at cf_%d" % first)
         payload = {"cf": values, "pass": ok, "first_violation": first}
-        if cf.conner_floyd_ok():
+        if job.format == "json" and cf.conner_floyd_ok():  # text omits it
             payload["genus_value"] = str(cf.genus_value())
         return _finish(job, payload, EXIT_PASS if ok else EXIT_VIOLATION)
     return handler

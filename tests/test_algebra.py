@@ -20,8 +20,8 @@ from toricgenera.algebra import (
     canonical_linear_form,
     make_ring,
 )
-from toricgenera.fgl import _KRING, catalog
-from toricgenera.localize import dataset, localized_sum
+from toricgenera.fgl import CATALOG_NAMES, _KRING, catalog
+from toricgenera.localize import dataset, localized_sum, phi
 from toricgenera.quasitoric import (
     FixedPointData,
     signs_and_weights,
@@ -171,6 +171,11 @@ def test_substitute_examples():
 
     with pytest.raises(ValueError):
         s.substitute([const(QQ, 2, 6, 1)])
+
+    # u1 u2 at (v1 + v2^3, v1): v2^3 cannot fit beside u2's image, v1 can
+    v1, v2 = var(QQ, 2, 3, 0), var(QQ, 2, 3, 1)
+    out = (v1 * v2).substitute([v1 + v2 ** 3, v1])
+    assert out == v1 * v1
 
 
 def test_revert_examples():
@@ -1305,3 +1310,165 @@ def test_render_matches_the_per_class_renderers(data):
         "negative-unit-poly", "negative-unit-series", "fraction-product"])
 def test_render_pins(value, text):
     assert str(value) == text == _ref_str(value)
+
+
+# ---------------------------------------------------------------------------
+# substitution: the one integer pass against the term-at-a-time loop it
+# replaced
+# ---------------------------------------------------------------------------
+
+def _ref_substitute(s, images):
+    # every term p u^e is p times its product of cached image powers, added
+    # into a growing sum
+    if not images:
+        return s
+    k2 = images[0].k
+    order = min([s.order] + [g.order for g in images])
+    one = MultiSeries.constant(s.ring, k2, order, 1)
+    powers = [{0: one} for _ in range(s.k)]
+    out = MultiSeries.zero(s.ring, k2, order)
+    for e, p in sorted(s.terms.items(), key=lambda t: sum(t[0])):
+        if sum(e) > order:
+            continue
+        term = MultiSeries.constant(s.ring, k2, order, p)
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            cache = powers[i]
+            top = max(cache)
+            while top < ei:
+                cache[top + 1] = cache[top] * images[i]
+                top += 1
+            term = term * cache[ei]
+        out = out + term
+    return out
+
+
+def _ref_normalize(ls):
+    # normalize without its shortcut for a lone term over no forms
+    terms = {}
+    for net, _comp, quotient in ls._quotients():
+        if quotient is None:
+            raise NormalizeError(net)
+        terms.update(quotient.terms)
+    return MultiSeries(ls.ring, ls.k, ls.order, terms)
+
+
+def _draw_series(data, ring, k, exps, order):
+    terms = data.draw(st.dictionaries(exps, _polys(ring), max_size=5))
+    return MultiSeries(ring, k, order, terms)
+
+
+def _draw_image(data, ring, k2, order, var=None):
+    """A series with zero constant term, in u_var alone when var is given,
+    exact to about ``order``: sometimes less, so that it sets the order."""
+    order = data.draw(st.integers(max(order - 1, 0), order + 2))
+    if var is None:
+        exps = st.tuples(*[st.integers(0, max(order, 1))] * k2).filter(any)
+    else:
+        exps = st.integers(1, max(order, 1)).map(
+            lambda d: tuple(d if j == var else 0 for j in range(k2)))
+    return _draw_series(data, ring, k2, exps, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_term_at_a_time_reference(data):
+    ring = data.draw(_RINGS)
+    # phi's images (m(u_i) for u_i), weight_series' (one multivariate image
+    # of a univariate series) and general ones
+    shape = data.draw(st.sampled_from(["per-variable", "univariate",
+                                       "general"]))
+    k = 1 if shape == "univariate" else data.draw(st.integers(1, 3))
+    k2 = k if shape == "per-variable" else data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 5))
+    s = _draw_series(data, ring, k, st.tuples(*[st.integers(0, order)] * k),
+                     order)
+    images = [_draw_image(data, ring, k2, order,
+                          i if shape == "per-variable" else None)
+              for i in range(k)]
+    got, want = s.substitute(images), _ref_substitute(s, images)
+    _assert_same(got, want)
+    assert str(got) == str(want)
+
+
+def test_substitute_keeps_its_checks_and_the_empty_case():
+    s = var(QQ, 2, 3, 0)
+    with pytest.raises(ValueError, match="need 2 images"):
+        s.substitute([var(QQ, 2, 3, 0)])
+    with pytest.raises(ValueError, match="mismatch"):
+        s.substitute([var(QQ, 2, 3, 0), var(QQ, 1, 3, 0)])
+    with pytest.raises(ValueError, match="mismatch"):
+        s.substitute([var(QQ, 2, 3, 0), var(ZRING, 2, 3, 0)])
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        s.substitute([var(QQ, 2, 3, 0), const(QQ, 2, 3, 1)])
+    c = const(QQ, 0, 2, F(1, 2))
+    assert c.substitute([]) is c
+    # zero images leave the constant term, at the images' order
+    s = const(QQ, 2, 4, 3) + var(QQ, 2, 4, 1)
+    zero = MultiSeries.zero(QQ, 3, 2)
+    _assert_same(s.substitute([zero, zero]), const(QQ, 3, 2, 3))
+
+
+_PHI_DATA = {
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+    "cp2": signs_and_weights(simplex_pair(2, (-1, -1))),
+    "cp3": signs_and_weights(simplex_pair(3, (-1, -1, -1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PHI_DATA))
+def test_universal_phi_matches_the_reference_pipeline(name):
+    # phi's universal mode as it was: normalize through the quotients, then
+    # substitute term at a time, on the genus the command line builds
+    fpd = _PHI_DATA[name]
+    for genus in CATALOG_NAMES:
+        for order in range(5):
+            spec = catalog(genus, max(order, 1) + fpd.n - 1,
+                           generators=max(order, 1))
+            linear = _ref_normalize(localized_sum(fpd, spec, "linear", order))
+            m = spec.at_order(max(order, 1)).logarithm.truncate(order)
+            images = [m.embed(fpd.k, [i]) for i in range(fpd.k)]
+            want = _ref_substitute(linear, images)
+            got = phi(fpd, spec, "universal", order)
+            assert (got.order, str(got)) == (want.order, str(want)), \
+                (genus, order)
+
+
+@pytest.mark.parametrize("name", ["s6", "flag3", "cp2"])
+def test_normalize_returns_a_lone_undivided_term_as_it_is(name):
+    fpd = _PHI_DATA[name]
+    for genus, order in (("todd", 0), ("hurewicz", 2), ("krichever", 3)):
+        ls = localized_sum(fpd, catalog(genus, order + fpd.n), "linear",
+                           order)
+        (num, den), = ls.terms
+        assert den == {} and num.order == order
+        assert ls.normalize() is num
+        _assert_same(num, _ref_normalize(ls))
+
+
+def test_normalize_truncates_a_lone_term_exact_beyond_its_order():
+    u1 = var(QQ, 2, 5, 0)
+    s = u1 + u1 ** 4
+    ls = LocalizedSum(QQ, 2, 3, [(s, {})])
+    _assert_same(ls.normalize(), u1.truncate(3))
+
+
+@pytest.mark.parametrize("name", ["s6", "flag3", "cp2"])
+def test_normalize_fails_every_one_sign_flip_at_net_degree_minus_n(name):
+    # a flipped sign leaves the augmentation part, sum_x sign(x) / e_x, at
+    # net degree -n uncancelled, whatever the genus; the net degrees were
+    # read off the term-at-a-time pipeline
+    fpd = _PHI_DATA[name]
+    for genus in ("todd", "hurewicz", "krichever"):
+        for order in (0, 2):
+            spec = catalog(genus, max(order, 1) + fpd.n - 1)
+            for i in range(len(fpd.points)):
+                ls = localized_sum(fpd.flip_one(i), spec, "linear", order)
+                with pytest.raises(NormalizeError) as err:
+                    ls.normalize()
+                assert err.value.net_degree == -fpd.n
+                with pytest.raises(NormalizeError) as ref:
+                    _ref_normalize(ls)
+                assert ref.value.net_degree == -fpd.n

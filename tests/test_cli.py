@@ -22,7 +22,7 @@ from toricgenera.cli import (
     run,
 )
 from toricgenera.fgl import CATALOG_NAMES, GenusSpec
-from toricgenera.localize import CfEntry, dataset
+from toricgenera.localize import CfEntry, CfSeries, dataset
 from toricgenera.quasitoric import (
     FixedPointData,
     QuasitoricPair,
@@ -579,6 +579,24 @@ def test_check_renders_each_cf_entry_once(monkeypatch, command, kw, fmt):
     assert code == EXIT_PASS
     # flag3 and s6 have n = 3, so cf_0 .. cf_(3 + order)
     assert sorted(calls) == list(range(3 + kw["order"] + 1))
+
+
+@pytest.mark.parametrize("command", ["check-cf", "check-rigidity"])
+def test_check_renders_the_genus_value_only_for_json(monkeypatch, command):
+    calls = []
+    genus_value = CfSeries.genus_value
+
+    def counting_genus_value(cf):
+        calls.append(cf.n)
+        return genus_value(cf)
+
+    monkeypatch.setattr(CfSeries, "genus_value", counting_genus_value)
+    kw = dict(input="builtin:s6", genus="krichever", order=2)
+    code, _lines = _run(command, **kw)
+    assert code == EXIT_PASS and calls == []
+    code, lines = _run(command, format="json", **kw)
+    assert code == EXIT_PASS and calls == [3]
+    assert json.loads(lines[0])["genus_value"] == "p3"
 
 
 def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):

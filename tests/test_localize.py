@@ -25,7 +25,9 @@ from toricgenera.cli import main
 from toricgenera.fgl import (
     CATALOG_NAMES,
     GenusSpec,
+    _KRING,
     catalog,
+    krichever_exponential,
     m_series,
     projective_space_value,
     weight_series,
@@ -41,6 +43,7 @@ from toricgenera.localize import (
     p_omega,
     pairing_obstruction,
     phi,
+    special_vanishing,
     special_vanishing_check,
 )
 from toricgenera.quasitoric import (
@@ -52,6 +55,7 @@ from toricgenera.quasitoric import (
     restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
+    special_check,
     square_pair,
 )
 
@@ -951,6 +955,47 @@ def test_special_vanishing_precondition():
     kv = catalog("krichever", 3)
     with pytest.raises(ValueError):
         special_vanishing_check(simplex_pair(2, (-1, -1)), 3, kv)
+
+
+def _special_simplices(n):
+    return [eps for eps in itertools.product((1, -1), repeat=n)
+            if special_check(simplex_pair(n, eps).lam)]
+
+
+@pytest.mark.parametrize("n, order, count", [(3, 3, 3), (5, 2, 10)])
+def test_krichever_vanishes_rigidly_on_special_projective_spaces(n, order,
+                                                                 count):
+    # the paper's SU theorem: Krichever's genus is rigid on SU-manifolds,
+    # and the specially omnioriented CP^n are SU examples (CP^7's 35 wait
+    # for a localization that does not build the common denominator)
+    special = _special_simplices(n)
+    assert len(special) == count
+    kv = catalog("krichever", order + n - 1)
+    for eps in special:
+        report = special_vanishing(signs_and_weights(simplex_pair(n, eps)),
+                                   order, kv)
+        assert report.kv_value.is_zero() and report.kv_rigid, eps
+
+
+def _nudged_krichever(M):
+    """The Krichever exponential with a^2 added to its x^3 coefficient."""
+    return krichever_exponential(M).exponential + MultiSeries(
+        _KRING, 1, M, {(3,): Poly.gen(_KRING, "a", 2)})
+
+
+def test_special_vanishing_fails_for_a_nudged_krichever_exponential():
+    # the check can fail: one changed coefficient keeps the three special
+    # CP^3 at order 1 and loses their rigidity at order 2
+    nudged = GenusSpec("nudged", _nudged_krichever(4), _nudged_krichever)
+    special = _special_simplices(3)
+    assert len(special) == 3
+    for order, rigid in ((1, True), (2, False)):
+        for eps in special:
+            report = special_vanishing(
+                signs_and_weights(simplex_pair(3, eps)), order, nudged)
+            assert report.kv_value.is_zero()
+            assert (report.kv_rigid, report.ok) == (rigid, rigid), \
+                (order, eps)
 
 
 # ---------------------------------------------------------------------------
