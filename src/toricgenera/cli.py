@@ -20,7 +20,6 @@ from toricgenera.fgl import CATALOG_NAMES, catalog
 from toricgenera.localize import (
     ConnerFloydViolation,
     cf_series,
-    circle_genus_value,
     dataset,
     genus_value,
     pairing_obstruction,
@@ -30,7 +29,6 @@ from toricgenera.localize import (
 from toricgenera.quasitoric import (
     FixedPointData,
     InvalidPairError,
-    QuasitoricPair,
     fpd_to_json_obj,
     load_manifold,
     signs_and_weights,
@@ -264,23 +262,25 @@ def _phi(job, manifold, fpd):
 
 
 def _genus(job, manifold, fpd):
-    # a pair satisfies the Conner-Floyd relations, so one generic circle
-    # gives its genus exactly; raw data keeps the torus check
-    value_of = circle_genus_value if isinstance(manifold, QuasitoricPair) \
-        else genus_value
+    # a pair's fixed points are certified, and evaluate at one generic
+    # direction; raw data keeps the torus check
     return _value(job, "genus_value", "genus_value: ",
-                  value_of(fpd, _build_genus(job, least=fpd.n - 1)))
+                  genus_value(fpd, _build_genus(job, least=fpd.n - 1)))
 
 
 def _check(rigidity):
     """The check-cf (rigidity False) or check-rigidity handler."""
     def handler(job, manifold, fpd):
+        # a check never trusts the certificate: an uncertified copy keeps
+        # the torus pass, which decides the relations itself
+        fpd = FixedPointData(fpd.n, fpd.k, fpd.points)
         cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
-        # each entry is rendered once, for the text lines and the payload
-        values = [{"l": e.l, "value": e.value_str()} for e in cf]
+        # each entry is rendered at most once: text check-rigidity prints
+        # l >= n only, and the JSON payload keeps every entry
+        values = [{"l": e.l, "value": e.value_str()} for e in cf
+                  if job.format == "json" or not rigidity or e.l >= cf.n]
         for v in values:
-            if not rigidity or v["l"] >= cf.n:
-                job.emit("cf_%d = %s" % (v["l"], v["value"]))
+            job.emit("cf_%d = %s" % (v["l"], v["value"]))
         if rigidity:
             ok = cf.rigid()
             first = None if ok else next(

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from toricgenera.algebra import (
     LocalizedSum,
@@ -35,7 +36,6 @@ from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
     generic_direction,
-    restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
     special_check,
@@ -113,12 +113,19 @@ def _linear_total(fpd, genus, order):
     the base-B digits of one int, so (u_i)^t is the shift t B^i; only a
     form that is not a coordinate runs ``compose_at_linear``.  When every
     Z_lam divides by D over the integers, the ring step runs on the
-    quotients and returns (S / D, {})."""
+    quotients and returns (S / D, {}).  Certified data at order 0 skip D:
+    their sums come from ``_evaluated_sums``, unless it finds a pole."""
     k, n = fpd.k, fpd.n
     top = order + n
     den_a, flat = _flatten(genus.at_order(top + 1).a_plus().terms, top)
     coeff = {d: p for _e, d, p in flat}  # a_t = coeff[t] / den_a
     T = sorted(coeff)
+    evaluated = fpd.certified and not order and _evaluated_sums(fpd, T)
+    if evaluated:
+        L, nums = evaluated
+        return _assemble(genus.ring, k, 0,
+                         _ring_sums(genus, coeff, den_a, n, nums),
+                         den_a ** n * L), {}
     points = [(point.sign,) + _point_forms(point) for point in fpd.points]
     D = Counter()
     for _sign, prims, _scales, _content in points:
@@ -188,23 +195,73 @@ def _linear_total(fpd, genus, order):
         D = Counter()
     if D:  # S over D: its Fraction division decides for this genus
         nums = Z
-    # a_lam over den_a^n from a_(lam minus its last part), which is in Z
-    # too (t = 0 is in T); lam has at most n parts, so den_a divides exactly
-    ring_of = {(): [((0,) * len(genus.ring), den_a ** n)]}
-    acc = {}
-    for lam in sorted(Z, key=len):
-        if lam:
-            out = {}
-            _add_product(out, ring_of[lam[:-1]], coeff[lam[-1]])
-            ring_of[lam] = [(g, c // den_a) for g, c in out.items() if c]
-        for e, c in nums.get(lam, {}).items():
-            if c:
-                out = acc.setdefault(e, {})
-                for g, a in ring_of[lam]:
-                    out[g] = out.get(g, 0) + a * c
+    acc = _ring_sums(genus, coeff, den_a, n, nums)
     acc = {tuple(e // d % B for d in digits): p for e, p in acc.items()}
     return _assemble(genus.ring, k, order + sum(D.values()), acc,
                      den_a ** n * L), dict(D)
+
+
+def _evaluated_sums(fpd, T):
+    """(L, {lam: {(0,) * k: L q_lam}}) for |lam| = n, the genus-free sums
+    of certified data at order 0, by evaluation at one generic direction
+    nu: q_lam = sum_x sign(x) m_lam(c(x)) / E_x with c_j = w_j . nu and
+    E_x = prod_j c_j, over L = lcm_x |E_x|.  The sum being a power series,
+    q_lam is a homogeneous polynomial of degree |lam| - n (Atiyah-Bott), a
+    constant here, which every generic direction sees unchanged.  The walk
+    is ``_linear_total``'s on plain ints, with rows c_j^t for t in T.
+
+    A q_lam with |lam| < n must then vanish.  Validation does not compare
+    a pair's orientations or vertex list with its polytope, so a non-zero
+    one is a pole, as on the generic circle: None, and the torus pass
+    reports it."""
+    n = fpd.n
+    nu = generic_direction(fpd)
+    points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
+              for point in fpd.points]
+    L = lcm(*(prod(c) for _sign, c in points))
+    Z = Counter()
+    for sign, c in points:
+        states = {(): sign * L // prod(c)}
+        for cj in c:
+            rows = [(t, cj ** t) for t in T]
+            grown = {}
+            for mu, v in states.items():
+                room = n - sum(mu)
+                for t, p in rows:
+                    if t > room:
+                        break
+                    lam = tuple(sorted(mu + (t,))) if t else mu
+                    grown[lam] = grown.get(lam, 0) + v * p
+            states = grown
+        Z.update(states)
+    if any(v for lam, v in Z.items() if sum(lam) < n):
+        return None
+    zero = (0,) * fpd.k
+    return L, {lam: {zero: v} for lam, v in Z.items() if sum(lam) == n}
+
+
+def _ring_sums(genus, coeff, den_a, n, nums):
+    """{u-exponent: {generator-exponent: int}}, the sum over lam of
+    den_a^n a_lam nums[lam]: a_lam over den_a^n is built from
+    a_(lam minus its last part), and lam has at most n parts, so den_a
+    divides exactly."""
+    ring_of = {(): [((0,) * len(genus.ring), den_a ** n)]}
+
+    def ring(lam):
+        if lam not in ring_of:
+            out = {}
+            _add_product(out, ring(lam[:-1]), coeff[lam[-1]])
+            ring_of[lam] = [(g, c // den_a) for g, c in out.items() if c]
+        return ring_of[lam]
+
+    acc = {}
+    for lam, poly in nums.items():
+        for e, c in poly.items():
+            if c:
+                out = acc.setdefault(e, {})
+                for g, a in ring(lam):
+                    out[g] = out.get(g, 0) + a * c
+    return acc
 
 
 def localized_sum(fpd, genus, mode, order):
@@ -410,17 +467,8 @@ def genus_value(fpd, genus):
     return cf_series(fpd, genus, 0).genus_value()
 
 
-def circle_genus_value(fpd, genus):
-    """genus_value on the generic circle of ``fpd``.
-
-    Exact only when the Conner-Floyd relations are known to hold, as for
-    the fixed points of a validated quasitoric pair: cf_n is then a
-    constant, which every generic circle sees unchanged.  Data without a
-    torus (k = 0) is evaluated as it is.
-    """
-    if fpd.k:
-        fpd = restrict_to_subcircle(fpd, generic_direction(fpd))
-    return genus_value(fpd, genus)
+# genus_value evaluates certified data at one generic direction already
+circle_genus_value = genus_value
 
 
 class SpecialVanishingReport:
@@ -455,7 +503,7 @@ def special_vanishing(fpd, order, krichever_genus, hurewicz_genus=None):
     kv_value = cf.genus_value()
     hr_value = None
     if fpd.n < 5 and hurewicz_genus is not None:
-        hr_value = circle_genus_value(fpd, hurewicz_genus)
+        hr_value = genus_value(fpd, hurewicz_genus)
     return SpecialVanishingReport(fpd.n, kv_value, cf.rigid(), hr_value)
 
 

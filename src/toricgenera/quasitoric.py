@@ -262,12 +262,22 @@ class FixedPoint:
 
 
 class FixedPointData:
-    """Signs and integer weight vectors of isolated fixed points."""
+    """Signs and integer weight vectors of isolated fixed points.
+
+    ``certified`` is True only for data whose localized sum should be a
+    power series: ``signs_and_weights`` of a validated pair sets it, and
+    ``flipped`` keeps it (negating every sign negates the series).  No
+    other constructor, subset, restriction or input format carries it.
+    Validation does not compare a pair's signs or vertex list with its
+    polytope, so the evaluation that trusts the mark still looks for a
+    pole.
+    """
 
     def __init__(self, n, k, points):
         self.n = n
         self.k = k
         self.points = list(points)
+        self.certified = False
         for pt in self.points:
             if len(pt.weights) != n:
                 raise ValueError("point %r needs %d weight vectors" % (pt.label, n))
@@ -275,8 +285,10 @@ class FixedPointData:
                 raise ValueError("weight length mismatch at %r" % (pt.label,))
 
     def flipped(self):
-        return FixedPointData(self.n, self.k, [
+        out = FixedPointData(self.n, self.k, [
             FixedPoint(p.label, -p.sign, p.weights) for p in self.points])
+        out.certified = self.certified
+        return out
 
     def flip_one(self, index):
         pts = [FixedPoint(p.label, -p.sign if i == index else p.sign, p.weights)
@@ -384,7 +396,9 @@ def signs_and_weights(pair):
         label = "x" + ",".join(str(i) for i in v)
         points.append(FixedPoint._trusted(
             label, 1 if det * det_n > 0 else -1, weights))
-    return FixedPointData(P.n, P.n, points)
+    fpd = FixedPointData(P.n, P.n, points)
+    fpd.certified = True  # a valid pair meets the Conner-Floyd relations
+    return fpd
 
 
 def special_check(lam):

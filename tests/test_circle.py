@@ -1,8 +1,9 @@
 """The generic-circle route for genus values of quasitoric pairs.
 
-The torus computation is the oracle: for a pair the Conner-Floyd relations
-hold, so cf_n is a constant and every generic circle must see the same
-value, string for string.
+The torus computation on an uncertified copy of a pair's fixed points is
+the oracle: for a pair the Conner-Floyd relations hold, so cf_n is a
+constant and every generic circle must see the same value, string for
+string.
 """
 
 import functools
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from toricgenera import cli
+from toricgenera import cli, localize
 from toricgenera.fgl import (
     catalog,
     fgl_from_exponential,
@@ -79,7 +80,9 @@ def _fpd(pair_name):
 
 @functools.cache
 def _torus_value(pair_name, genus_name):
-    return str(genus_value(_fpd(pair_name), _genus(genus_name)))
+    fpd = _fpd(pair_name)
+    torus = FixedPointData(fpd.n, fpd.k, fpd.points)  # not certified
+    return str(genus_value(torus, _genus(genus_name)))
 
 
 def _pairs_to_zero(fpd, nu):
@@ -151,20 +154,35 @@ def test_cli_genus_equals_check_cf_certificate(pair_inputs, case, flip):
 
 def test_cli_routes_pairs_to_the_circle_and_raw_data_to_the_torus(
         monkeypatch):
+    # genus on a pair evaluates its certified fixed points at one generic
+    # direction; raw data, and the checks on a pair, run the torus pass
     def refuse(*_args):
         raise AssertionError("wrong route")
 
-    monkeypatch.setattr(cli, "genus_value", refuse)
+    monkeypatch.setattr(localize, "_expand_forms", refuse)
+    monkeypatch.setattr(localize, "_divide_forms", refuse)
     code, lines = _cli(dict(command="genus", input="builtin:cp3",
                             genus="todd"))
     assert (code, lines) == (cli.EXIT_PASS, ["genus_value: -z^3"])
     monkeypatch.undo()
 
-    monkeypatch.setattr(cli, "circle_genus_value", refuse)
+    monkeypatch.setattr(localize, "_evaluated_sums", refuse)
     code, lines = _cli(dict(command="genus", input="builtin:s6",
                             genus="hurewicz", order=3))
     assert (code, lines) == (cli.EXIT_PASS,
                              ["genus_value: -2*b1^3 + 6*b1*b2 - 6*b3"])
+    code, lines = _cli(dict(command="check-cf", input="builtin:cp3",
+                            genus="todd", order=0))
+    assert (code, lines) == (cli.EXIT_PASS, [
+        "cf_0 = 0", "cf_1 = 0", "cf_2 = 0", "cf_3 = -z^3", "pass"])
+    code, lines = _cli(dict(command="check-rigidity", input="builtin:cp3",
+                            genus="t2", order=2))
+    assert (code, lines) == (cli.EXIT_PASS, [
+        "cf_3 = -y^3 - y^2*z - y*z^2 - z^3", "cf_4 = 0", "cf_5 = 0",
+        "rigid"])
+    code, lines = _cli(dict(command="check-rigidity", input="builtin:cp3",
+                            genus="todd", order=0))
+    assert (code, lines) == (cli.EXIT_PASS, ["cf_3 = -z^3", "rigid"])
 
 
 # ---------------------------------------------------------------------------

@@ -567,6 +567,17 @@ def test_deterministic_output():
     ("check-rigidity", dict(input="builtin:s6", genus="krichever", order=3)),
 ], ids=["check-cf", "check-rigidity"])
 def test_check_renders_each_cf_entry_once(monkeypatch, command, kw, fmt):
+    calls = _count_value_str(monkeypatch)
+    code, _lines = _run(command, format=fmt, **kw)
+    assert code == EXIT_PASS
+    # flag3 and s6 have n = 3, so cf_0 .. cf_(3 + order); text
+    # check-rigidity prints, and so renders, only cf_3 and above
+    low = 3 if (command, fmt) == ("check-rigidity", "text") else 0
+    assert sorted(calls) == list(range(low, 3 + kw["order"] + 1))
+
+
+def _count_value_str(monkeypatch):
+    """The l of every ``CfEntry.value_str`` call, as a list that fills."""
     calls = []
     value_str = CfEntry.value_str
 
@@ -575,10 +586,36 @@ def test_check_renders_each_cf_entry_once(monkeypatch, command, kw, fmt):
         return value_str(entry)
 
     monkeypatch.setattr(CfEntry, "value_str", counting_value_str)
-    code, _lines = _run(command, format=fmt, **kw)
-    assert code == EXIT_PASS
-    # flag3 and s6 have n = 3, so cf_0 .. cf_(3 + order)
-    assert sorted(calls) == list(range(3 + kw["order"] + 1))
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_text_check_rigidity_skips_the_violations_it_does_not_print(
+        monkeypatch, tmp_path, fmt):
+    # one flipped sign of CP^2: cf_0 and cf_1 are violations over D
+    path = tmp_path / "cp2-flip1.json"
+    path.write_text(json.dumps(fpd_to_json_obj(
+        signs_and_weights(simplex_pair(2, (-1, -1))).flip_one(1))))
+    calls = _count_value_str(monkeypatch)
+    code, lines = _run("check-rigidity", input=str(path), genus="todd",
+                       order=2, format=fmt)
+    assert code == EXIT_VIOLATION
+    if fmt == "text":
+        assert sorted(calls) == [2, 3, 4]
+        forms = " / [(u2) (u1 - u2) (u1)]"
+        assert lines == [
+            "cf_2 = ((1/6)*z^2*u1^2*u2 - (1/6)*z^2*u1*u2^2 - (1/6)*z^2*u2^3)"
+            + forms,
+            "cf_3 = -(1/6)*z^3*u1 + (1/12)*z^3*u2",
+            "cf_4 = (-(1/120)*z^4*u1^4*u2 + (1/60)*z^4*u1^3*u2^2"
+            " + (1/360)*z^4*u1^2*u2^3 - (1/90)*z^4*u1*u2^4"
+            " + (1/360)*z^4*u2^5)" + forms,
+            "not rigid (cf_0 != 0)"]
+    else:
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+        cf = json.loads(lines[0])["cf"]
+        assert [v["l"] for v in cf] == [0, 1, 2, 3, 4]
+        assert " / [" in cf[0]["value"]
 
 
 @pytest.mark.parametrize("command", ["check-cf", "check-rigidity"])

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import json
@@ -21,7 +22,7 @@ from toricgenera.algebra import (
     _divide_forms,
     canonical_linear_form,
 )
-from toricgenera.cli import main
+from toricgenera.cli import build_parser, main
 from toricgenera.fgl import (
     CATALOG_NAMES,
     GenusSpec,
@@ -50,7 +51,9 @@ from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
     fpd_to_json_obj,
+    from_json_obj,
     generic_direction,
+    load_manifold,
     product_pair,
     restrict_to_subcircle,
     signs_and_weights,
@@ -344,13 +347,34 @@ TODD_ONLY = FixedPointData(3, 1, [
     FixedPoint("z", -1, [(-1,), (1,), (-2,)])])
 
 
+# pairs that pass validation, so their fixed points are certified, though
+# their sums have poles: validation does not compare vertex orientations
+# with the polytope (CP^2 with one sign flipped against [1, 1, -1]), nor
+# ask for every vertex (CP^1 listing vertex [1] alone)
+TAMPERED_PAIRS = {
+    "cp2 with orientations 1,1,1": {
+        "type": "quasitoric", "lambda": [[1, 0, -1], [0, 1, -1]],
+        "polytope": {"n": 2, "m": 3, "vertices": [[1, 2], [2, 3], [1, 3]],
+                     "normals": None, "orientations": [1, 1, 1]}},
+    "cp1 with one vertex": {
+        "type": "quasitoric", "lambda": [[1, -1]],
+        "polytope": {"n": 1, "m": 2, "vertices": [[1]],
+                     "normals": [["1", "-1"]]}},
+}
+
+
 # each mutant of the pass or of its integer division, as (function,
 # original text, replacement), must be caught
 MUTANTS = {
     "s^t dilation dropped": (localize._linear_total,
                              "(e, c * s ** t)", "(e, c)"),
-    "den_a padding not divided": (localize._linear_total,
-                                  "c // den_a", "c"),
+    "den_a padding not divided": (localize._ring_sums, "c // den_a", "c"),
+    "evaluated sign dropped": (localize._evaluated_sums,
+                               "sign * L // prod(c)", "L // prod(c)"),
+    "evaluated powers dropped": (localize._evaluated_sums,
+                                 "cj ** t", "cj"),
+    "evaluated pole check dropped": (localize._evaluated_sums,
+                                     "return None", "pass"),
     "t = 0 skipped": (localize._linear_total,
                       "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
@@ -383,6 +407,12 @@ def _mutant_catches(function, old, new):
     cases = [(LINEAR_EDGE_CASES["negative contents"], "todd", 2),
              (LINEAR_EDGE_CASES["repeated form"], "hurewicz", 1),
              (LINEAR_DATA["cp2"], "todd", 1),
+             # certified, with signs of both kinds
+             (signs_and_weights(simplex_pair(3, (1, 1, 1))), "hurewicz", 0),
+             # certified, with a pole
+             (signs_and_weights(from_json_obj(
+                 TAMPERED_PAIRS["cp2 with orientations 1,1,1"])),
+              "hurewicz", 0),
              (LINEAR_DATA["cp2:eps=+-/flip1"], "hurewicz", 1),
              (TODD_ONLY, "hurewicz", 1)]
     caught = 0
@@ -400,6 +430,10 @@ def _mutant_catches(function, old, new):
         caught += not _same_total(S, D, ref_S, ref_D)
     for poly, forms, base, quotient in DIVISIONS:
         caught += namespace["_divide_forms"](poly, forms, base) != quotient
+    # certified data without a pole must not fall through to the torus
+    # pass, where a wrong evaluation would go unseen
+    caught += namespace["_evaluated_sums"](
+        signs_and_weights(simplex_pair(3, (1, 1, 1))), [0, 1, 2, 3]) is None
     return caught
 
 
@@ -489,6 +523,222 @@ def test_validated_pairs_divide_ahead_and_a_flipped_sign_does_not():
     ls = localized_sum(flipped, hurewicz, "linear", 2)
     assert ls.common_denominator() == {(0, 1): 1, (1, 0): 1, (1, -1): 1}
     _assert_same_total(ls, _ref_linear_localized_sum(flipped, hurewicz, 2))
+
+
+# ---------------------------------------------------------------------------
+# certified data at order 0: one evaluation at a generic direction
+# ---------------------------------------------------------------------------
+
+def _uncertified(fpd):
+    return FixedPointData(fpd.n, fpd.k, fpd.points)
+
+
+def _refuse(*_args):
+    raise AssertionError("wrong route")
+
+
+def _certified_pairs():
+    """CP^1 .. CP^5 with every eps, every valid square member with delta
+    in {-1, 0, 1}, the bench's products and the 0-dimensional point."""
+    pairs = {p.name: p for p in _validated_pairs()}
+    pairs.update((p.name, p) for n in (5,)
+                 for p in (simplex_pair(n, eps) for eps in
+                           itertools.product((1, -1), repeat=n)))
+    cp1 = simplex_pair(1, (-1,))
+    cp1x3 = product_pair(product_pair(cp1, cp1), cp1, "cp1x3")
+    pairs["cp1x4"] = product_pair(cp1x3, cp1, "cp1x4")
+    pairs["point"] = from_json_obj({
+        "type": "quasitoric", "lambda": [],
+        "polytope": {"n": 0, "m": 0, "vertices": [[]], "normals": []}})
+    return pairs
+
+
+CERTIFIED_PAIRS = _certified_pairs()
+
+
+@functools.cache
+def _catalog_genus(name, n):
+    # the hurewicz ring has max(n, 1) generators, enough for cf_n
+    return catalog(name, max(n, 1))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_PAIRS))
+def test_certified_genus_value_and_phi_equal_the_torus(name):
+    fpd = signs_and_weights(CERTIFIED_PAIRS[name])
+    torus = _uncertified(fpd)
+    assert fpd.certified and not torus.certified
+    for genus_name in CATALOG_NAMES:
+        genus = _catalog_genus(genus_name, fpd.n)
+        expected = [str(genus_value(torus, genus))] + [
+            str(phi(torus, genus, mode, 0)) for mode in ("linear",
+                                                          "universal")]
+        with mock.patch.object(localize, "_expand_forms", _refuse):
+            got = [str(genus_value(fpd, genus))] + [
+                str(phi(fpd, genus, mode, 0)) for mode in ("linear",
+                                                            "universal")]
+        assert got == expected, genus_name
+
+
+def test_certified_pairs_cover_the_bench_inputs():
+    # CP^1 .. CP^5, the squares, (CP^1)^2 .. (CP^1)^4, CP^2 x CP^1,
+    # CP^2 x CP^2 and the point
+    assert len(CERTIFIED_PAIRS) == 62 + 20 + 5 + 1
+    for name in ("cp1:eps=- x cp1:eps=- x cp1:eps=-", "cp1x4",
+                 "cp2:eps=-- x cp1:eps=-", "cp2:eps=-- x cp2:eps=--",
+                 "point"):
+        assert name in CERTIFIED_PAIRS
+
+
+@pytest.mark.parametrize("name", ["cp1:eps=-", "cp2:eps=+-", "cp3:eps=---",
+                                  "cp4:eps=+-+-", "square:eps=1,-1:delta=0,1",
+                                  "cp2:eps=-- x cp1:eps=-", "point"])
+@pytest.mark.parametrize("genus_name", ["todd", "hurewicz", "krichever"])
+def test_certified_data_above_order_0_keep_the_torus_pass(
+        name, genus_name, monkeypatch):
+    fpd = signs_and_weights(CERTIFIED_PAIRS[name])
+    monkeypatch.setattr(localize, "_evaluated_sums", _refuse)
+    for order in (1, 2, 3):
+        genus = catalog(genus_name, order + fpd.n)
+        new, ref = (localized_sum(data, genus, "linear", order)
+                    for data in (fpd, _uncertified(fpd)))
+        assert [(S.terms, S.order, D) for S, D in new] == \
+            [(S.terms, S.order, D) for S, D in ref]
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_PAIRS))
+def test_certified_data_with_a_pole_take_the_torus_pass(name, tmp_path,
+                                                         capsys):
+    # a non-zero q_lam with |lam| < n at the generic direction sends the
+    # data on to the torus pass, which reports the violation
+    fpd = signs_and_weights(from_json_obj(TAMPERED_PAIRS[name]))
+    assert fpd.certified
+    assert localize._evaluated_sums(fpd, list(range(fpd.n + 1))) is None
+    for genus_name in CATALOG_NAMES:
+        genus = _catalog_genus(genus_name, fpd.n)
+        outcomes = []
+        for data in (fpd, _uncertified(fpd)):
+            try:
+                outcomes.append(str(genus_value(data, genus)))
+            except ConnerFloydViolation as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], genus_name
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(TAMPERED_PAIRS[name]))
+    assert main(["validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    for genus_name in ("todd", "hurewicz", "krichever"):
+        assert main(["genus", "--input", str(path), "--genus", genus_name,
+                     "--order", "2"]) == 2
+        assert capsys.readouterr().out == \
+            "violation: Conner-Floyd relation cf_0 = 0 is violated\n"
+    for mode in ("linear", "universal"):
+        assert main(["phi", "--input", str(path), "--genus", "hurewicz",
+                     "--mode", mode, "--order", "0"]) == 2
+        assert capsys.readouterr().out.startswith("violation: ")
+
+
+def _partitions(n, most=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield tuple(sorted((first,) + rest))
+
+
+def _monomial(lam, c):
+    """m_lam(c), the sum of c^alpha over the distinct orderings alpha of
+    lam padded with zeros."""
+    parts = tuple(lam) + (0,) * (len(c) - len(lam))
+    return sum(prod(x ** a for x, a in zip(c, alpha))
+               for alpha in set(itertools.permutations(parts)))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_PAIRS))
+def test_evaluated_sums_equal_fractions_at_another_direction(name):
+    # q_lam is a constant, so a second generic direction, summed in
+    # Fractions over every partition of n, must give the same L q_lam
+    fpd = signs_and_weights(CERTIFIED_PAIRS[name])
+    n = fpd.n
+    L, nums = localize._evaluated_sums(fpd, list(range(n + 1)))
+    W = max((abs(x) for p in fpd.points for w in p.weights for x in w),
+            default=0)
+    nu = tuple((2 * W + 3) ** i for i in range(fpd.k))
+    assert nu != generic_direction(fpd) or fpd.k <= 1
+    zero = (0,) * fpd.k
+    assert set(nums) <= set(_partitions(n))
+    for lam in _partitions(n):
+        q = 0
+        for p in fpd.points:
+            c = [sum(a * b for a, b in zip(w, nu)) for w in p.weights]
+            q += F(p.sign * _monomial(lam, c), prod(c))
+        assert F(nums.get(lam, {zero: 0})[zero], L) == q, lam
+
+
+# ---------------------------------------------------------------------------
+# the certification flag
+# ---------------------------------------------------------------------------
+
+def test_only_a_validated_pair_and_its_flip_are_certified(tmp_path):
+    pair = simplex_pair(3, (1, -1, 1))
+    fpd = signs_and_weights(pair)
+    assert fpd.certified
+    todd = catalog("todd", 3)
+    assert fpd.flipped().certified
+    assert fpd.flipped().flipped().certified
+    assert str(genus_value(fpd.flipped(), todd)) == \
+        str(-genus_value(fpd, todd))
+    assert str(genus_value(fpd, todd)) == \
+        str(genus_value(_uncertified(fpd), todd))
+    path = tmp_path / "fpd.json"
+    path.write_text(json.dumps(fpd_to_json_obj(fpd)))
+    uncertified = [
+        fpd.flip_one(0),
+        fpd.flip_one(0).flip_one(0),
+        restrict_to_subcircle(fpd, generic_direction(fpd)),
+        load_manifold(str(path)),
+        FixedPointData(fpd.n, fpd.k, fpd.points),
+        _uncertified(fpd).flipped(),
+        dataset("s6"),
+        dataset("cp1"),
+    ]
+    assert not any(data.certified for data in uncertified)
+
+
+def test_pairing_blocks_are_not_certified(monkeypatch):
+    seen = []
+    real = localize.localized_sum
+
+    def recording(fpd, genus, mode, order):
+        seen.append(fpd.certified)
+        return real(fpd, genus, mode, order)
+
+    monkeypatch.setattr(localize, "localized_sum", recording)
+    fpd = signs_and_weights(square_pair(-1, -1, 0, 0))
+    assert fpd.certified
+    pairing_obstruction(fpd, catalog("augmentation", 1), search=True)
+    assert seen and not any(seen)
+
+
+def test_no_json_key_or_cli_option_certifies_data(tmp_path, monkeypatch,
+                                                  capsys):
+    obj = fpd_to_json_obj(dataset("s6"))
+    for key in ("certified", "certificate", "trusted"):
+        obj[key] = True
+    assert not from_json_obj(obj).certified
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(localize, "_evaluated_sums", _refuse)
+    assert main(["genus", "--input", str(path), "--genus", "hurewicz",
+                 "--order", "3"]) == 0
+    assert capsys.readouterr().out == \
+        "genus_value: -2*b1^3 + 6*b1*b2 - 6*b3\n"
+    options = [o for action in build_parser()._actions
+               for o in action.option_strings]
+    assert not [o for o in options if "cert" in o or "trust" in o]
+    with pytest.raises(SystemExit):
+        main(["genus", "--input", str(path), "--genus", "todd",
+              "--certified"])
 
 
 @pytest.mark.parametrize("genus_name, code, verdict", [
