@@ -8,15 +8,21 @@ linear sum builds its genus-free partition sums Z_lam from int power
 rows (a shift for a coordinate form u_i) and divides them by the common
 denominator over the integers before the genus enters; only data that
 fail the universal relations leave the division to the genus's Fractions.
+Certified data at order 0 skip the denominator: each point's power sums
+at one generic direction give every p_mu with |mu| <= n by one product
+each, and one integer table of n alone (``_power_table``) turns their
+sums into the monomial sums q_lam, |lam| = n; a non-zero sum of lower
+degree is a pole, and sends the data to the torus pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from toricgenera.algebra import (
     LocalizedSum,
@@ -201,43 +207,109 @@ def _linear_total(fpd, genus, order):
                      den_a ** n * L), dict(D)
 
 
-def _evaluated_sums(fpd, T):
-    """(L, {lam: {(0,) * k: L q_lam}}) for |lam| = n, the genus-free sums
-    of certified data at order 0, by evaluation at one generic direction
-    nu: q_lam = sum_x sign(x) m_lam(c(x)) / E_x with c_j = w_j . nu and
-    E_x = prod_j c_j, over L = lcm_x |E_x|.  The sum being a power series,
-    q_lam is a homogeneous polynomial of degree |lam| - n (Atiyah-Bott), a
-    constant here, which every generic direction sees unchanged.  The walk
-    is ``_linear_total``'s on plain ints, with rows c_j^t for t in T.
+@functools.cache
+def _power_table(n):
+    """(steps, low, rows), the constants of degree n that
+    ``_evaluated_sums`` applies: a function of n alone, built once.
 
-    A q_lam with |lam| < n must then vanish.  Validation does not compare
-    a pair's orientations or vertex list with its polytope, so a non-zero
-    one is a pole, as on the generic circle: None, and the torus pass
-    reports it."""
+    ``steps`` lists (parent, part) for every non-empty partition mu with
+    |mu| <= n, by size, so that p_mu = p_(parent) p_part with partition 0
+    the empty one; the first ``low`` partitions have |mu| < n.  ``rows``
+    maps each lam |- n (as an ascending tuple) to (den, [(index of mu,
+    r)]) with den m_lam = sum_(mu |- n) r p_mu (Macdonald I.6).  Over the
+    monomial basis, p_r m_nu adds r to a part v of nu (or to a new part
+    0) with coefficient the multiplicity of v + r; so p_mu = sum R m_lam
+    over the coarsenings lam of mu, with R_(mu mu) = prod_i (mult of i)!,
+    triangular in lexicographic order, and solved from lam = (n) down."""
+    index, steps = {(): 0}, []  # descending partitions, by size
+    p_in_m = [{(): 1}]          # p_mu over the monomial basis
+    for size in range(1, n + 1):
+        for mu in _partitions(size):
+            parent, r = index[mu[:-1]], mu[-1]
+            out = {}
+            for nu, c in p_in_m[parent].items():
+                for v in set(nu) | {0}:
+                    lam = list(nu)
+                    if v:
+                        lam.remove(v)
+                    lam = tuple(sorted(lam + [v + r], reverse=True))
+                    out[lam] = out.get(lam, 0) + c * lam.count(v + r)
+            index[mu] = len(index)
+            p_in_m.append(out)
+            steps.append((parent, r))
+    top = list(_partitions(n))  # (n) first: lexicographically descending
+    low = len(index) - len(top)
+    m_in_p = {}  # lam -> (den, {mu: int}), den m_lam = sum int p_mu
+    for lam in top:
+        R = p_in_m[index[lam]]
+        D = lcm(*(m_in_p[nu][0] for nu in R if nu != lam))
+        row = {lam: D}
+        for nu, c in R.items():
+            if nu != lam:
+                den, other = m_in_p[nu]
+                for mu, a in other.items():
+                    row[mu] = row.get(mu, 0) - c * (D // den) * a
+        den = R[lam] * D
+        g = gcd(den, *row.values())
+        m_in_p[lam] = den // g, {mu: a // g for mu, a in row.items() if a}
+    rows = {lam[::-1]: (den, tuple((index[mu], a) for mu, a in row.items()))
+            for lam, (den, row) in m_in_p.items()}
+    return tuple(steps), low, rows
+
+
+def _partitions(n, most=None):
+    """The partitions of n with parts at most ``most``, as descending
+    tuples, in lexicographically descending order."""
+    if not n:
+        yield ()
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _evaluated_sums(fpd, T):
+    """(L, {lam: {(0,) * k: L q_lam}}) for lam |- n with parts in T, the
+    genus-free sums of certified data at order 0, by evaluation at one
+    generic direction nu: q_lam = sum_x sign(x) m_lam(c(x)) / E_x with
+    c_j = w_j . nu and E_x = prod_j c_j, over L = lcm_x |E_x|.  The sum
+    being a power series, q_lam is a homogeneous polynomial of degree
+    |lam| - n (Atiyah-Bott), a constant here, which every generic
+    direction sees unchanged.
+
+    Each point takes its power sums p_d = sum_j c_j^d, d <= n, then
+    p_mu = p_(mu minus a part) p_part for every partition |mu| <= n, and
+    adds sign L / E_x p_mu into Q_mu: O(n^2 + P(<= n)) products, no
+    partition built.  q_lam then comes from ``_power_table(n)``, the
+    change of basis from power sums to monomials in degree n, with one
+    exact division.  As p -> m is invertible in each degree, a non-zero
+    Q_mu with |mu| < n is a non-zero q_lam of that degree, whatever its
+    parts, which must vanish.  Validation does not compare a pair's
+    orientations with its polytope, so a non-zero one is a pole, as on
+    the generic circle: None, and the torus pass reports it."""
     n = fpd.n
+    steps, low, rows = _power_table(n)
     nu = generic_direction(fpd)
     points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
               for point in fpd.points]
     L = lcm(*(prod(c) for _sign, c in points))
-    Z = Counter()
+    Q = [0] * (len(steps) + 1)
     for sign, c in points:
-        states = {(): sign * L // prod(c)}
+        p = [0] * (n + 1)  # p[d] = sum_j c_j^d
         for cj in c:
-            rows = [(t, cj ** t) for t in T]
-            grown = {}
-            for mu, v in states.items():
-                room = n - sum(mu)
-                for t, p in rows:
-                    if t > room:
-                        break
-                    lam = tuple(sorted(mu + (t,))) if t else mu
-                    grown[lam] = grown.get(lam, 0) + v * p
-            states = grown
-        Z.update(states)
-    if any(v for lam, v in Z.items() if sum(lam) < n):
+            x = 1
+            for d in range(1, n + 1):
+                x *= cj
+                p[d] += x
+        pm = [sign * L // prod(c)]  # sign L / E_x p_mu
+        for parent, part in steps:
+            pm.append(pm[parent] * p[part])
+        Q = list(map(add, Q, pm))
+    if any(Q[:low]):
         return None
-    zero = (0,) * fpd.k
-    return L, {lam: {zero: v} for lam, v in Z.items() if sum(lam) == n}
+    zero, allowed = (0,) * fpd.k, set(T)
+    return L, {lam: {zero: sum(r * Q[i] for i, r in row) // den}
+               for lam, (den, row) in rows.items()
+               if allowed.issuperset(lam)}
 
 
 def _ring_sums(genus, coeff, den_a, n, nums):

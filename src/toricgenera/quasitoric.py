@@ -71,13 +71,25 @@ def _bareiss(rows):
     return sign * prev, adj
 
 
-def _vertex_minors(columns, vertices):
+def _ridge_map(vertices):
+    """{ridge: [(vertex index, position of its n-th facet)]}: the n - 1
+    facets each listed vertex keeps when one facet is dropped, with the
+    vertices on it, in order of first appearance."""
+    ridges = {}
+    for a, v in enumerate(vertices):
+        for pos in range(len(v)):
+            ridges.setdefault(v[:pos] + v[pos + 1:], []).append((a, pos))
+    return ridges
+
+
+def _vertex_minors(columns, vertices, ridges):
     """(det, adj) of the minor on the columns of every vertex, exactly.
 
-    ``columns`` are the m integer columns (facet i is ``columns[i - 1]``)
-    and ``vertices`` the sorted n-tuples of facets.  Two vertices sharing
-    n - 1 facets are neighbours (an edge of P).  ``_bareiss`` seeds each
-    part of this graph; the rest follow along edges by Cramer's rule.
+    ``columns`` are the m integer columns (facet i is ``columns[i - 1]``),
+    ``vertices`` the sorted n-tuples of facets and ``ridges`` their
+    ``_ridge_map``.  Two vertices sharing n - 1 facets are neighbours (an
+    edge of P).  ``_bareiss`` seeds each part of this graph; the rest
+    follow along edges by Cramer's rule.
     For y = x - {i} + {j}, with i at position ``pos`` of x and
     det_x != 0, set c = adj_x lambda_j: then det_y = c_pos, row ``pos`` of
     adj_y is that of adj_x, and every other row l is
@@ -86,13 +98,9 @@ def _vertex_minors(columns, vertices):
     (-1)^(pos - at).  A singular minor passes nothing on, so a vertex
     reached only through one becomes a seed of its own.
     """
-    ridges = {}   # n - 1 facets -> [(vertex, position of its n-th facet)]
-    edges = []    # per vertex: (position, its ridge) for every position
-    for a, v in enumerate(vertices):
-        edges.append([])
-        for pos in range(len(v)):
-            ridge = ridges.setdefault(v[:pos] + v[pos + 1:], [])
-            ridge.append((a, pos))
+    edges = [[] for _ in vertices]  # per vertex: (position, its ridge)
+    for ridge in ridges.values():
+        for a, pos in ridge:
             edges[a].append((pos, ridge))
     out = [None] * len(vertices)
     for seed, v in enumerate(vertices):
@@ -268,9 +276,8 @@ class FixedPointData:
     power series: ``signs_and_weights`` of a validated pair sets it, and
     ``flipped`` keeps it (negating every sign negates the series).  No
     other constructor, subset, restriction or input format carries it.
-    Validation does not compare a pair's signs or vertex list with its
-    polytope, so the evaluation that trusts the mark still looks for a
-    pole.
+    Validation does not compare a pair's orientations with its polytope,
+    so the evaluation that trusts the mark still looks for a pole.
     """
 
     def __init__(self, n, k, points):
@@ -326,7 +333,9 @@ class ValidationReport:
 def _eliminate(pair):
     """The problems ``validate_pair`` reports, with (det, adj) of every
     vertex minor and the sign (+1, -1 or 0) of det N(P)_x per vertex
-    (None without normals)."""
+    (None without normals).  In a simple polytope each ridge of a vertex
+    is an edge, which has two vertices: a ridge on one listed vertex, or
+    on more than two, is a vertex list that is not the polytope's."""
     problems = []
     P, lam = pair.polytope, pair.lam
     if not lam.is_refined():
@@ -334,7 +343,12 @@ def _eliminate(pair):
     initial = tuple(range(1, P.n + 1))
     if initial not in P.vertices:
         problems.append("initial vertex F1...Fn is missing")
-    minors = _vertex_minors(list(zip(*lam.entries)), P.vertices)
+    ridges = _ridge_map(P.vertices)
+    for ridge, on in ridges.items():
+        if len(on) != 2:
+            problems.append("ridge %r lies on %d of the listed vertices, "
+                            "not 2" % (ridge, len(on)))
+    minors = _vertex_minors(list(zip(*lam.entries)), P.vertices, ridges)
     for v, (det, _adj) in zip(P.vertices, minors):
         if abs(det) != 1:
             problems.append("vertex %r has minor determinant %s" % (v, det))
@@ -347,7 +361,7 @@ def _eliminate(pair):
             s = lcm(*(x.denominator for x in col))
             columns.append([x.numerator * (s // x.denominator) for x in col])
         normal_signs = [(det > 0) - (det < 0) for det, _adj
-                        in _vertex_minors(columns, P.vertices)]
+                        in _vertex_minors(columns, P.vertices, ridges)]
         for v, sign in zip(P.vertices, normal_signs):
             if not sign:
                 problems.append("vertex %r has dependent normals" % (v,))
@@ -355,8 +369,9 @@ def _eliminate(pair):
 
 
 def validate_pair(pair):
-    """Check refinement, the initial vertex, and unimodularity of every
-    vertex minor; violations are collected, not raised."""
+    """Check refinement, the initial vertex, that every ridge lies on two
+    listed vertices, and unimodularity of every vertex minor; violations
+    are collected, not raised."""
     return ValidationReport(_eliminate(pair)[0])
 
 

@@ -2,10 +2,11 @@ import functools
 import inspect
 import itertools
 import json
+import re
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from unittest import mock
 
 import pytest
@@ -50,6 +51,7 @@ from toricgenera.localize import (
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
+    InvalidPairError,
     fpd_to_json_obj,
     from_json_obj,
     generic_direction,
@@ -347,20 +349,26 @@ TODD_ONLY = FixedPointData(3, 1, [
     FixedPoint("z", -1, [(-1,), (1,), (-2,)])])
 
 
-# pairs that pass validation, so their fixed points are certified, though
-# their sums have poles: validation does not compare vertex orientations
-# with the polytope (CP^2 with one sign flipped against [1, 1, -1]), nor
-# ask for every vertex (CP^1 listing vertex [1] alone)
+# a pair that passes validation, so its fixed points are certified,
+# though its sum has a pole: validation does not compare vertex
+# orientations with the polytope (CP^2 with one sign flipped against
+# [1, 1, -1])
 TAMPERED_PAIRS = {
     "cp2 with orientations 1,1,1": {
         "type": "quasitoric", "lambda": [[1, 0, -1], [0, 1, -1]],
         "polytope": {"n": 2, "m": 3, "vertices": [[1, 2], [2, 3], [1, 3]],
                      "normals": None, "orientations": [1, 1, 1]}},
-    "cp1 with one vertex": {
-        "type": "quasitoric", "lambda": [[1, -1]],
-        "polytope": {"n": 1, "m": 2, "vertices": [[1]],
-                     "normals": [["1", "-1"]]}},
 }
+# CP^1 listing vertex [1] alone: its one ridge lies on one listed vertex
+CP1_WITH_ONE_VERTEX = {
+    "type": "quasitoric", "lambda": [[1, -1]],
+    "polytope": {"n": 1, "m": 2, "vertices": [[1]],
+                 "normals": [["1", "-1"]]}}
+# certified-looking data whose sum has its only pole in degree n - 2:
+# sum_x sign / E_x = -1, while p_1 = 1 - 1 vanishes
+POLE_BELOW_N_MINUS_1 = FixedPointData(2, 1, [
+    FixedPoint("x", 1, [(1,), (-1,)])])
+POLE_BELOW_N_MINUS_1.certified = True
 
 
 # each mutant of the pass or of its integer division, as (function,
@@ -371,10 +379,17 @@ MUTANTS = {
     "den_a padding not divided": (localize._ring_sums, "c // den_a", "c"),
     "evaluated sign dropped": (localize._evaluated_sums,
                                "sign * L // prod(c)", "L // prod(c)"),
+    # the power of c_j is not advanced, so every p_d reads p_1
     "evaluated powers dropped": (localize._evaluated_sums,
-                                 "cj ** t", "cj"),
+                                 "x *= cj", "x = cj"),
     "evaluated pole check dropped": (localize._evaluated_sums,
                                      "return None", "pass"),
+    "evaluated pole check reads |mu| = n - 1 alone": (
+        localize._evaluated_sums, "any(Q[:low])",
+        "any(Q[low - len(_power_table(n - 1)[2]):low])"),
+    "power table row (n) dropped": (
+        localize._power_table, "in m_in_p.items()}",
+        "in m_in_p.items() if lam != (n,)}"),
     "t = 0 skipped": (localize._linear_total,
                       "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
@@ -401,9 +416,10 @@ def _mutant_catches(function, old, new):
     assert source.count(old) == 1
     namespace = dict(vars(localize))
     exec(source.replace(old, new), namespace)
-    if function is not localize._linear_total:
-        exec(textwrap.dedent(inspect.getsource(localize._linear_total)),
-             namespace)
+    # the callers of the mutant, rebound to it
+    for caller in (localize._evaluated_sums, localize._linear_total):
+        if caller is not function:
+            exec(textwrap.dedent(inspect.getsource(caller)), namespace)
     cases = [(LINEAR_EDGE_CASES["negative contents"], "todd", 2),
              (LINEAR_EDGE_CASES["repeated form"], "hurewicz", 1),
              (LINEAR_DATA["cp2"], "todd", 1),
@@ -413,6 +429,7 @@ def _mutant_catches(function, old, new):
              (signs_and_weights(from_json_obj(
                  TAMPERED_PAIRS["cp2 with orientations 1,1,1"])),
               "hurewicz", 0),
+             (POLE_BELOW_N_MINUS_1, "todd", 0),
              (LINEAR_DATA["cp2:eps=+-/flip1"], "hurewicz", 1),
              (TODD_ONLY, "hurewicz", 1)]
     caught = 0
@@ -637,6 +654,24 @@ def test_certified_data_with_a_pole_take_the_torus_pass(name, tmp_path,
         assert capsys.readouterr().out.startswith("violation: ")
 
 
+def test_a_pair_missing_a_vertex_is_invalid(tmp_path, capsys):
+    # CP^1 listing vertex [1] alone once validated and had a pole; its
+    # one ridge, the whole interval, lies on one listed vertex
+    problem = "ridge () lies on 1 of the listed vertices, not 2"
+    with pytest.raises(InvalidPairError, match=re.escape(problem)):
+        signs_and_weights(from_json_obj(CP1_WITH_ONE_VERTEX))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(CP1_WITH_ONE_VERTEX))
+    assert main(["validate", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "violation: %s\ninvalid\n" % problem)
+    for genus_name in ("todd", "hurewicz", "krichever"):
+        assert main(["genus", "--input", str(path), "--genus", genus_name,
+                     "--order", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: invalid pair: %s\n" % problem
+
+
 def _partitions(n, most=None):
     if n == 0:
         yield ()
@@ -646,12 +681,20 @@ def _partitions(n, most=None):
             yield tuple(sorted((first,) + rest))
 
 
+@functools.cache
+def _orderings(lam, length):
+    """The distinct orderings of lam padded with zeros to ``length``."""
+    return tuple(set(itertools.permutations(
+        tuple(lam) + (0,) * (length - len(lam)))))
+
+
 def _monomial(lam, c):
     """m_lam(c), the sum of c^alpha over the distinct orderings alpha of
-    lam padded with zeros."""
-    parts = tuple(lam) + (0,) * (len(c) - len(lam))
+    lam padded with zeros; 0 when lam has more parts than c."""
+    if len(lam) > len(c):
+        return 0
     return sum(prod(x ** a for x, a in zip(c, alpha))
-               for alpha in set(itertools.permutations(parts)))
+               for alpha in _orderings(tuple(lam), len(c)))
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED_PAIRS))
@@ -673,6 +716,135 @@ def test_evaluated_sums_equal_fractions_at_another_direction(name):
             c = [sum(a * b for a, b in zip(w, nu)) for w in p.weights]
             q += F(p.sign * _monomial(lam, c), prod(c))
         assert F(nums.get(lam, {zero: 0})[zero], L) == q, lam
+
+
+def _ref_evaluated_sums(fpd, T):
+    """The partition walk the power sums replaced: ``_linear_total``'s
+    walk on plain ints at the generic direction, with rows c_j^t for t in
+    T and one state per partition of the degrees used so far; None when
+    a walked q_lam with |lam| < n is non-zero."""
+    n = fpd.n
+    nu = generic_direction(fpd)
+    points = [(point.sign, [sum(a * b for a, b in zip(w, nu))
+                            for w in point.weights])
+              for point in fpd.points]
+    L = lcm(*(prod(c) for _sign, c in points))
+    Z = Counter()
+    for sign, c in points:
+        states = {(): sign * L // prod(c)}
+        for cj in c:
+            rows = [(t, cj ** t) for t in T]
+            grown = {}
+            for mu, v in states.items():
+                room = n - sum(mu)
+                for t, p in rows:
+                    if t > room:
+                        break
+                    lam = tuple(sorted(mu + (t,))) if t else mu
+                    grown[lam] = grown.get(lam, 0) + v * p
+            states = grown
+        Z.update(states)
+    if any(v for lam, v in Z.items() if sum(lam) < n):
+        return None
+    zero = (0,) * fpd.k
+    return L, {lam: {zero: v} for lam, v in Z.items() if sum(lam) == n}
+
+
+# the certified builtin families: CP^1 .. CP^5, the squares and the
+# products above, and CP^6, CP^7 (the n = 7 table) with two eps each
+EVALUATED_PAIRS = {**CERTIFIED_PAIRS, **{p.name: p for p in (
+    simplex_pair(n, eps) for n in (6, 7)
+    for eps in ((-1,) * n, (1, -1) * (n // 2) + (1,) * (n % 2)))}}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATED_PAIRS))
+def test_evaluated_sums_match_the_partition_walk(name):
+    fpd = signs_and_weights(EVALUATED_PAIRS[name])
+    n = fpd.n
+    # every degree, no odd one (signature), and a_+ = 1 (augmentation)
+    for T in (list(range(n + 1)), list(range(0, n + 1, 2)), [0]):
+        got = localize._evaluated_sums(fpd, T)
+        assert got is not None
+        assert got == _ref_evaluated_sums(fpd, T), T
+
+
+@st.composite
+def evaluation_data(draw):
+    """Fixed points with n 0-6 and k 1-4 and the degrees T of a unit:
+    random points and signs, whose sums mostly have poles, or one of two
+    torus manifolds, whose sums are power series: CP^n acting through
+    distinct vectors x_0 .. x_n (weights x_j - x_i at point i), and, for
+    n <= 4, a product of n spheres turned by vectors a_i."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    kind = draw(st.sampled_from(("random", "projective", "spheres")))
+    sign = draw(st.sampled_from((1, -1)))
+    if kind == "projective":
+        xs = draw(st.lists(vector.map(tuple), min_size=n + 1,
+                           max_size=n + 1, unique=True))
+        points = [FixedPoint("x", sign, [tuple(a - b for a, b in zip(y, x))
+                                         for y in xs if y != x])
+                  for x in xs]
+    elif kind == "spheres" and n <= 4:
+        axes = draw(st.lists(vector.filter(any), min_size=n, max_size=n))
+        points = [FixedPoint("x", sign, [tuple(e * x for x in a)
+                                         for e, a in zip(ends, axes)])
+                  for ends in itertools.product((1, -1), repeat=n)]
+    else:
+        vector = vector.filter(any)
+        points = draw(st.lists(
+            st.builds(FixedPoint, st.just("x"), st.sampled_from((1, -1)),
+                      st.lists(vector, min_size=n, max_size=n)),
+            min_size=1, max_size=4))
+    T = sorted({0} | set(draw(st.lists(st.integers(1, 6), max_size=4))))
+    return FixedPointData(n, k, points), T
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_data())
+def test_evaluated_sums_equal_the_fraction_sums(data):
+    # q_lam = sum_x sign m_lam(c) / E_x by brute force over every lam with
+    # |lam| <= n: None exactly when one with |lam| < n is non-zero, and
+    # otherwise L q_lam for each lam |- n with parts in T
+    fpd, T = data
+    n = fpd.n
+    nu = generic_direction(fpd)
+    cs = [(p.sign, [sum(a * b for a, b in zip(w, nu)) for w in p.weights])
+          for p in fpd.points]
+    q = {lam: sum(F(sign * _monomial(lam, c), prod(c)) for sign, c in cs)
+         for size in range(n + 1) for lam in _partitions(size)}
+    got = localize._evaluated_sums(fpd, T)
+    pole = any(v for lam, v in q.items() if sum(lam) < n)
+    assert (got is None) == pole
+    if not pole:
+        L, nums = got
+        zero = (0,) * fpd.k
+        assert sorted(nums) == sorted(lam for lam in _partitions(n)
+                                      if set(lam) <= set(T))
+        for lam, poly in nums.items():
+            assert F(poly[zero], L) == q[lam], lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 8), c=st.lists(st.integers(-5, 5), max_size=6))
+def test_power_table_turns_power_sums_into_monomials(n, c):
+    # den m_lam(c) = sum_mu r p_mu(c) for every lam |- n, where p_mu is
+    # the product of the power sums of c over the parts of mu
+    steps, low, rows = table = localize._power_table(n)
+    assert localize._power_table(n) is table  # built once per n
+    mus = [()]
+    for parent, part in steps:
+        mus.append(tuple(sorted(mus[parent] + (part,))))
+    assert sorted(mus) == sorted(lam for size in range(n + 1)
+                                 for lam in _partitions(size))
+    assert [sum(mu) for mu in mus] == sorted(sum(mu) for mu in mus)
+    assert low == sum(sum(mu) < n for mu in mus)
+    assert sorted(rows) == sorted(_partitions(n))
+    p = [sum(x ** d for x in c) for d in range(n + 1)]
+    for lam, (den, row) in rows.items():
+        assert den > 0
+        assert den * _monomial(lam, c) == sum(
+            r * prod(p[part] for part in mus[i]) for i, r in row), lam
 
 
 # ---------------------------------------------------------------------------

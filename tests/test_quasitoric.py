@@ -70,6 +70,37 @@ def test_validate_missing_initial_vertex():
     assert "initial vertex F1...Fn is missing" in validate_pair(pair).problems
 
 
+@pytest.mark.parametrize("pair", [
+    simplex_pair(1, (-1,)), simplex_pair(3, (1, -1, 1)),
+    square_pair(-1, 1, 0, 1),
+    product_pair(simplex_pair(2, (-1, -1)), simplex_pair(1, (1,)))],
+    ids=["cp1", "cp3", "square", "cp2xcp1"])
+def test_a_vertex_list_missing_a_vertex_is_invalid(pair):
+    # each ridge of a simple polytope is an edge with two vertices, so
+    # leaving any vertex out strands the n ridges it shared
+    P = pair.polytope
+    assert validate_pair(pair).ok
+    for drop in P.vertices[1:]:
+        kept = [v for v in P.vertices if v != drop]
+        short = QuasitoricPair(Polytope(P.n, P.m, kept, P.normals),
+                               pair.lam)
+        ridges = [p for p in validate_pair(short).problems
+                  if p.startswith("ridge")]
+        assert len(ridges) == P.n
+        assert all(p.endswith("lies on 1 of the listed vertices, not 2")
+                   for p in ridges)
+        with pytest.raises(InvalidPairError, match="ridge"):
+            signs_and_weights(short)
+
+
+def test_a_ridge_on_three_listed_vertices_is_invalid():
+    # facet 1 alone is a ridge of all three vertices
+    poly = Polytope(2, 4, [(1, 2), (1, 3), (1, 4)])
+    pair = QuasitoricPair(poly, CharMatrix([[1, 0, 1, 1], [0, 1, 1, 2]]))
+    assert "ridge (1,) lies on 3 of the listed vertices, not 2" in \
+        validate_pair(pair).problems
+
+
 @pytest.mark.parametrize("args, message", [
     ((2, 3, [(1, 2), (2, 4)]), "facet index out of range in vertex"),
     ((2, 3, [(1, 2), (2, 1)]), "duplicate vertex"),
@@ -569,13 +600,23 @@ def test_bareiss_determinant_and_adjugate(rows):
 
 def _ref_eliminate(pair):
     """The per-vertex loop the edge walk replaced: one elimination of
-    every minor of Lambda and of the normals."""
+    every minor of Lambda and of the normals, and every ridge counted
+    against every listed vertex."""
     P, lam = pair.polytope, pair.lam
     problems = []
     if not lam.is_refined():
         problems.append("matrix is not refined (first n columns != identity)")
     if tuple(range(1, P.n + 1)) not in P.vertices:
         problems.append("initial vertex F1...Fn is missing")
+    seen = set()
+    for v in P.vertices:
+        for f in v:
+            ridge = tuple(g for g in v if g != f)
+            on = sum(set(ridge) <= set(u) for u in P.vertices)
+            if ridge not in seen and on != 2:
+                problems.append("ridge %r lies on %d of the listed "
+                                "vertices, not 2" % (ridge, on))
+            seen.add(ridge)
     minors = [_bareiss(lam.minor(v)) for v in P.vertices]
     for v, (det, _adj) in zip(P.vertices, minors):
         if abs(det) != 1:
