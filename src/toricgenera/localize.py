@@ -10,9 +10,9 @@ denominator over the integers before the genus enters; only data that
 fail the universal relations leave the division to the genus's Fractions.
 Certified data at order 0 skip the denominator: each point's power sums
 at one generic direction give every p_mu with |mu| <= n by one product
-each, and one integer table of n alone (``_power_table``) turns their
-sums into the monomial sums q_lam, |lam| = n; a non-zero sum of lower
-degree is a pole, and sends the data to the torus pass.
+each, and exact integer rows of n alone (``_m_in_p``) turn their sums
+into the monomial sums q_lam, |lam| = n; a non-zero sum of lower degree
+is a pole, and sends the data to the torus pass.
 """
 
 from __future__ import annotations
@@ -209,52 +209,60 @@ def _linear_total(fpd, genus, order):
 
 @functools.cache
 def _power_table(n):
-    """(steps, low, rows), the constants of degree n that
-    ``_evaluated_sums`` applies: a function of n alone, built once.
+    """(steps, low, top), the constants of degree n that
+    ``_evaluated_sums`` applies, built once per n and process.
 
     ``steps`` lists (parent, part) for every non-empty partition mu with
-    |mu| <= n, by size, so that p_mu = p_(parent) p_part with partition 0
-    the empty one; the first ``low`` partitions have |mu| < n.  ``rows``
-    maps each lam |- n (as an ascending tuple) to (den, [(index of mu,
-    r)]) with den m_lam = sum_(mu |- n) r p_mu (Macdonald I.6).  Over the
-    monomial basis, p_r m_nu adds r to a part v of nu (or to a new part
-    0) with coefficient the multiplicity of v + r; so p_mu = sum R m_lam
-    over the coarsenings lam of mu, with R_(mu mu) = prod_i (mult of i)!,
-    triangular in lexicographic order, and solved from lam = (n) down."""
-    index, steps = {(): 0}, []  # descending partitions, by size
-    p_in_m = [{(): 1}]          # p_mu over the monomial basis
+    |mu| <= n, by size, so that p_mu = p_(parent) p_part, partition 0
+    being the empty one.  The first ``low`` partitions have |mu| < n;
+    ``top`` maps each lam |- n, a descending tuple, to its index, (n)
+    first."""
+    index, steps = {(): 0}, []
     for size in range(1, n + 1):
         for mu in _partitions(size):
-            parent, r = index[mu[:-1]], mu[-1]
-            out = {}
-            for nu, c in p_in_m[parent].items():
-                for v in set(nu) | {0}:
-                    lam = list(nu)
-                    if v:
-                        lam.remove(v)
-                    lam = tuple(sorted(lam + [v + r], reverse=True))
-                    out[lam] = out.get(lam, 0) + c * lam.count(v + r)
+            steps.append((index[mu[:-1]], mu[-1]))
             index[mu] = len(index)
-            p_in_m.append(out)
-            steps.append((parent, r))
-    top = list(_partitions(n))  # (n) first: lexicographically descending
-    low = len(index) - len(top)
-    m_in_p = {}  # lam -> (den, {mu: int}), den m_lam = sum int p_mu
-    for lam in top:
-        R = p_in_m[index[lam]]
-        D = lcm(*(m_in_p[nu][0] for nu in R if nu != lam))
-        row = {lam: D}
-        for nu, c in R.items():
-            if nu != lam:
-                den, other = m_in_p[nu]
-                for mu, a in other.items():
-                    row[mu] = row.get(mu, 0) - c * (D // den) * a
-        den = R[lam] * D
-        g = gcd(den, *row.values())
-        m_in_p[lam] = den // g, {mu: a // g for mu, a in row.items() if a}
-    rows = {lam[::-1]: (den, tuple((index[mu], a) for mu, a in row.items()))
-            for lam, (den, row) in m_in_p.items()}
-    return tuple(steps), low, rows
+    top = {lam: index[lam] for lam in _partitions(n)}
+    return tuple(steps), len(index) - len(top), top
+
+
+@functools.cache
+def _p_in_m(mu):
+    """p_mu over the monomial basis, {lam: int}, for a descending mu:
+    p_r m_nu adds r to one part v of nu, or to a new part v = 0, with
+    coefficient the multiplicity of v + r."""
+    if not mu:
+        return {(): 1}
+    r, out = mu[-1], {}
+    for nu, c in _p_in_m(mu[:-1]).items():
+        for v in set(nu) | {0}:
+            lam = list(nu)
+            if v:
+                lam.remove(v)
+            lam = tuple(sorted(lam + [v + r], reverse=True))
+            out[lam] = out.get(lam, 0) + c * lam.count(v + r)
+    return out
+
+
+@functools.cache
+def _m_in_p(lam):
+    """(den, ((i, r), ...)) with den m_lam = sum r p_mu over mu |- |lam|,
+    mu at index i of ``_power_table`` (Macdonald I.6), for a descending
+    lam: a constant of lam, built when first asked for.  p_lam =
+    sum R m_nu runs over the coarsenings nu of lam: lam itself, with
+    R_(lam lam) = prod_i (multiplicity of i)!, and partitions that are
+    lexicographically greater.  So m_lam = (p_lam - sum R m_nu) /
+    R_(lam lam), by recursion down from m_(n) = p_(n)."""
+    R = _p_in_m(lam)
+    others = [(c, *_m_in_p(nu)) for nu, c in R.items() if nu != lam]
+    D = lcm(*(den for _c, den, _row in others))
+    row = {_power_table(sum(lam))[2][lam]: D}
+    for c, den, other in others:
+        for i, a in other:
+            row[i] = row.get(i, 0) - c * (D // den) * a
+    den = R[lam] * D
+    g = gcd(den, *row.values())
+    return den // g, tuple((i, a // g) for i, a in row.items() if a)
 
 
 def _partitions(n, most=None):
@@ -279,15 +287,16 @@ def _evaluated_sums(fpd, T):
     Each point takes its power sums p_d = sum_j c_j^d, d <= n, then
     p_mu = p_(mu minus a part) p_part for every partition |mu| <= n, and
     adds sign L / E_x p_mu into Q_mu: O(n^2 + P(<= n)) products, no
-    partition built.  q_lam then comes from ``_power_table(n)``, the
-    change of basis from power sums to monomials in degree n, with one
-    exact division.  As p -> m is invertible in each degree, a non-zero
-    Q_mu with |mu| < n is a non-zero q_lam of that degree, whatever its
-    parts, which must vanish.  Validation does not compare a pair's
-    orientations with its polytope, so a non-zero one is a pole, as on
-    the generic circle: None, and the torus pass reports it."""
+    partition built.  Each L q_lam then comes from its row ``_m_in_p``
+    of the change of basis from power sums to monomials, integers that
+    depend on lam alone, with one exact division.  As p -> m is
+    invertible in each degree, a non-zero Q_mu with |mu| < n is a
+    non-zero q_lam of that degree, whatever its parts, which must
+    vanish.  Validation does not compare a pair's orientations with its
+    polytope, so a non-zero one is a pole, as on the generic circle:
+    None, and the torus pass reports it."""
     n = fpd.n
-    steps, low, rows = _power_table(n)
+    steps, low, top = _power_table(n)
     nu = generic_direction(fpd)
     points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
               for point in fpd.points]
@@ -306,10 +315,12 @@ def _evaluated_sums(fpd, T):
         Q = list(map(add, Q, pm))
     if any(Q[:low]):
         return None
-    zero, allowed = (0,) * fpd.k, set(T)
-    return L, {lam: {zero: sum(r * Q[i] for i, r in row) // den}
-               for lam, (den, row) in rows.items()
-               if allowed.issuperset(lam)}
+    zero, allowed, nums = (0,) * fpd.k, set(T), {}
+    for lam in top:
+        if allowed.issuperset(lam):
+            den, row = _m_in_p(lam)
+            nums[lam[::-1]] = {zero: sum(r * Q[i] for i, r in row) // den}
+    return L, nums
 
 
 def _ring_sums(genus, coeff, den_a, n, nums):

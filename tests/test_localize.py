@@ -387,9 +387,8 @@ MUTANTS = {
     "evaluated pole check reads |mu| = n - 1 alone": (
         localize._evaluated_sums, "any(Q[:low])",
         "any(Q[low - len(_power_table(n - 1)[2]):low])"),
-    "power table row (n) dropped": (
-        localize._power_table, "in m_in_p.items()}",
-        "in m_in_p.items() if lam != (n,)}"),
+    "monomial row (n) dropped": (localize._evaluated_sums, "for lam in top:",
+                                 "for lam in list(top)[1:]:"),
     "t = 0 skipped": (localize._linear_total,
                       "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
@@ -830,7 +829,7 @@ def test_evaluated_sums_equal_the_fraction_sums(data):
 def test_power_table_turns_power_sums_into_monomials(n, c):
     # den m_lam(c) = sum_mu r p_mu(c) for every lam |- n, where p_mu is
     # the product of the power sums of c over the parts of mu
-    steps, low, rows = table = localize._power_table(n)
+    steps, low, top = table = localize._power_table(n)
     assert localize._power_table(n) is table  # built once per n
     mus = [()]
     for parent, part in steps:
@@ -839,10 +838,12 @@ def test_power_table_turns_power_sums_into_monomials(n, c):
                                  for lam in _partitions(size))
     assert [sum(mu) for mu in mus] == sorted(sum(mu) for mu in mus)
     assert low == sum(sum(mu) < n for mu in mus)
-    assert sorted(rows) == sorted(_partitions(n))
+    assert sorted(top) == sorted(lam[::-1] for lam in _partitions(n))
+    assert all(mus[i] == lam[::-1] for lam, i in top.items())
     p = [sum(x ** d for x in c) for d in range(n + 1)]
-    for lam, (den, row) in rows.items():
-        assert den > 0
+    for lam in top:
+        den, row = localize._m_in_p(lam)
+        assert den > 0 and all(i >= low for i, _r in row)
         assert den * _monomial(lam, c) == sum(
             r * prod(p[part] for part in mus[i]) for i, r in row), lam
 
