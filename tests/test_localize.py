@@ -767,6 +767,17 @@ def test_evaluated_sums_match_the_partition_walk(name):
         assert got == _ref_evaluated_sums(fpd, T), T
 
 
+def test_a_warm_evaluation_enumerates_no_partition(monkeypatch):
+    # the constants of n and lam are built once; after that each point
+    # costs its power sums and one product per partition, and no tuple
+    fpd = signs_and_weights(simplex_pair(5, (1, -1, 1, -1, 1)))
+    T = list(range(6))
+    expected = localize._evaluated_sums(fpd, T)
+    for name in ("_partitions", "_p_in_m"):
+        monkeypatch.setattr(localize, name, _refuse)
+    assert localize._evaluated_sums(fpd, T) == expected
+
+
 @st.composite
 def evaluation_data(draw):
     """Fixed points with n 0-6 and k 1-4 and the degrees T of a unit:
