@@ -262,8 +262,9 @@ def _phi(job, manifold, fpd):
 
 
 def _genus(job, manifold, fpd):
-    # a pair's fixed points are certified, and evaluate at one generic
-    # direction; raw data keeps the torus check
+    # a pair's fixed points are certified (validation checks the edge
+    # rule), and evaluate at one generic direction; raw data keeps the
+    # torus check
     return _value(job, "genus_value", "genus_value: ",
                   genus_value(fpd, _build_genus(job, least=fpd.n - 1)))
 
@@ -271,9 +272,9 @@ def _genus(job, manifold, fpd):
 def _check(rigidity):
     """The check-cf (rigidity False) or check-rigidity handler."""
     def handler(job, manifold, fpd):
-        # a check never trusts the certificate: an uncertified copy keeps
-        # the torus pass, which decides the relations itself
-        fpd = FixedPointData(fpd.n, fpd.k, fpd.points)
+        # a validated pair meets the relations by theorem, so its certified
+        # points take the evaluation at order 0 as in genus; raw data, and
+        # every order >= 1, run the torus pass, which decides them itself
         cf = cf_series(fpd, _build_genus(job, fpd.n - 1), job.order)
         # each entry is rendered at most once: text check-rigidity prints
         # l >= n only, and the JSON payload keeps every entry

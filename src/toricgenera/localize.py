@@ -11,8 +11,9 @@ fail the universal relations leave the division to the genus's Fractions.
 Certified data at order 0 skip the denominator: each point's power sums
 at one generic direction give every p_mu with |mu| <= n by one product
 each, and exact integer rows of n alone (``_m_in_p``) turn their sums
-into the monomial sums q_lam, |lam| = n; a non-zero sum of lower degree
-is a pole, and sends the data to the torus pass.
+into the monomial sums q_lam, |lam| = n.  Validation checks the signs
+of a pair along every edge, so its sums have no pole; a non-zero sum of
+lower degree would be one, and sends the data to the torus pass.
 """
 
 from __future__ import annotations
@@ -292,9 +293,9 @@ def _evaluated_sums(fpd, T):
     depend on lam alone, with one exact division.  As p -> m is
     invertible in each degree, a non-zero Q_mu with |mu| < n is a
     non-zero q_lam of that degree, whatever its parts, which must
-    vanish.  Validation does not compare a pair's orientations with its
-    polytope, so a non-zero one is a pole, as on the generic circle:
-    None, and the torus pass reports it."""
+    vanish.  Validation checks the edge rule, which cancels every pole of
+    a pair, so a non-zero one means data marked by hand or a fault: None,
+    and the torus pass reports it."""
     n = fpd.n
     steps, low, top = _power_table(n)
     nu = generic_direction(fpd)

@@ -276,8 +276,9 @@ class FixedPointData:
     power series: ``signs_and_weights`` of a validated pair sets it, and
     ``flipped`` keeps it (negating every sign negates the series).  No
     other constructor, subset, restriction or input format carries it.
-    Validation does not compare a pair's orientations with its polytope,
-    so the evaluation that trusts the mark still looks for a pole.
+    Validation checks the edge rule, so a validated pair meets the
+    Conner-Floyd relations by theorem; the evaluation that trusts the
+    mark still looks for a pole, and hands one to the torus pass.
     """
 
     def __init__(self, n, k, points):
@@ -332,10 +333,19 @@ class ValidationReport:
 
 def _eliminate(pair):
     """The problems ``validate_pair`` reports, with (det, adj) of every
-    vertex minor and the sign (+1, -1 or 0) of det N(P)_x per vertex
-    (None without normals).  In a simple polytope each ridge of a vertex
+    vertex minor and the vertex signs: of det N(P)_x (+1, -1 or 0) with
+    normals, else the given orientations, else None.  In a simple polytope each ridge of a vertex
     is an edge, which has two vertices: a ridge on one listed vertex, or
-    on more than two, is a vertex list that is not the polytope's."""
+    on more than two, is a vertex list that is not the polytope's.
+
+    The vertex signs (the normals' or the given orientations) must obey
+    the edge rule.  For the edge R from x = R + {i}, i at position a of
+    x, to y = R + {j}, j at position b of y, the edge direction e pairs
+    positively with n_i and negatively with n_j, and det [N_R | v] is a
+    non-zero multiple of e . v; so sign det N_y = -(-1)^(a - b) sign
+    det N_x.  This is also the condition under which the poles of the
+    two points along their common weight cancel, so a pair that meets it
+    on every edge meets the Conner-Floyd relations."""
     problems = []
     P, lam = pair.polytope, pair.lam
     if not lam.is_refined():
@@ -352,7 +362,7 @@ def _eliminate(pair):
     for v, (det, _adj) in zip(P.vertices, minors):
         if abs(det) != 1:
             problems.append("vertex %r has minor determinant %s" % (v, det))
-    normal_signs = None
+    signs = P.orientations
     if P.normals is not None:
         # each column times the positive lcm of its denominators: integral,
         # and every det N(P)_x keeps its sign
@@ -360,18 +370,26 @@ def _eliminate(pair):
         for col in zip(*P.normals):
             s = lcm(*(x.denominator for x in col))
             columns.append([x.numerator * (s // x.denominator) for x in col])
-        normal_signs = [(det > 0) - (det < 0) for det, _adj
-                        in _vertex_minors(columns, P.vertices, ridges)]
-        for v, sign in zip(P.vertices, normal_signs):
+        signs = [(det > 0) - (det < 0) for det, _adj
+                 in _vertex_minors(columns, P.vertices, ridges)]
+        for v, sign in zip(P.vertices, signs):
             if not sign:
                 problems.append("vertex %r has dependent normals" % (v,))
-    return problems, minors, normal_signs
+    if signs is not None:
+        for on in ridges.values():
+            if len(on) == 2:
+                (x, a), (y, b) = on
+                if signs[x] * signs[y] * (-1) ** (a - b) == 1:
+                    problems.append("the orientations of vertices %r and %r "
+                                    "disagree along their edge"
+                                    % (P.vertices[x], P.vertices[y]))
+    return problems, minors, signs
 
 
 def validate_pair(pair):
     """Check refinement, the initial vertex, that every ridge lies on two
-    listed vertices, and unimodularity of every vertex minor; violations
-    are collected, not raised."""
+    listed vertices, unimodularity of every vertex minor, and the vertex
+    signs along every edge; violations are collected, not raised."""
     return ValidationReport(_eliminate(pair)[0])
 
 
@@ -396,11 +414,10 @@ def signs_and_weights(pair):
     """Fixed-point data of a valid pair: per vertex, the weights are the
     columns of the inverse-transposed vertex minor and the sign is
     sign(det Lambda_x) * sign(det N(P)_x)."""
-    problems, minors, normal_signs = _eliminate(pair)
+    problems, minors, orientations = _eliminate(pair)
     if problems:
         raise InvalidPairError("; ".join(problems))
     P = pair.polytope
-    orientations = P.orientations if normal_signs is None else normal_signs
     if orientations is None:
         raise ValueError("signs need facet normals or vertex orientations")
     points = []
@@ -480,8 +497,7 @@ def product_pair(p, q, name=None):
     if P.normals is not None and Q.normals is not None:
         normals = [[0] * m for _ in range(n)]
     else:
-        sp, sq = (x.polytope.orientations if x.polytope.normals is None
-                  else _eliminate(x)[2] for x in (p, q))
+        sp, sq = (_eliminate(x)[2] for x in (p, q))
         if sp is not None and sq is not None:
             orientations = [s * t * (-1) ** odd for (s, t), odd
                             in zip(product(sp, sq), parities)]

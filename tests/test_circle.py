@@ -154,8 +154,9 @@ def test_cli_genus_equals_check_cf_certificate(pair_inputs, case, flip):
 
 def test_cli_routes_pairs_to_the_circle_and_raw_data_to_the_torus(
         monkeypatch):
-    # genus on a pair evaluates its certified fixed points at one generic
-    # direction; raw data, and the checks on a pair, run the torus pass
+    # genus, check-cf and check-rigidity --order 0 on a pair evaluate its
+    # certified fixed points at one generic direction; raw data, and every
+    # order >= 1, run the torus pass
     def refuse(*_args):
         raise AssertionError("wrong route")
 
@@ -164,6 +165,13 @@ def test_cli_routes_pairs_to_the_circle_and_raw_data_to_the_torus(
     code, lines = _cli(dict(command="genus", input="builtin:cp3",
                             genus="todd"))
     assert (code, lines) == (cli.EXIT_PASS, ["genus_value: -z^3"])
+    code, lines = _cli(dict(command="check-cf", input="builtin:cp3",
+                            genus="todd", order=0))
+    assert (code, lines) == (cli.EXIT_PASS, [
+        "cf_0 = 0", "cf_1 = 0", "cf_2 = 0", "cf_3 = -z^3", "pass"])
+    code, lines = _cli(dict(command="check-rigidity", input="builtin:cp3",
+                            genus="todd", order=0))
+    assert (code, lines) == (cli.EXIT_PASS, ["cf_3 = -z^3", "rigid"])
     monkeypatch.undo()
 
     monkeypatch.setattr(localize, "_evaluated_sums", refuse)
@@ -171,18 +179,15 @@ def test_cli_routes_pairs_to_the_circle_and_raw_data_to_the_torus(
                             genus="hurewicz", order=3))
     assert (code, lines) == (cli.EXIT_PASS,
                              ["genus_value: -2*b1^3 + 6*b1*b2 - 6*b3"])
-    code, lines = _cli(dict(command="check-cf", input="builtin:cp3",
+    code, lines = _cli(dict(command="check-cf", input="builtin:s6",
                             genus="todd", order=0))
     assert (code, lines) == (cli.EXIT_PASS, [
-        "cf_0 = 0", "cf_1 = 0", "cf_2 = 0", "cf_3 = -z^3", "pass"])
+        "cf_0 = 0", "cf_1 = 0", "cf_2 = 0", "cf_3 = 0", "pass"])
     code, lines = _cli(dict(command="check-rigidity", input="builtin:cp3",
                             genus="t2", order=2))
     assert (code, lines) == (cli.EXIT_PASS, [
         "cf_3 = -y^3 - y^2*z - y*z^2 - z^3", "cf_4 = 0", "cf_5 = 0",
         "rigid"])
-    code, lines = _cli(dict(command="check-rigidity", input="builtin:cp3",
-                            genus="todd", order=0))
-    assert (code, lines) == (cli.EXIT_PASS, ["cf_3 = -z^3", "rigid"])
 
 
 # ---------------------------------------------------------------------------

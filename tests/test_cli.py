@@ -442,22 +442,22 @@ def test_genus_order_sizes_the_hurewicz_ring(capsys, entry, command):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_special_check_violation_exits_2(tmp_path, capsys, fmt):
+def test_special_check_on_a_reversed_normal_exits_1(tmp_path, capsys, fmt):
     # reversing facet 4's normal flips the signs at its two vertices: the
-    # pair stays valid and specially omnioriented, but breaks Conner-Floyd
+    # pair stays specially omnioriented, but its signs break the edge rule
+    # on two edges, so it is invalid (it once passed validation and broke
+    # Conner-Floyd, exit 2)
     obj = pair_to_json_obj(square_pair(-1, 1, 2, 0))
     obj["polytope"]["normals"][1][3] = "1"
     path = tmp_path / "flipped.json"
     path.write_text(json.dumps(obj))
     code, lines = _job("main", capsys, "special-check", input=str(path),
                        order=1, format=fmt)
-    assert code == EXIT_VIOLATION
-    message = "Conner-Floyd relation cf_0 = 0 is violated"
-    if fmt == "text":
-        assert lines == ["violation: " + message]
-    else:
-        assert [json.loads(l) for l in lines] == \
-            [{"error": message, "pass": False}]
+    assert code == EXIT_INPUT
+    assert lines == [
+        "error: invalid pair: the orientations of vertices (1, 2) and "
+        "(1, 4) disagree along their edge; the orientations of vertices "
+        "(2, 3) and (3, 4) disagree along their edge"]
 
 
 def test_genus_on_a_pair_with_a_minor_of_determinant_2_exits_1(tmp_path,

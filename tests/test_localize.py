@@ -23,7 +23,7 @@ from toricgenera.algebra import (
     _divide_forms,
     canonical_linear_form,
 )
-from toricgenera.cli import build_parser, main
+from toricgenera.cli import JobConfig, build_parser, main, run
 from toricgenera.fgl import (
     CATALOG_NAMES,
     GenusSpec,
@@ -56,12 +56,14 @@ from toricgenera.quasitoric import (
     from_json_obj,
     generic_direction,
     load_manifold,
+    pair_to_json_obj,
     product_pair,
     restrict_to_subcircle,
     signs_and_weights,
     simplex_pair,
     special_check,
     square_pair,
+    validate_pair,
 )
 
 F = Fraction
@@ -349,16 +351,37 @@ TODD_ONLY = FixedPointData(3, 1, [
     FixedPoint("z", -1, [(-1,), (1,), (-2,)])])
 
 
-# a pair that passes validation, so its fixed points are certified,
-# though its sum has a pole: validation does not compare vertex
-# orientations with the polytope (CP^2 with one sign flipped against
-# [1, 1, -1])
-TAMPERED_PAIRS = {
-    "cp2 with orientations 1,1,1": {
+# pairs whose vertex signs break the edge rule, with the problems
+# validation reports: CP^2 with one orientation flipped against [1, 1, -1],
+# and a square whose facet 4 has its normal reversed, which flips the
+# signs at its two vertices
+_REVERSED_NORMAL = pair_to_json_obj(square_pair(-1, 1, 2, 0))
+_REVERSED_NORMAL["polytope"]["normals"][1][3] = "1"
+EDGE_RULE_BROKEN = {
+    "cp2 with orientations 1,1,1": ({
         "type": "quasitoric", "lambda": [[1, 0, -1], [0, 1, -1]],
         "polytope": {"n": 2, "m": 3, "vertices": [[1, 2], [2, 3], [1, 3]],
-                     "normals": None, "orientations": [1, 1, 1]}},
+                     "normals": None, "orientations": [1, 1, 1]}}, [
+        "the orientations of vertices (1, 2) and (1, 3) disagree along "
+        "their edge",
+        "the orientations of vertices (2, 3) and (1, 3) disagree along "
+        "their edge"]),
+    "square with a reversed normal": (_REVERSED_NORMAL, [
+        "the orientations of vertices (1, 2) and (1, 4) disagree along "
+        "their edge",
+        "the orientations of vertices (2, 3) and (3, 4) disagree along "
+        "their edge"]),
 }
+# certified by hand, with a pole: the fixed points the orientation-tampered
+# CP^2 above had when validation passed it, which no pair now yields
+CERTIFIED_WITH_A_POLE = {
+    "cp2 with orientations 1,1,1": FixedPointData(2, 2, [
+        FixedPoint("x1,2", 1, [(1, 0), (0, 1)]),
+        FixedPoint("x2,3", 1, [(-1, 1), (-1, 0)]),
+        FixedPoint("x1,3", -1, [(1, -1), (0, -1)])]),
+}
+for _fpd in CERTIFIED_WITH_A_POLE.values():
+    _fpd.certified = True
 # CP^1 listing vertex [1] alone: its one ridge lies on one listed vertex
 CP1_WITH_ONE_VERTEX = {
     "type": "quasitoric", "lambda": [[1, -1]],
@@ -425,8 +448,7 @@ def _mutant_catches(function, old, new):
              # certified, with signs of both kinds
              (signs_and_weights(simplex_pair(3, (1, 1, 1))), "hurewicz", 0),
              # certified, with a pole
-             (signs_and_weights(from_json_obj(
-                 TAMPERED_PAIRS["cp2 with orientations 1,1,1"])),
+             (CERTIFIED_WITH_A_POLE["cp2 with orientations 1,1,1"],
               "hurewicz", 0),
              (POLE_BELOW_N_MINUS_1, "todd", 0),
              (LINEAR_DATA["cp2:eps=+-/flip1"], "hurewicz", 1),
@@ -578,21 +600,45 @@ def _catalog_genus(name, n):
     return catalog(name, max(n, 1))
 
 
+def _check_lines(path, genus_name):
+    """Exit code and lines of check-cf and check-rigidity --order 0 on
+    the manifold at ``path``, in text and in JSON."""
+    out = []
+    for command in ("check-cf", "check-rigidity"):
+        for fmt in ("text", "json"):
+            job = JobConfig(command=command, input=str(path),
+                            genus=genus_name, order=0, format=fmt)
+            out.append((command, fmt, run(job), job.lines))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFIED_PAIRS))
-def test_certified_genus_value_and_phi_equal_the_torus(name):
+def test_certified_genus_value_and_phi_equal_the_torus(name, tmp_path):
     fpd = signs_and_weights(CERTIFIED_PAIRS[name])
     torus = _uncertified(fpd)
     assert fpd.certified and not torus.certified
+    # the checks on the pair evaluate; on its raw export, never certified,
+    # they run the torus pass
+    pair_path, raw_path = tmp_path / "pair.json", tmp_path / "raw.json"
+    pair_path.write_text(json.dumps(pair_to_json_obj(CERTIFIED_PAIRS[name])))
+    export = JobConfig(command="fixed-points", input=str(pair_path),
+                       format="json")
+    assert run(export) == 0
+    raw_path.write_text(export.lines[0])
     for genus_name in CATALOG_NAMES:
         genus = _catalog_genus(genus_name, fpd.n)
         expected = [str(genus_value(torus, genus))] + [
             str(phi(torus, genus, mode, 0)) for mode in ("linear",
                                                           "universal")]
+        expected_checks = _check_lines(raw_path, genus_name)
         with mock.patch.object(localize, "_expand_forms", _refuse):
             got = [str(genus_value(fpd, genus))] + [
                 str(phi(fpd, genus, mode, 0)) for mode in ("linear",
                                                             "universal")]
+            got_checks = _check_lines(pair_path, genus_name)
         assert got == expected, genus_name
+        assert got_checks == expected_checks, genus_name
+        assert all(code == 0 for _c, _f, code, _lines in got_checks)
 
 
 def test_certified_pairs_cover_the_bench_inputs():
@@ -621,12 +667,11 @@ def test_certified_data_above_order_0_keep_the_torus_pass(
             [(S.terms, S.order, D) for S, D in ref]
 
 
-@pytest.mark.parametrize("name", sorted(TAMPERED_PAIRS))
-def test_certified_data_with_a_pole_take_the_torus_pass(name, tmp_path,
-                                                         capsys):
+@pytest.mark.parametrize("name", sorted(CERTIFIED_WITH_A_POLE))
+def test_certified_data_with_a_pole_take_the_torus_pass(name):
     # a non-zero q_lam with |lam| < n at the generic direction sends the
     # data on to the torus pass, which reports the violation
-    fpd = signs_and_weights(from_json_obj(TAMPERED_PAIRS[name]))
+    fpd = CERTIFIED_WITH_A_POLE[name]
     assert fpd.certified
     assert localize._evaluated_sums(fpd, list(range(fpd.n + 1))) is None
     for genus_name in CATALOG_NAMES:
@@ -637,20 +682,36 @@ def test_certified_data_with_a_pole_take_the_torus_pass(name, tmp_path,
                 outcomes.append(str(genus_value(data, genus)))
             except ConnerFloydViolation as exc:
                 outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], genus_name
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(TAMPERED_PAIRS[name]))
-    assert main(["validate", "--input", str(path)]) == 0
-    assert capsys.readouterr().out == "valid\n"
-    for genus_name in ("todd", "hurewicz", "krichever"):
-        assert main(["genus", "--input", str(path), "--genus", genus_name,
-                     "--order", "2"]) == 2
-        assert capsys.readouterr().out == \
-            "violation: Conner-Floyd relation cf_0 = 0 is violated\n"
+            cf = cf_series(data, genus, 0)
+            outcomes.append([e.value_str() for e in cf])
+        assert outcomes[:2] == outcomes[2:], genus_name
+        assert outcomes[0] == \
+            "Conner-Floyd relation cf_0 = 0 is violated", genus_name
     for mode in ("linear", "universal"):
-        assert main(["phi", "--input", str(path), "--genus", "hurewicz",
-                     "--mode", mode, "--order", "0"]) == 2
-        assert capsys.readouterr().out.startswith("violation: ")
+        with pytest.raises(ConnerFloydViolation):
+            phi(fpd, _catalog_genus("hurewicz", fpd.n), mode, 0)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RULE_BROKEN))
+def test_a_pair_whose_signs_break_the_edge_rule_is_invalid(name, tmp_path,
+                                                           capsys):
+    # both once validated, and the fixed points of each had a pole
+    obj, problems = EDGE_RULE_BROKEN[name]
+    pair = from_json_obj(obj)
+    assert validate_pair(pair).problems == problems
+    with pytest.raises(InvalidPairError, match=re.escape(problems[0])):
+        signs_and_weights(pair)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "".join("violation: %s\n" % p
+                                      for p in problems) + "invalid\n")
+    for command in ("genus", "check-cf", "check-rigidity", "special-check"):
+        assert main([command, "--input", str(path), "--genus", "todd",
+                     "--order", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "error: invalid pair: %s\n" % "; ".join(problems)
 
 
 def test_a_pair_missing_a_vertex_is_invalid(tmp_path, capsys):

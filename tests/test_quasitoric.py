@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from toricgenera import quasitoric
@@ -600,8 +600,10 @@ def test_bareiss_determinant_and_adjugate(rows):
 
 def _ref_eliminate(pair):
     """The per-vertex loop the edge walk replaced: one elimination of
-    every minor of Lambda and of the normals, and every ridge counted
-    against every listed vertex."""
+    every minor of Lambda and of the normals, every ridge counted
+    against every listed vertex, and the edge rule read as: along an
+    edge, sign det N_x (-1)^a changes sign, a being the position of the
+    facet x leaves."""
     P, lam = pair.polytope, pair.lam
     problems = []
     if not lam.is_refined():
@@ -628,7 +630,23 @@ def _ref_eliminate(pair):
         for v, det in zip(P.vertices, dets):
             if det == 0:
                 problems.append("vertex %r has dependent normals" % (v,))
-    return problems, minors, signs
+    orientations = P.orientations if signs is None else signs
+    seen = set()
+    for v in P.vertices if orientations is not None else ():
+        for f in v:
+            ridge = set(v) - {f}
+            if frozenset(ridge) in seen:
+                continue
+            seen.add(frozenset(ridge))
+            on = [(u, o) for u, o in zip(P.vertices, orientations)
+                  if ridge <= set(u)]
+            if len(on) == 2 and all(o for _u, o in on):
+                (x, ox), (y, oy) = on
+                a, b = (u.index(*set(u) - ridge) for u in (x, y))
+                if ox * (-1) ** a == oy * (-1) ** b:
+                    problems.append("the orientations of vertices %r and "
+                                    "%r disagree along their edge" % (x, y))
+    return problems, minors, orientations
 
 
 def _cp1(k):
@@ -664,11 +682,15 @@ def vertex_minor_pairs(draw):
     if draw(st.booleans()):
         for r in range(n):
             lam[r][:n] = [int(r == c) for c in range(n)]
-    normals = None
-    if draw(st.booleans()):
+    normals = orientations = None
+    signs = draw(st.sampled_from(("normals", "orientations", None)))
+    if signs == "normals":
         normals = [[draw(st.fractions(-2, 2, max_denominator=3))
                     for _ in range(m)] for _ in range(n)]
-    return QuasitoricPair(Polytope(n, m, vertices, normals), CharMatrix(lam))
+    elif signs == "orientations":
+        orientations = [draw(st.sampled_from((1, -1))) for _ in vertices]
+    return QuasitoricPair(Polytope(n, m, vertices, normals, orientations),
+                          CharMatrix(lam))
 
 
 @settings(max_examples=400, deadline=None)
@@ -720,3 +742,71 @@ def test_eliminate_seeds_every_part_it_cannot_reach(monkeypatch, shape, lam,
     assert _eliminate(pair) == ref
     assert len(calls) == seeds
 
+
+
+# ---------------------------------------------------------------------------
+# the edge rule against the torus pass
+# ---------------------------------------------------------------------------
+
+# real polytopes with their true normals: the simplices of dimension at
+# most 3, the square, the cube and the prism CP^2 x CP^1
+_POLYTOPES = [p.polytope for p in (
+    [simplex_pair(n, (-1,) * n) for n in range(1, 4)]
+    + [square_pair(-1, -1, 0, 0), _cp1(3),
+       product_pair(simplex_pair(2, (-1, -1)), simplex_pair(1, (-1,)))])]
+SIGN_SOURCES = ("true normals", "one normal negated", "random normals",
+                "random orientations")
+
+
+@st.composite
+def signed_pairs(draw):
+    """(sign source, pair): a random refined matrix over a real polytope,
+    with signs from one of ``SIGN_SOURCES``.  Of up to 8 matrices drawn,
+    the first whose vertex minors are all unimodular is taken, so that
+    the signs decide validation more often."""
+    P = draw(st.sampled_from(_POLYTOPES))
+    n, m = P.n, P.m
+    for _ in range(8):
+        lam = [[int(r == c) for c in range(n)]
+               + [draw(st.sampled_from((1, -1, 0))) for _ in range(m - n)]
+               for r in range(n)]
+        minors = _eliminate(QuasitoricPair(Polytope(n, m, P.vertices),
+                                           CharMatrix(lam)))[1]
+        if all(abs(det) == 1 for det, _adj in minors):
+            break
+    source = draw(st.sampled_from(SIGN_SOURCES))
+    normals, orientations = [row[:] for row in P.normals], None
+    if source == "one normal negated":
+        f = draw(st.integers(0, m - 1))
+        for row in normals:
+            row[f] = -row[f]
+    elif source == "random normals":
+        normals = [[draw(st.fractions(-2, 2, max_denominator=3))
+                    for _ in range(m)] for _ in range(n)]
+    elif source == "random orientations":
+        normals = None
+        orientations = [draw(st.sampled_from((1, -1))) for _ in P.vertices]
+    return source, QuasitoricPair(
+        Polytope(n, m, P.vertices, normals, orientations), CharMatrix(lam))
+
+
+@settings(max_examples=600, deadline=None)
+@given(signed_pairs())
+def test_a_pair_that_validates_meets_the_conner_floyd_relations(case):
+    # true normals never break the edge rule, and every pair that
+    # validates passes the torus check on its uncertified points
+    from toricgenera.fgl import catalog
+    from toricgenera.localize import cf_series
+
+    source, pair = case
+    problems = validate_pair(pair).problems
+    if source == "true normals":
+        assert not [p for p in problems if "along their edge" in p]
+    event("%s: %s" % (source, "invalid" if problems else "valid"))
+    if problems:
+        return
+    fpd = signs_and_weights(pair)
+    torus = FixedPointData(fpd.n, fpd.k, fpd.points)
+    for order in (0, 1):
+        genus = catalog("hurewicz", fpd.n + order)
+        assert cf_series(torus, genus, order).conner_floyd_ok()
