@@ -39,7 +39,6 @@ from toricgenera.localize import (
     ConnerFloydViolation,
     FunctionalEquationError,
     cf_series,
-    circle_genus_value,
     dataset,
     functional_equation_check,
     genus_value,
@@ -73,8 +72,8 @@ __all__ = [
     "FunctionalEquationError", "Generator", "GenusSpec", "InvalidPairError",
     "LocalizedSum", "MultiSeries", "NormalizeError", "NotDivisibleError",
     "Poly", "Polytope", "QQ", "QuasitoricPair", "canonical_linear_form",
-    "catalog", "cf_series", "circle_genus_value", "conjugate_orientation",
-    "dataset", "elliptic_fgl_check", "fgl_from_exponential",
+    "catalog", "cf_series", "conjugate_orientation", "dataset",
+    "elliptic_fgl_check", "fgl_from_exponential",
     "functional_equation_check", "generic_direction",
     "genus_from_chern_numbers", "genus_value", "krichever_exponential",
     "localized_sum", "logarithm_from_fgl", "m_series", "make_ring",

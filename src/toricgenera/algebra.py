@@ -990,17 +990,13 @@ class LocalizedSum:
             pieces.append((den_x, flat, _expand_forms(self.k, missing)))
         L = lcm(*(den_x for den_x, _flat, _poly in pieces))
         add = operator.add
+        one = [((0,) * len(self.ring), 1)]  # the unit generator row
         acc = {}
         for den_x, flat, poly in pieces:
-            poly = [(e, c * (L // den_x)) for e, c in poly.items()]
             for e1, _d, p1 in flat:
-                for e2, c2 in poly:
-                    e = tuple(map(add, e1, e2))
-                    out = acc.get(e)
-                    if out is None:
-                        out = acc[e] = {}
-                    for g, c in p1:
-                        out[g] = out.get(g, 0) + c * c2
+                for e2, c2 in poly.items():
+                    _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
+                                 p1, one, c2 * (L // den_x))
         return _assemble(self.ring, self.k, top, acc, L), D
 
     def _quotients(self):

@@ -299,9 +299,8 @@ def _check(rigidity):
 
 
 def _pairing(job, manifold, fpd):
-    augmentation = catalog("augmentation", max(job.order, 1))
     if job.search_pairings:
-        found = pairing_obstruction(fpd, augmentation, search=True)
+        found = pairing_obstruction(fpd, search=True)
         for rep in found:
             job.emit("vanishing pairing: %s" %
                      " ".join("{%s}" % ",".join(str(i + 1) for i in b)
@@ -321,7 +320,7 @@ def _pairing(job, manifold, fpd):
                            for x in block.split("-")])
     except ValueError:
         raise InputError("malformed --pairing %r" % job.pairing)
-    report = pairing_obstruction(fpd, augmentation, blocks=blocks)
+    report = pairing_obstruction(fpd, blocks=blocks)
     for block, vanish in zip(report.blocks, report.vanishing):
         job.emit("block {%s}: %s"
                  % (",".join(str(i + 1) for i in block),

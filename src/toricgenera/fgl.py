@@ -407,7 +407,8 @@ def elliptic_fgl_check(order):
 # ---------------------------------------------------------------------------
 
 def partitions(n, cap=None):
-    """All partitions of n as descending tuples."""
+    """All partitions of n with parts at most ``cap``, as descending
+    tuples, in lexicographically descending order."""
     cap = n if cap is None else cap
     if n == 0:
         return [()]
@@ -435,39 +436,3 @@ def genus_from_chern_numbers(spec, n, chern):
             coeff = coeff * spec.exp_coefficient(j)
         total = total + coeff * Fraction(chern[part])
     return total
-
-
-# monomial symmetric functions in terms of elementary symmetric ones, n <= 4
-_MONOMIAL_IN_ELEMENTARY = {
-    (1,): {(1,): 1},
-    (2,): {(1, 1): 1, (2,): -2},
-    (1, 1): {(2,): 1},
-    (3,): {(1, 1, 1): 1, (2, 1): -3, (3,): 3},
-    (2, 1): {(2, 1): 1, (3,): -3},
-    (1, 1, 1): {(3,): 1},
-    (4,): {(1, 1, 1, 1): 1, (2, 1, 1): -4, (2, 2): 2, (3, 1): 4, (4,): -4},
-    (3, 1): {(2, 1, 1): 1, (2, 2): -2, (3, 1): -1, (4,): 4},
-    (2, 2): {(2, 2): 1, (3, 1): -2, (4,): 2},
-    (2, 1, 1): {(3, 1): 1, (4,): -4},
-    (1, 1, 1, 1): {(4,): 1},
-}
-
-
-def chern_from_elementary(n, elementary):
-    """Convert Chern data c_1..c_n (elementary basis) to the monomial basis.
-
-    ``elementary`` maps j to the number for c_j; values may be any exact
-    rationals.  Supported for n <= 4.
-    """
-    if n > 4:
-        raise ValueError("conversion table only covers n <= 4")
-    out = {}
-    for part in partitions(n):
-        total = Fraction(0)
-        for epart, coeff in _MONOMIAL_IN_ELEMENTARY.get(part, {}).items():
-            prod = Fraction(coeff)
-            for j in epart:
-                prod *= Fraction(elementary.get(j, 0))
-            total += prod
-        out[part] = total
-    return out

@@ -38,7 +38,7 @@ from toricgenera.algebra import (
     _flatten,
     _product,
 )
-from toricgenera.fgl import weight_series
+from toricgenera.fgl import GenusSpec, _augmentation, partitions, weight_series
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
@@ -220,10 +220,10 @@ def _power_table(n):
     first."""
     index, steps = {(): 0}, []
     for size in range(1, n + 1):
-        for mu in _partitions(size):
+        for mu in partitions(size):
             steps.append((index[mu[:-1]], mu[-1]))
             index[mu] = len(index)
-    top = {lam: index[lam] for lam in _partitions(n)}
+    top = {lam: index[lam] for lam in partitions(n)}
     return tuple(steps), len(index) - len(top), top
 
 
@@ -264,16 +264,6 @@ def _m_in_p(lam):
     den = R[lam] * D
     g = gcd(den, *row.values())
     return den // g, tuple((i, a // g) for i, a in row.items() if a)
-
-
-def _partitions(n, most=None):
-    """The partitions of n with parts at most ``most``, as descending
-    tuples, in lexicographically descending order."""
-    if not n:
-        yield ()
-    for first in range(min(n, most or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 def _evaluated_sums(fpd, T):
@@ -551,10 +541,6 @@ def genus_value(fpd, genus):
     return cf_series(fpd, genus, 0).genus_value()
 
 
-# genus_value evaluates certified data at one generic direction already
-circle_genus_value = genus_value
-
-
 class SpecialVanishingReport:
     def __init__(self, n, kv_value, kv_rigid, hr_value):
         self.n = n
@@ -616,14 +602,18 @@ class PairingReport:
         return all(self.vanishing)
 
 
-def pairing_obstruction(fpd, augmentation, blocks=None, search=False):
+def pairing_obstruction(fpd, blocks=None, search=False):
     """Test blockwise vanishing of the augmentation-genus localization.
+
+    The genus is fixed by the obstruction: the augmentation genus, built
+    once per call exact to n + 1, the order each block's linear sum reads.
 
     With ``blocks`` (a partition of the point indices), reports which
     blocks sum to zero.  With ``search=True``, enumerates all perfect
     pairings and returns the list of (pairing, report) for those that
     vanish entirely.
     """
+    augmentation = GenusSpec("augmentation", _augmentation(fpd.n + 1))
     if search:
         idx = list(range(len(fpd.points)))
         if len(idx) % 2:

@@ -295,15 +295,14 @@ def test_criterion_11_special_vanishing():
 
 
 def test_criterion_12_pairing_obstruction():
-    ag = catalog("augmentation", 2)
     for e1, e2, d1, d2 in _valid_squares():
         fpd = signs_and_weights(square_pair(e1, e2, d1, d2))
-        found = pairing_obstruction(fpd, ag, search=True)
+        found = pairing_obstruction(fpd, search=True)
         if d1 * d2 == 0:
             assert found, (e1, e2, d1, d2)
         else:
             assert not found, (e1, e2, d1, d2)
-        rep13 = pairing_obstruction(fpd, ag, blocks=[[0, 2], [1, 3]])
+        rep13 = pairing_obstruction(fpd, blocks=[[0, 2], [1, 3]])
         assert not rep13.vanishing[0], (e1, e2, d1, d2)
     _ok(12, "square pairings vanish iff delta1 delta2 = 0; {x1,x3} never")
 

@@ -23,7 +23,6 @@ from toricgenera.fgl import (
 )
 from toricgenera.localize import (
     cf_series,
-    circle_genus_value,
     dataset,
     genus_value,
     p_omega,
@@ -110,13 +109,13 @@ def test_random_generic_circle_equals_torus(case, data):
 
 @pytest.mark.parametrize("pair_name,genus_name", CASES)
 def test_circle_genus_value_equals_torus(pair_name, genus_name):
-    value = circle_genus_value(_fpd(pair_name), _genus(genus_name))
+    value = genus_value(_fpd(pair_name), _genus(genus_name))
     assert str(value) == _torus_value(pair_name, genus_name)
 
 
 def test_circle_genus_value_of_a_point():
     point = FixedPointData(0, 0, [FixedPoint("x", -1, [])])
-    assert str(circle_genus_value(point, _genus("todd"))) == "-1"
+    assert str(genus_value(point, _genus("todd"))) == "-1"
 
 
 @pytest.fixture(scope="module")

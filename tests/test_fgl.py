@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from toricgenera.algebra import MultiSeries, Poly, QQ, make_ring
+from toricgenera.algebra import MultiSeries, Poly, QQ
 from toricgenera.fgl import (
     _KRING,
     _krichever,
@@ -13,7 +13,6 @@ from toricgenera.fgl import (
     BsfglShapeError,
     GenusSpec,
     catalog,
-    chern_from_elementary,
     conjugate_orientation,
     elliptic_fgl_check,
     fgl_from_exponential,
@@ -555,50 +554,6 @@ def test_genus_from_chern_numbers_missing_partition():
     td = catalog("todd", 4)
     with pytest.raises(KeyError):
         genus_from_chern_numbers(td, 2, {(2,): -3})
-
-
-def test_chern_from_elementary_against_brute_force():
-    # the monomial-in-elementary table, verified symbolically in four
-    # variables (enough for every partition of n <= 4)
-    from itertools import combinations, permutations
-
-    from toricgenera.fgl import _MONOMIAL_IN_ELEMENTARY
-
-    xs = make_ring(("x1", 2), ("x2", 2), ("x3", 2), ("x4", 2))
-    gens = [Poly.gen(xs, "x%d" % i) for i in range(1, 5)]
-
-    def elementary(j):
-        out = Poly.zero(xs)
-        for combo in combinations(range(4), j):
-            prod = Poly.constant(xs, 1)
-            for i in combo:
-                prod = prod * gens[i]
-            out = out + prod
-        return out
-
-    def monomial(part):
-        out = Poly.zero(xs)
-        exps = tuple(part) + (0,) * (4 - len(part))
-        for perm in set(permutations(exps)):
-            prod = Poly.constant(xs, 1)
-            for i, e in enumerate(perm):
-                prod = prod * gens[i] ** e
-            out = out + prod
-        return out
-
-    for part, table in _MONOMIAL_IN_ELEMENTARY.items():
-        rhs = Poly.zero(xs)
-        for epart, coeff in table.items():
-            prod = Poly.constant(xs, coeff)
-            for j in epart:
-                prod = prod * elementary(j)
-            rhs = rhs + prod
-        assert monomial(part) == rhs, part
-
-    # spot value check through the conversion helper
-    converted = chern_from_elementary(2, {1: F(-3), 2: F(6)})
-    assert converted[(1, 1)] == 6
-    assert converted[(2,)] == F(-3) ** 2 - 12
 
 
 def test_projective_space_values():

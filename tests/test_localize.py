@@ -834,7 +834,7 @@ def test_a_warm_evaluation_enumerates_no_partition(monkeypatch):
     fpd = signs_and_weights(simplex_pair(5, (1, -1, 1, -1, 1)))
     T = list(range(6))
     expected = localize._evaluated_sums(fpd, T)
-    for name in ("_partitions", "_p_in_m"):
+    for name in ("partitions", "_p_in_m"):
         monkeypatch.setattr(localize, name, _refuse)
     assert localize._evaluated_sums(fpd, T) == expected
 
@@ -961,7 +961,7 @@ def test_pairing_blocks_are_not_certified(monkeypatch):
     monkeypatch.setattr(localize, "localized_sum", recording)
     fpd = signs_and_weights(square_pair(-1, -1, 0, 0))
     assert fpd.certified
-    pairing_obstruction(fpd, catalog("augmentation", 1), search=True)
+    pairing_obstruction(fpd, search=True)
     assert seen and not any(seen)
 
 
@@ -1498,30 +1498,27 @@ def test_special_vanishing_fails_for_a_nudged_krichever_exponential():
 # ---------------------------------------------------------------------------
 
 def test_pairing_square_delta2_zero():
-    ag = catalog("augmentation", 2)
     fpd = signs_and_weights(square_pair(-1, -1, 1, 0))
     # vertex order: x1 = {1,2}, x2 = {2,3}, x3 = {3,4}, x4 = {1,4}
-    report = pairing_obstruction(fpd, ag, blocks=[[0, 3], [1, 2]])
+    report = pairing_obstruction(fpd, blocks=[[0, 3], [1, 2]])
     assert report.ok
-    report = pairing_obstruction(fpd, ag, blocks=[[0, 1], [2, 3]])
+    report = pairing_obstruction(fpd, blocks=[[0, 1], [2, 3]])
     assert not report.ok
 
 
 def test_pairing_square_delta1_zero():
-    ag = catalog("augmentation", 2)
     fpd = signs_and_weights(square_pair(-1, -1, 0, 1))
-    report = pairing_obstruction(fpd, ag, blocks=[[0, 1], [2, 3]])
+    report = pairing_obstruction(fpd, blocks=[[0, 1], [2, 3]])
     assert report.ok
 
 
 def test_pairing_search_iff_delta_product_zero():
-    ag = catalog("augmentation", 2)
     for e1, e2 in itertools.product((1, -1), repeat=2):
         for d1, d2 in itertools.product(range(-2, 3), repeat=2):
             if abs(e1 * e2 - d1 * d2) != 1:
                 continue
             fpd = signs_and_weights(square_pair(e1, e2, d1, d2))
-            found = pairing_obstruction(fpd, ag, search=True)
+            found = pairing_obstruction(fpd, search=True)
             if d1 * d2 == 0:
                 assert found, (e1, e2, d1, d2)
             else:
@@ -1529,6 +1526,57 @@ def test_pairing_search_iff_delta_product_zero():
             # {x1, x3} never vanishes, in any pairing
             for rep in found:
                 assert [0, 2] not in rep.blocks
+
+
+def _ref_block_vanishes(fpd, indices):
+    """The block check with the augmentation genus built by the caller:
+    the localized sum over the block, cross-multiplied, is zero."""
+    sub = FixedPointData(fpd.n, fpd.k, [fpd.points[i] for i in indices])
+    ls = localized_sum(sub, catalog("augmentation", 1), "linear", 0)
+    return ls.over_common_denominator()[0].is_zero()
+
+
+def _pairing_inputs():
+    """CP^1-CP^3 with every eps, the 20 squares with delta in {-1, 0, 1}
+    (the benchmark's pool), s6 and flag3."""
+    inputs = {}
+    for n in (1, 2, 3):
+        for eps in itertools.product((1, -1), repeat=n):
+            pair = simplex_pair(n, eps)
+            inputs[pair.name] = signs_and_weights(pair)
+    for e1, e2, d1, d2 in itertools.product((1, -1), (1, -1), (-1, 0, 1),
+                                            (-1, 0, 1)):
+        if abs(e1 * e2 - d1 * d2) == 1:
+            pair = square_pair(e1, e2, d1, d2)
+            inputs[pair.name] = signs_and_weights(pair)
+    inputs["s6"], inputs["flag3"] = dataset("s6"), dataset("flag3")
+    return inputs
+
+
+PAIRING_INPUTS = _pairing_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_INPUTS))
+def test_pairing_obstruction_matches_the_caller_genus_reference(name):
+    # the obstruction builds its own augmentation genus; every perfect
+    # pairing, by blocks and by search, agrees with the caller-built one
+    fpd = PAIRING_INPUTS[name]
+    idx = list(range(len(fpd.points)))
+    pairings = list(localize._perfect_pairings(idx)) if len(idx) % 2 == 0 \
+        else []
+    want = []
+    for pairing in pairings:
+        vanishing = [_ref_block_vanishes(fpd, b) for b in pairing]
+        report = pairing_obstruction(fpd, blocks=pairing)
+        assert (report.blocks, report.vanishing) == (pairing, vanishing)
+        if all(vanishing):
+            want.append((pairing, vanishing))
+    if not pairings:
+        with pytest.raises(ValueError):
+            pairing_obstruction(fpd, search=True)
+        return
+    found = pairing_obstruction(fpd, search=True)
+    assert [(rep.blocks, rep.vanishing) for rep in found] == want
 
 
 def _ref_pairing_search(fpd, ag):
@@ -1553,7 +1601,7 @@ def test_pairing_search_localizes_each_block_once(name, monkeypatch):
     monkeypatch.setattr(localize, "_block_vanishes",
                         lambda *args: calls.append(args[1])
                         or block_vanishes(*args))
-    found = pairing_obstruction(fpd, ag, search=True)
+    found = pairing_obstruction(fpd, search=True)
     assert [(rep.blocks, rep.vanishing) for rep in found] == want
     assert len(calls) == len({tuple(b) for b in calls})
     if name == "flag3":
@@ -1561,10 +1609,9 @@ def test_pairing_search_localizes_each_block_once(name, monkeypatch):
 
 
 def test_pairing_blocks_must_partition():
-    ag = catalog("augmentation", 2)
     fpd = signs_and_weights(square_pair(-1, -1, 0, 0))
     with pytest.raises(ValueError):
-        pairing_obstruction(fpd, ag, blocks=[[0, 1]])
+        pairing_obstruction(fpd, blocks=[[0, 1]])
 
 
 # ---------------------------------------------------------------------------

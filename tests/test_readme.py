@@ -21,8 +21,7 @@ def test_readme_library_example_prints_its_comments():
     expected = [line.split("# ", 1)[1].strip()
                 for line in code.splitlines()
                 if line.startswith("print(") and "# " in line]
-    assert expected == ["-2*b1^3 + 6*b1*b2 - 6*b3", "-z^3", "(1, 2, 4)",
-                        "-z^3"]
+    assert expected == ["-2*b1^3 + 6*b1*b2 - 6*b3", "-z^3", "(1, 2, 4)"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, README, "exec"), {})
