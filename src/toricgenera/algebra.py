@@ -12,9 +12,13 @@ Every series product runs on one flat integer kernel, ``_product``:
 ``_flatten`` brings each factor over one common integer denominator, the
 kernel adds plain int products per (u-exponent, generator-exponent), and
 ``_assemble`` makes one Fraction per non-zero sum; ``*``, ``scale`` and
-``**`` call it.  Beside it, ``MultiSeries._recurrence`` builds unit powers
-and exp (``invert_unit``, ``sqrt_unit``, ``exp``) by a degree recurrence
-in one such pass, and ``revert`` fills an int power table.
+``**`` call it.  Inversion is one integer kernel, ``_invert_rows``: it
+takes flattened rows and returns the inverse's rows over their least
+common denominator, with no factorial, for ``invert_unit`` (which boxes
+them) and for the linear localized sum's unit a_+ (which does not).
+``MultiSeries._recurrence`` builds the other unit powers and exp
+(``sqrt_unit``, ``exp``) by a degree recurrence in one such pass, and
+``revert`` fills an int power table.
 ``MultiSeries.compose_at_linear`` writes each term c_d (w . u)^d straight
 into its u-monomials, and ``MultiSeries.substitute`` runs one such pass
 per variable over int power tables of the images.
@@ -319,6 +323,45 @@ def _flatten(terms, order):
                  for e, d, pt in rows]
 
 
+def _invert_rows(den, rows, order):
+    """``_flatten``'s (L, rows) of 1 / F to ``order``, for F = rows / den,
+    ``_flatten`` rows whose first row is the non-zero rational constant
+    G_0 / den.
+
+    With G = rows, P_d = -sum_(j >= 1) G_j P_(d-j) / G_0 is the degree-d
+    part of 1 / G, and N_d = G_0^(d+1) P_d is an int polynomial: N_0 = 1,
+    N_d = -sum_j G_0^(j-1) G_j N_(d-j).  So 1 / F = den N_d / G_0^(d+1),
+    brought over |G_0|^(order+1) and divided by the gcd of all, which
+    leaves the least common denominator, as ``_flatten`` gives."""
+    add = operator.add
+    (e0, _d, ((g0, c0),)), *rest = rows
+    comps = [(j, [(e, p) for e, _j, p in row])
+             for j, row in groupby(rest, operator.itemgetter(1))]
+    N = [{e0: [(g0, 1)]}]
+    for d in range(1, order + 1):
+        acc = {}
+        for j, comp in comps:
+            if j > d:
+                break
+            m = -c0 ** (j - 1)
+            for e1, p1 in comp:
+                for e2, p2 in N[d - j].items():
+                    _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
+                                 p1, p2, m)
+        N.append({e: nz for e, out in acc.items()
+                  if (nz := [(g, c) for g, c in out.items() if c])})
+    s, a = (1, c0) if c0 > 0 else (-1, -c0)
+    rows = []
+    for d, Nd in enumerate(N):
+        lift = den * s ** (d + 1) * a ** (order - d)
+        rows += [(e, d, [(g, c * lift) for g, c in pd])
+                 for e, pd in Nd.items()]
+    top = a ** (order + 1)
+    common = gcd(top, *(c for _e, _d, p in rows for _g, c in p))
+    return top // common, [(e, d, [(g, c // common) for g, c in p])
+                           for e, d, p in rows]
+
+
 def _assemble(ring, k, order, acc, den):
     """The series sum of (acc[e][g] / den) g u^e, non-zero sums only."""
     terms = {}
@@ -603,9 +646,9 @@ class MultiSeries:
         return self.truncate(n).terms == other.truncate(n).terms
 
     # -- core series operations ---------------------------------------
-    def _recurrence(self, a, b, c0=1, scale=1):
-        """``scale`` * P to ``order``, s being self's part of degree >= 1
-        over c0: P_0 = 1, d P_d = sum_{j=1..d} (a j + b d) s_j P_(d-j).
+    def _recurrence(self, a, b):
+        """P to ``order``, s being self's part of degree >= 1: P_0 = 1,
+        d P_d = sum_{j=1..d} (a j + b d) s_j P_(d-j).
 
         The Euler operator sum_i u_i d/du_i is d on degree d, so (a, b) =
         (alpha + 1, -1) gives (1 + s)^alpha and (1, 0) gives exp(s), for
@@ -616,8 +659,7 @@ class MultiSeries:
         order, add = self.order, operator.add
         den, rows = _flatten(self.terms, order)
         p, q = a.numerator, a.denominator
-        sign = c0.denominator if c0 > 0 else -c0.denominator
-        Lq = den * abs(c0.numerator) * q
+        Lq = den * q
         comps = {d: [(e, g) for e, _d, g in row]
                  for d, row in groupby(rows, operator.itemgetter(1)) if d}
         N = [{(0,) * self.k: [((0,) * len(self.ring), 1)]}]
@@ -626,7 +668,7 @@ class MultiSeries:
             for j, s_j in comps.items():
                 if j > d:
                     break
-                m = sign * (p * j + q * b * d) * Lq ** (j - 1) \
+                m = (p * j + q * b * d) * Lq ** (j - 1) \
                     * (factorial(d - 1) // factorial(d - j))
                 for e1, p1 in s_j:
                     for e2, p2 in N[d - j].items():
@@ -635,22 +677,25 @@ class MultiSeries:
             N.append({e: nz for e, out in acc.items()
                       if (nz := [(g, c) for g, c in out.items() if c])})
         top = factorial(order)
-        lift = [scale.numerator * Lq ** (order - d) * (top // factorial(d))
+        lift = [Lq ** (order - d) * (top // factorial(d))
                 for d in range(order + 1)]
         return _assemble(self.ring, self.k, order, {
             e: {g: c * lift[d] for g, c in pd}
             for d, Nd in enumerate(N) for e, pd in Nd.items()},
-            Lq ** order * top * scale.denominator)
+            Lq ** order * top)
 
     def invert_unit(self):
-        """Inverse of a series whose constant term is a nonzero rational
-        c0: (1 + s)^(-1) / c0 at s = self / c0 - 1, by ``_recurrence``."""
+        """Inverse of a series whose constant term is a nonzero rational,
+        by the one integer kernel ``_invert_rows``."""
         c0 = self.constant_term().constant_value()
         if c0 is None:
             raise ValueError("invert_unit: constant term is not rational")
         if c0 == 0:
             raise ZeroDivisionError("invert_unit: constant term is zero")
-        return self._recurrence(0, -1, c0, 1 / c0)
+        den, rows = _invert_rows(*_flatten(self.terms, self.order),
+                                 self.order)
+        return _assemble(self.ring, self.k, self.order,
+                         {e: dict(p) for e, _d, p in rows}, den)
 
     def sqrt_unit(self):
         """Square root of a series with constant term 1: (1 + s)^(1/2) at

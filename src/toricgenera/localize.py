@@ -4,16 +4,21 @@ A fixed-point datum contributes sign(x) / prod_j (weight-series of w_j(x));
 the sum over fixed points is an honest power series exactly when the
 Conner-Floyd relations hold, and its homogeneous pieces are the cf
 coefficients (the constant one being the non-equivariant genus).  The
+genus enters the linear sum as the int rows of its unit a_+ = x/b(x),
+inverted straight off the exponential's rows by ``_invert_rows``.  The
 linear sum builds its genus-free partition sums Z_lam from int power
 rows (a shift for a coordinate form u_i) and divides them by the common
 denominator over the integers before the genus enters; only data that
 fail the universal relations leave the division to the genus's Fractions.
+A divided sum is one series over no forms, and ``cf_series`` splits it
+by degree into its entries.
 Certified data at order 0 skip the denominator: each point's power sums
-at one generic direction give every p_mu with |mu| <= n by one product
-each, and exact integer rows of n alone (``_m_in_p``) turn their sums
-into the monomial sums q_lam, |lam| = n.  Validation checks the signs
-of a pair along every edge, so its sums have no pole; a non-zero sum of
-lower degree would be one, and sends the data to the torus pass.
+at one generic direction give every p_mu with |mu| < n, and each p_mu
+with |mu| = n that some row reads, by one product each, and exact
+integer rows of n alone (``_m_in_p``) turn their sums into the monomial
+sums q_lam, |lam| = n.  Validation checks the signs of a pair along
+every edge, so its sums have no pole; a non-zero sum of lower degree
+would be one, and sends the data to the torus pass.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from toricgenera.algebra import (
     _divide_forms,
     _expand_forms,
     _flatten,
+    _invert_rows,
     _product,
 )
 from toricgenera.fgl import GenusSpec, _augmentation, partitions, weight_series
@@ -113,8 +119,24 @@ def _point_forms(point):
     return forms, scales, content
 
 
+@functools.lru_cache(maxsize=16)
+def _a_plus_rows(genus, top):
+    """(den, {t: [(generator-exponent, int)]}), a_t = rows[t] / den for
+    t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows`` on the
+    exponential's rows shifted down one degree.  The genus is rebuilt by
+    ``at_order`` only when its exponential is exact to less than top + 1.
+    Kept for the last few (genus, top), as the pairing search localizes
+    many blocks with one genus; callers only read the result."""
+    spec = genus if genus.order > top else genus.at_order(top + 1)
+    den, rows = _flatten(spec.exponential.terms, top + 1)
+    den, rows = _invert_rows(den, [((d - 1,), d - 1, p) for _e, d, p in rows],
+                             top)
+    return den, {d: p for _e, d, p in rows}
+
+
 def _linear_total(fpd, genus, order):
-    """(S, D) of the linear localized sum in one pass: a weight s f takes
+    """(S, D) of the linear localized sum in one pass, with a_+ as int rows
+    from ``_a_plus_rows`` (no series boxed): a weight s f takes
     each state, an int polynomial in u per partition mu of the degrees used
     so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
     the base-B digits of one int, so (u_i)^t is the shift t B^i; only a
@@ -124,8 +146,7 @@ def _linear_total(fpd, genus, order):
     their sums come from ``_evaluated_sums``, unless it finds a pole."""
     k, n = fpd.k, fpd.n
     top = order + n
-    den_a, flat = _flatten(genus.at_order(top + 1).a_plus().terms, top)
-    coeff = {d: p for _e, d, p in flat}  # a_t = coeff[t] / den_a
+    den_a, coeff = _a_plus_rows(genus, top)  # a_t = coeff[t] / den_a
     T = sorted(coeff)
     evaluated = fpd.certified and not order and _evaluated_sums(fpd, T)
     if evaluated:
@@ -266,6 +287,29 @@ def _m_in_p(lam):
     return den // g, tuple((i, a // g) for i, a in row.items() if a)
 
 
+@functools.cache
+def _evaluation_plan(n, T):
+    """(low, steps, rows), the products ``_evaluated_sums`` forms at
+    degree n for the unit degrees T, built once per (n, T) and process.
+
+    ``steps`` lists (parent, part) for each product: first those of every
+    non-empty |mu| < n from ``_power_table``, which with the empty one
+    fill the first ``low`` places and which the pole check reads, then
+    those of each mu |- n that some row ``_m_in_p(lam)`` reads, lam |- n
+    with parts in T.  ``rows`` lists (lam, den, ((place, r), ...)) for
+    each such lam, (n) first.  At n = 0 the empty partition is lam."""
+    table, low, top = _power_table(n)
+    lams = [lam for lam in top if set(T).issuperset(lam)]
+    read = sorted({i for lam in lams for i, _r in _m_in_p(lam)[1]} - {0})
+    place = {0: 0, **{i: low + j for j, i in enumerate(read)}}
+    rows = []
+    for lam in lams:
+        den, row = _m_in_p(lam)
+        rows.append((lam, den, tuple((place[i], r) for i, r in row)))
+    steps = table[:max(low - 1, 0)] + tuple(table[i - 1] for i in read)
+    return low, steps, tuple(rows)
+
+
 def _evaluated_sums(fpd, T):
     """(L, {lam: {(0,) * k: L q_lam}}) for lam |- n with parts in T, the
     genus-free sums of certified data at order 0, by evaluation at one
@@ -276,18 +320,19 @@ def _evaluated_sums(fpd, T):
     direction sees unchanged.
 
     Each point takes its power sums p_d = sum_j c_j^d, d <= n, then
-    p_mu = p_(mu minus a part) p_part for every partition |mu| <= n, and
-    adds sign L / E_x p_mu into Q_mu: O(n^2 + P(<= n)) products, no
-    partition built.  Each L q_lam then comes from its row ``_m_in_p``
-    of the change of basis from power sums to monomials, integers that
-    depend on lam alone, with one exact division.  As p -> m is
-    invertible in each degree, a non-zero Q_mu with |mu| < n is a
-    non-zero q_lam of that degree, whatever its parts, which must
-    vanish.  Validation checks the edge rule, which cancels every pole of
-    a pair, so a non-zero one means data marked by hand or a fault: None,
-    and the torus pass reports it."""
+    p_mu = p_(mu minus a part) p_part for every partition |mu| < n and
+    for each mu |- n that a row reads (``_evaluation_plan``), and adds
+    sign L / E_x p_mu into Q_mu: O(n^2 + P(<= n)) products, no partition
+    built.  Each L q_lam then comes from its row ``_m_in_p`` of the
+    change of basis from power sums to monomials, integers that depend on
+    lam alone, with one exact division.  As p -> m is invertible in each
+    degree, a non-zero Q_mu with |mu| < n is a non-zero q_lam of that
+    degree, whatever its parts, which must vanish.  Validation checks
+    the edge rule, which cancels every pole of a pair, so a non-zero one
+    means data marked by hand or a fault: None, and the torus pass
+    reports it."""
     n = fpd.n
-    steps, low, top = _power_table(n)
+    low, steps, rows = _evaluation_plan(n, tuple(T))
     nu = generic_direction(fpd)
     points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
               for point in fpd.points]
@@ -306,12 +351,9 @@ def _evaluated_sums(fpd, T):
         Q = list(map(add, Q, pm))
     if any(Q[:low]):
         return None
-    zero, allowed, nums = (0,) * fpd.k, set(T), {}
-    for lam in top:
-        if allowed.issuperset(lam):
-            den, row = _m_in_p(lam)
-            nums[lam[::-1]] = {zero: sum(r * Q[i] for i, r in row) // den}
-    return L, nums
+    zero = (0,) * fpd.k
+    return L, {lam[::-1]: {zero: sum(r * Q[i] for i, r in row) // den}
+               for lam, den, row in rows}
 
 
 def _ring_sums(genus, coeff, den_a, n, nums):
@@ -441,7 +483,9 @@ def phi(fpd, genus, mode, order):
 # ---------------------------------------------------------------------------
 
 class CfEntry:
-    """One coefficient cf_l: a homogeneous series, or a violation."""
+    """One coefficient cf_l: a homogeneous series, or a violation, the
+    pair (numerator component over D, a function that returns D rendered,
+    shared by the entries of one series)."""
 
     __slots__ = ("l", "series", "violation")
 
@@ -461,11 +505,7 @@ class CfEntry:
         if self.ok:
             return str(self.series)
         num, den = self.violation
-        parts = []
-        for form, mult in sorted(den.items()):
-            s = str(MultiSeries.linear_form(num.ring, num.k, 1, form))
-            parts.append("(%s)%s" % (s, "^%d" % mult if mult > 1 else ""))
-        return "(%s) / [%s]" % (num, " ".join(parts))
+        return "(%s) / [%s]" % (num, den())
 
     def __repr__(self):
         return "cf_%d = %s" % (self.l, self.value_str())
@@ -519,19 +559,35 @@ class CfSeries:
 def cf_series(fpd, genus, order):
     """Compute cf_l for 0 <= l <= n + order (linear mode).
 
-    The common-denominator representation keeps the principal part exact,
-    so violations in degrees l < n are detected and reported verbatim.
+    A linear sum whose Z_lam all divide is one power series over no
+    forms, exact to ``order``: cf_(n+d) is its degree-d part, read off
+    directly, and cf_l = 0 for l < n.  Otherwise the common-denominator
+    representation keeps the principal part exact, so violations in
+    degrees l < n are detected and reported verbatim, with D rendered
+    once for every failing entry.
     """
-    n = fpd.n
+    n, ring, k = fpd.n, genus.ring, fpd.k
     ls = localized_sum(fpd, genus, "linear", order)
+    if len(ls) == 1 and not ls.terms[0][1]:
+        parts = {}
+        for e, p in ls.terms[0][0].terms.items():
+            parts.setdefault(sum(e), {})[e] = p
+        return CfSeries(n, genus.name, [
+            CfEntry(l, MultiSeries._trusted(ring, k, max(l - n, 0),
+                                            parts.get(l - n, {})))
+            for l in range(n + order + 1)])
     D = ls.common_denominator()
-    entries = [CfEntry(l, MultiSeries.zero(genus.ring, fpd.k, max(l - n, 0)))
+    den = functools.cache(lambda: " ".join(
+        "(%s)%s" % (MultiSeries.linear_form(ring, k, 1, form),
+                    "^%d" % mult if mult > 1 else "")
+        for form, mult in sorted(D.items())))
+    entries = [CfEntry(l, MultiSeries.zero(ring, k, max(l - n, 0)))
                for l in range(n + order + 1)]
     # each point contributes over n linear forms, so the lowest non-zero
     # component has net degree >= -n
     for net, comp, quotient in ls._quotients():
         l = n + net
-        entries[l] = CfEntry(l, violation=(comp, D)) if quotient is None \
+        entries[l] = CfEntry(l, violation=(comp, den)) if quotient is None \
             else CfEntry(l, quotient.truncate(max(net, 0)))
     return CfSeries(n, genus.name, entries)
 

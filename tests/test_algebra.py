@@ -17,6 +17,8 @@ from toricgenera.algebra import (
     QQ,
     _divide_forms,
     _expand_forms,
+    _flatten,
+    _invert_rows,
     canonical_linear_form,
     make_ring,
 )
@@ -1006,6 +1008,22 @@ def test_invert_unit_matches_the_geometric_loop(data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inversion_kernel_returns_flattened_rows(data):
+    # the kernel's rows are those _flatten reads off the inverse: the
+    # least common denominator, no zero entry, sorted by degree
+    c0 = data.draw(st.sampled_from([1, -1, 2, F(-3, 2)]))
+    s = data.draw(_series_with_constant(c0))
+    den, rows = _invert_rows(*_flatten(s.terms, s.order), s.order)
+    ref_den, ref = _flatten(_ref_invert_unit(s).terms, s.order)
+    assert den == ref_den
+    assert [d for _e, d, _p in rows] == [d for _e, d, _p in ref]
+    assert {e: dict(p) for e, _d, p in rows} == \
+        {e: dict(p) for e, _d, p in ref}
+    assert all(c for _e, _d, p in rows for _g, c in p)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_series_with_constant(0))
 def test_exp_matches_the_factorial_loop(s):
     _assert_same(s.exp(), _ref_exp(s))
@@ -1064,7 +1082,7 @@ def test_unit_powers_match_the_power_sum_loop(data):
                                          F(-2, 3)])))
     c0 = F(data.draw(st.sampled_from([1, -1, 2, F(-3, 2)])))
     unit = (1 + s).scale(c0)
-    got = unit._recurrence(alpha + 1, -1, c0)
+    got = (1 + s)._recurrence(alpha + 1, -1)
     _assert_same(got, _ref_power_sum(s, lambda j: _binomial(alpha, j)))
     # P^q = (1 + s)^p for alpha = p / q
     p, q = alpha.numerator, alpha.denominator

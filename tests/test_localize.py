@@ -21,6 +21,7 @@ from toricgenera.algebra import (
     Poly,
     QQ,
     _divide_forms,
+    _flatten,
     canonical_linear_form,
 )
 from toricgenera.cli import JobConfig, build_parser, main, run
@@ -410,8 +411,9 @@ MUTANTS = {
     "evaluated pole check reads |mu| = n - 1 alone": (
         localize._evaluated_sums, "any(Q[:low])",
         "any(Q[low - len(_power_table(n - 1)[2]):low])"),
-    "monomial row (n) dropped": (localize._evaluated_sums, "for lam in top:",
-                                 "for lam in list(top)[1:]:"),
+    "monomial row (n) dropped": (localize._evaluation_plan,
+                                 "for lam in top if",
+                                 "for lam in list(top)[1:] if"),
     "t = 0 skipped": (localize._linear_total,
                       "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
@@ -649,6 +651,74 @@ def test_certified_pairs_cover_the_bench_inputs():
                  "cp2:eps=-- x cp1:eps=-", "cp2:eps=-- x cp2:eps=--",
                  "point"):
         assert name in CERTIFIED_PAIRS
+
+
+# the builtin pairs of dimension <= 4 and the bench's raw inputs: CP^2 and
+# CP^3 exported as fixed points, s6 and flag3
+DIRECT_READ_DATA = {
+    **{name: fpd for name, fpd in ((name, signs_and_weights(pair))
+                                   for name, pair in CERTIFIED_PAIRS.items())
+       if fpd.n <= 4},
+    **{"cp%dfp" % n: _uncertified(signs_and_weights(
+        simplex_pair(n, (-1,) * n))) for n in (2, 3)},
+    "s6": dataset("s6"),
+    "flag3": dataset("flag3"),
+}
+
+
+@st.composite
+def direct_read_data(draw):
+    """An input of ``DIRECT_READ_DATA``, or the same with the sign of
+    point 0 or 1 flipped, as the bench flips its raw inputs."""
+    fpd = DIRECT_READ_DATA[draw(st.sampled_from(sorted(DIRECT_READ_DATA)))]
+    flip = draw(st.sampled_from((None, 0, 1)))
+    return fpd if flip is None or flip >= len(fpd) else fpd.flip_one(flip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fpd=direct_read_data(), genus_name=st.sampled_from(CATALOG_NAMES),
+       order=st.integers(0, 4))
+def test_cf_series_reads_a_divided_sum_as_the_quotients_do(fpd, genus_name,
+                                                           order):
+    # a sum over no forms is split by degree without _quotients; the chain
+    # sends every sum through _quotients and the Fraction division
+    genus = catalog(genus_name, max(order, 1) + fpd.n - 1, generators=3)
+    expected = _outcomes_by_chain(fpd, genus, order)
+    assert _outcomes(fpd, genus, order) == expected
+    if not localized_sum(fpd, genus, "linear", order).common_denominator():
+        with mock.patch.object(localize, "localized_sum", _by_chain):
+            ref = cf_series(fpd, genus, order)
+        with mock.patch.object(LocalizedSum, "_quotients", _refuse):
+            got = cf_series(fpd, genus, order)
+        # each entry's degree, exactness order and terms, not only its text
+        assert [(e.l, e.series.order, e.series.terms) for e in got] == \
+            [(e.l, e.series.order, e.series.terms) for e in ref]
+        assert [e.value_str() for e in got] == expected[0]
+
+
+def test_failing_entries_render_the_denominator_once(monkeypatch):
+    # CP^3 under elliptic at order 3 with one sign flipped: four failing
+    # entries over the six forms of D, each form rendered once, and every
+    # entry as the per-entry rendering wrote it
+    fpd = signs_and_weights(simplex_pair(3, (-1,) * 3)).flip_one(0)
+    genus = catalog("elliptic", 3 + fpd.n - 1)
+    cf = cf_series(fpd, genus, 3)
+    D = localized_sum(fpd, genus, "linear", 3).common_denominator()
+    expected = []
+    for e in cf:
+        if not e.ok:
+            num, _den = e.violation
+            expected.append("(%s) / [%s]" % (num, " ".join(
+                "(%s)%s" % (MultiSeries.linear_form(num.ring, num.k, 1, f),
+                            "^%d" % m if m > 1 else "")
+                for f, m in sorted(D.items()))))
+    assert (len(expected), len(D)) == (4, 6)
+    calls = []
+    linear_form = MultiSeries.linear_form.__func__
+    monkeypatch.setattr(MultiSeries, "linear_form", classmethod(
+        lambda cls, *args: calls.append(args) or linear_form(cls, *args)))
+    assert [e.value_str() for e in cf if not e.ok] == expected
+    assert len(calls) == len(D)
 
 
 @pytest.mark.parametrize("name", ["cp1:eps=-", "cp2:eps=+-", "cp3:eps=---",
@@ -918,6 +988,57 @@ def test_power_table_turns_power_sums_into_monomials(n, c):
         assert den > 0 and all(i >= low for i, _r in row)
         assert den * _monomial(lam, c) == sum(
             r * prod(p[part] for part in mus[i]) for i, r in row), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 8), T=st.sets(st.integers(1, 8)))
+def test_evaluation_plan_forms_only_the_products_a_row_reads(n, T):
+    # every |mu| < n for the pole check, and of the mu |- n exactly those
+    # that the rows of the lam |- n with parts in T read
+    T = tuple(sorted(T | {0}))
+    steps, low, top = localize._power_table(n)
+    got_low, got_steps, rows = localize._evaluation_plan(n, T)
+    assert got_low == low
+    lams = [lam for lam in top if set(lam) <= set(T)]
+    read = sorted({i for lam in lams for i, _r in localize._m_in_p(lam)[1]}
+                  - {0})
+    assert list(got_steps) == list(steps[:max(low - 1, 0)]) + \
+        [steps[i - 1] for i in read]
+    place = {0: 0, **{i: low + j for j, i in enumerate(read)}}
+    assert list(rows) == [
+        (lam, localize._m_in_p(lam)[0],
+         tuple((place[i], r) for i, r in localize._m_in_p(lam)[1]))
+        for lam in lams]
+
+
+def test_an_even_unit_reads_fewer_products():
+    # on CP^7 an even unit reads none of the 15 products of degree 7, so
+    # each point forms 29 of the 44; on CP^6 it reads 3 of 11 (the values
+    # are checked by test_evaluated_sums_match_the_partition_walk)
+    for n, genus_name, count in ((7, "signature", 29), (7, "elliptic", 29),
+                                 (7, "todd", 44), (6, "signature", 21),
+                                 (6, "todd", 29)):
+        _den, rows = localize._a_plus_rows(catalog(genus_name, n), n)
+        _low, steps, _rows = localize._evaluation_plan(n, tuple(sorted(rows)))
+        assert len(steps) == count, (n, genus_name)
+    assert len(localize._power_table(7)[0]) == 44
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_plus_rows_equal_the_boxed_unit(name):
+    # a_+ straight off the exponential's rows, against GenusSpec.a_plus()
+    # and against Miller's recurrence on b_+, term by term; the genus is
+    # built exact to 3, so tops 1 and 2 truncate it and 3..10 rebuild it
+    for generators in range(1, 7) if name == "hurewicz" else (None,):
+        genus = catalog(name, 1, generators=generators)
+        for top in range(1, 11):
+            den, rows = localize._a_plus_rows(genus, top)
+            spec = genus.at_order(top + 1)
+            for unit in (spec.a_plus(), spec.b_plus()._recurrence(0, -1)):
+                ref_den, ref = _flatten(unit.terms, top)
+                assert den == ref_den, (generators, top)
+                assert {t: dict(p) for t, p in rows.items()} == \
+                    {d: dict(p) for _e, d, p in ref}, (generators, top)
 
 
 # ---------------------------------------------------------------------------
