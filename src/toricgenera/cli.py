@@ -50,13 +50,14 @@ class InputError(ValueError):
 @dataclass
 class JobConfig:
     """One CLI job: the parsed options, whose defaults are the CLI's, and
-    the output lines ``run`` fills."""
+    the output lines ``run`` fills.  The command line hands ``order`` and
+    ``genus_order`` over as text, which ``run`` reads as decimals."""
     command: str
     input: str = ""
     genus: str = "hurewicz"
-    genus_order: int | None = None
+    genus_order: int | str | None = None
     mode: str = "linear"
-    order: int = 6
+    order: int | str = 6
     format: str = "text"
     flip_orientation: bool = False
     pairing: str | None = None
@@ -375,9 +376,22 @@ COMMANDS = tuple(HANDLERS)
 _GENUS_ORDER_COMMANDS = ("phi", "genus", "check-cf", "check-rigidity")
 
 
+def _order(value, option):
+    """An order as an int: the command line hands it over as text, which
+    must be an ASCII decimal (see ``_decimal``)."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return _decimal(value)
+    except ValueError as exc:
+        raise InputError("%s: %s" % (option, exc)) from exc
+
+
 def _run(job):
+    job.order = _order(job.order, "--order")
     if job.order < 0:
         raise InputError("--order must be >= 0")
+    job.genus_order = _order(job.genus_order, "--genus-order")
     if job.genus_order is not None and job.genus_order < 1:
         raise InputError("--genus-order must be >= 1")
     if job.command not in HANDLERS:
@@ -412,10 +426,12 @@ def build_parser():
     parser.add_argument("--input",
                         help="manifold JSON file or builtin:<name>")
     parser.add_argument("--genus", help="|".join(CATALOG_NAMES))
-    parser.add_argument("--genus-order", type=int,
+    # the orders stay text here, so that ``run`` refuses a malformed one
+    # with exit 1 like any other bad input
+    parser.add_argument("--genus-order",
                         help="hurewicz generator count (default: --order)")
     parser.add_argument("--mode", choices=("linear", "universal"))
-    parser.add_argument("--order", type=int)
+    parser.add_argument("--order")
     parser.add_argument("--format", choices=("text", "json"))
     parser.add_argument("--flip-orientation", action="store_true")
     parser.add_argument("--pairing",

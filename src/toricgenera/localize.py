@@ -73,11 +73,13 @@ class FunctionalEquationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def dataset(name):
-    """Bundled fixed-point data: "s6", "flag3" or "cp1"."""
+    """Bundled fixed-point data: "s6", "flag3" or "cp1", built as is (see
+    ``FixedPoint._trusted``)."""
+    point = FixedPoint._trusted
     if name == "s6":
         return FixedPointData(3, 2, [
-            FixedPoint("x1", 1, [(1, 0), (0, 1), (-1, -1)]),
-            FixedPoint("x2", 1, [(-1, 0), (0, -1), (1, 1)]),
+            point("x1", 1, [(1, 0), (0, 1), (-1, -1)]),
+            point("x2", 1, [(-1, 0), (0, -1), (1, 1)]),
         ])
     if name == "flag3":
         basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -89,12 +91,12 @@ def dataset(name):
                     weights.append(tuple(
                         basis[perm[i]][t] - basis[perm[j]][t] for t in range(3)))
             label = "".join(str(p + 1) for p in perm)
-            points.append(FixedPoint(label, 1, weights))
+            points.append(point(label, 1, weights))
         return FixedPointData(3, 3, points)
     if name == "cp1":
         return FixedPointData(1, 1, [
-            FixedPoint("x0", 1, [(1,)]),
-            FixedPoint("x1", 1, [(-1,)]),
+            point("x0", 1, [(1,)]),
+            point("x1", 1, [(-1,)]),
         ])
     raise KeyError("unknown dataset %r" % name)
 

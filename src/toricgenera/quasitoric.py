@@ -6,16 +6,24 @@ and weight vectors of the torus fixed points are extracted from vertex
 minors.  Everything is exact; the eliminations run over the integers.
 
 The minors are found by walking the edges of P: two vertices that share
-n - 1 facets differ in one column, so one fraction-free Bareiss
-elimination seeds each connected part of the vertex graph and every other
-vertex follows from a neighbour by one exact Cramer pivot, O(n^2) per
-vertex instead of an O(n^3) elimination (see ``_vertex_minors``).
+n - 1 facets differ in one column, so every vertex follows from a
+neighbour by one exact Cramer pivot, O(n^2) per vertex instead of an
+O(n^3) elimination (see ``_vertex_minors``).  The walk starts at the
+initial vertex F1...Fn, whose minor is the identity for a refined
+Lambda and for the builtins' normals, and so needs no elimination; any
+other initial minor, and each part of the vertex graph the walk cannot
+reach, is seeded by one fraction-free Bareiss elimination.
+
+The builtins (``simplex_pair``, ``square_pair``) are built as they are,
+through the ``_trusted`` constructors, with int normals; every other
+pair, from JSON or a library caller, passes the validating constructors,
+whose normals are Fractions.  Validation checks every pair in full.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
 
@@ -82,14 +90,18 @@ def _ridge_map(vertices):
     return ridges
 
 
-def _vertex_minors(columns, vertices, ridges):
+def _vertex_minors(columns, vertices, edges, start):
     """(det, adj) of the minor on the columns of every vertex, exactly.
 
     ``columns`` are the m integer columns (facet i is ``columns[i - 1]``),
-    ``vertices`` the sorted n-tuples of facets and ``ridges`` their
-    ``_ridge_map``.  Two vertices sharing n - 1 facets are neighbours (an
-    edge of P).  ``_bareiss`` seeds each part of this graph; the rest
-    follow along edges by Cramer's rule.
+    ``vertices`` the sorted n-tuples of facets, ``edges`` lists per vertex
+    the (position, ridge) of each of its ridges (see ``_eliminate``), and
+    ``start`` is the index of the initial vertex F1...Fn, or None.  Two
+    vertices sharing n - 1 facets are neighbours (an edge of P).  The walk
+    starts at ``start``, whose minor, when it is the identity I, is its
+    own (1, I); any other seed minor, and one vertex of each part of the
+    graph the walk has not reached, is eliminated by ``_bareiss``.  The
+    rest follow along edges by Cramer's rule.
     For y = x - {i} + {j}, with i at position ``pos`` of x and
     det_x != 0, set c = adj_x lambda_j: then det_y = c_pos, row ``pos`` of
     adj_y is that of adj_x, and every other row l is
@@ -98,15 +110,20 @@ def _vertex_minors(columns, vertices, ridges):
     (-1)^(pos - at).  A singular minor passes nothing on, so a vertex
     reached only through one becomes a seed of its own.
     """
-    edges = [[] for _ in vertices]  # per vertex: (position, its ridge)
-    for ridge in ridges.values():
-        for a, pos in ridge:
-            edges[a].append((pos, ridge))
     out = [None] * len(vertices)
-    for seed, v in enumerate(vertices):
+    seeds = range(len(vertices))
+    if start is not None:
+        seeds = chain((start,), seeds)
+    for seed in seeds:
         if out[seed] is not None:
             continue
-        out[seed] = _bareiss(list(zip(*(columns[f - 1] for f in v))))
+        minor = [list(columns[f - 1]) for f in vertices[seed]]
+        identity = [[int(r == c) for c in range(len(minor))]
+                    for r in range(len(minor))]
+        if seed == start and minor == identity:
+            out[seed] = 1, identity
+        else:
+            out[seed] = _bareiss(list(zip(*minor)))
         todo = [seed]
         while todo:
             a = todo.pop()
@@ -141,10 +158,12 @@ class Polytope:
 
     ``vertices`` lists the n-element facet-index subsets (1-based);
     ``normals`` is an optional n x m matrix of exact rationals whose i-th
-    column is the inward normal of facet i.  When no normals are known,
-    ``orientations`` may give the surrogate sign of det N(P)_x per vertex
-    (the normals in increasing facet order against the global orientation).
-    Both at once are refused: they are two sources of the same signs.
+    column is the inward normal of facet i: Fractions from the
+    constructor, ints from the builtins' ``_trusted``.  When no normals
+    are known, ``orientations`` may give the surrogate sign of det N(P)_x
+    per vertex (the normals in increasing facet order against the global
+    orientation).  Both at once are refused: they are two sources of the
+    same signs.
     """
 
     def __init__(self, n, m, vertices, normals=None, orientations=None):
@@ -182,6 +201,18 @@ class Polytope:
                 raise ValueError("orientations must give +-1 per vertex")
         self.orientations = orientations
 
+    @classmethod
+    def _trusted(cls, n, m, vertices, normals):
+        """A polytope built as is, without the checks of ``__init__``:
+        ``vertices`` are distinct sorted n-tuples of facets in 1..m and
+        ``normals`` an n x m int matrix, as the builtins give them."""
+        self = object.__new__(cls)
+        self.n, self.m = n, m
+        self.vertices = vertices
+        self.normals = normals
+        self.orientations = None
+        return self
+
     def normal_columns(self, facets):
         if self.normals is None:
             raise ValueError("polytope carries no normals")
@@ -204,6 +235,16 @@ class CharMatrix:
         self.m = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.m for row in self.entries):
             raise ValueError("ragged characteristic matrix")
+
+    @classmethod
+    def _trusted(cls, entries):
+        """A matrix built as is, without the checks of ``__init__``:
+        ``entries`` is a list of equally long int rows."""
+        self = object.__new__(cls)
+        self.entries = entries
+        self.n = len(entries)
+        self.m = len(entries[0]) if entries else 0
+        return self
 
     def minor(self, facets):
         return [[self.entries[r][f - 1] for f in facets] for r in range(self.n)]
@@ -350,15 +391,21 @@ def _eliminate(pair):
     P, lam = pair.polytope, pair.lam
     if not lam.is_refined():
         problems.append("matrix is not refined (first n columns != identity)")
-    initial = tuple(range(1, P.n + 1))
-    if initial not in P.vertices:
+    try:
+        start = P.vertices.index(tuple(range(1, P.n + 1)))
+    except ValueError:
+        start = None
         problems.append("initial vertex F1...Fn is missing")
     ridges = _ridge_map(P.vertices)
+    edges = [[] for _ in P.vertices]  # per vertex: (position, its ridge)
     for ridge, on in ridges.items():
         if len(on) != 2:
             problems.append("ridge %r lies on %d of the listed vertices, "
                             "not 2" % (ridge, len(on)))
-    minors = _vertex_minors(list(zip(*lam.entries)), P.vertices, ridges)
+        for a, pos in on:
+            edges[a].append((pos, on))
+    minors = _vertex_minors(list(zip(*lam.entries)), P.vertices, edges,
+                            start)
     for v, (det, _adj) in zip(P.vertices, minors):
         if abs(det) != 1:
             problems.append("vertex %r has minor determinant %s" % (v, det))
@@ -371,7 +418,7 @@ def _eliminate(pair):
             s = lcm(*(x.denominator for x in col))
             columns.append([x.numerator * (s // x.denominator) for x in col])
         signs = [(det > 0) - (det < 0) for det, _adj
-                 in _vertex_minors(columns, P.vertices, ridges)]
+                 in _vertex_minors(columns, P.vertices, edges, start)]
         for v, sign in zip(P.vertices, signs):
             if not sign:
                 problems.append("vertex %r has dependent normals" % (v,))
@@ -424,7 +471,8 @@ def signs_and_weights(pair):
     for v, (det, adj), det_n in zip(P.vertices, minors, orientations):
         # W^t Lambda_x = I, so the columns of W are the rows of
         # Lambda_x^-1 = det * adj, integral since det = +-1
-        weights = [tuple(det * x for x in row) for row in adj]
+        weights = [tuple(row) if det == 1 else tuple(-x for x in row)
+                   for row in adj]
         label = "x" + ",".join(str(i) for i in v)
         points.append(FixedPoint._trusted(
             label, 1 if det * det_n > 0 else -1, weights))
@@ -444,6 +492,7 @@ def special_check(lam):
 
 def simplex_pair(n, eps, name=None):
     """CP^n with the omniorientation twisted by eps (entries +-1)."""
+    n = _as_int(n, "n")
     eps = tuple(_as_int(e, "eps entry") for e in eps)
     if len(eps) != n or any(e not in (1, -1) for e in eps):
         raise InvalidPairError("eps must be a length-%d vector of +-1" % n)
@@ -456,12 +505,13 @@ def simplex_pair(n, eps, name=None):
     entries = [[1 if r == c else 0 for c in range(n)] + [eps[r]]
                for r in range(n)]
     name = name or ("cp%d:eps=%s" % (n, "".join("+" if e > 0 else "-" for e in eps)))
-    return QuasitoricPair(Polytope(n, m, vertices, normals),
-                          CharMatrix(entries), name)
+    return QuasitoricPair(Polytope._trusted(n, m, vertices, normals),
+                          CharMatrix._trusted(entries), name)
 
 
 def square_pair(e1, e2, d1, d2, name=None):
     """The 4-dimensional family over the combinatorial square."""
+    e1, e2, d1, d2 = (_as_int(x, "square parameter") for x in (e1, e2, d1, d2))
     if e1 not in (1, -1) or e2 not in (1, -1) or abs(e1 * e2 - d1 * d2) != 1:
         raise InvalidPairError(
             "need eps = +-1 and eps1 eps2 - delta1 delta2 = +-1")
@@ -469,8 +519,8 @@ def square_pair(e1, e2, d1, d2, name=None):
     normals = [[1, 0, -1, 0], [0, 1, 0, -1]]
     entries = [[1, 0, e1, d2], [0, 1, d1, e2]]
     name = name or ("square:eps=%d,%d:delta=%d,%d" % (e1, e2, d1, d2))
-    return QuasitoricPair(Polytope(2, 4, vertices, normals),
-                          CharMatrix(entries), name)
+    return QuasitoricPair(Polytope._trusted(2, 4, vertices, normals),
+                          CharMatrix._trusted(entries), name)
 
 
 def product_pair(p, q, name=None):

@@ -405,6 +405,44 @@ def test_run_refuses_orders_out_of_range(command, kw, message):
         (EXIT_INPUT, ["error: " + message])
 
 
+@pytest.mark.parametrize("option", ["--order", "--genus-order"])
+@pytest.mark.parametrize("value", ["1_0", "+2", " 2", "\u0663", "2.0", "07"],
+                         ids=["underscore", "plus", "space", "arabic-indic",
+                              "float", "leading-zero"])
+def test_malformed_orders_exit_1(capsys, option, value):
+    # int() would read each of these (but 2.0); an order is an ASCII
+    # decimal or bad input, refused by run, not by argparse's exit 2
+    argv = ["genus", "--input", "builtin:cp2", "--genus", "hurewicz",
+            option, value]
+    message = "error: %s: %r is not a decimal integer" % (option, value)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", message + "\n")
+    key = option[2:].replace("-", "_")
+    assert _run("genus", input="builtin:cp2", **{key: value}) == \
+        (EXIT_INPUT, [message])
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--order", "-1", "--order must be >= 0"),
+    ("--genus-order", "0", "--genus-order must be >= 1"),
+    ("--genus-order", "-1", "--genus-order must be >= 1"),
+])
+def test_orders_out_of_range_keep_their_messages(capsys, option, value,
+                                                 message):
+    assert main(["genus", "--input", "builtin:cp2", option, value]) == \
+        EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_decimal_orders_from_the_command_line_are_ints(capsys):
+    assert main(["genus", "--input", "builtin:cp2", "--genus", "hurewicz",
+                 "--order", "2", "--genus-order", "3"]) == EXIT_PASS
+    job = JobConfig("genus", input="builtin:cp2", order="2", genus_order="3")
+    assert run(job) == EXIT_PASS
+    assert (job.order, job.genus_order) == (2, 3)
+    assert job.lines == capsys.readouterr()[0].splitlines()
+
+
 GENUS_ORDER_REFUSED = ("error: --genus-order applies only to --genus "
                        "hurewicz in phi, genus, check-cf, check-rigidity")
 

@@ -199,6 +199,68 @@ def test_square_pair_rejects_invalid():
         square_pair(2, 1, 0, 0)
 
 
+# every CP^n up to n = 6 with every eps, and every square with |delta| <= 2
+_BUILTINS = ([simplex_pair(n, eps) for n in range(1, 7)
+              for eps in itertools.product((1, -1), repeat=n)]
+             + [square_pair(e1, e2, d1, d2)
+                for e1, e2 in itertools.product((1, -1), repeat=2)
+                for d1, d2 in itertools.product(range(-2, 3), repeat=2)
+                if abs(e1 * e2 - d1 * d2) == 1])
+
+
+def _validated(pair):
+    """``pair`` built again through the validating constructors."""
+    P = pair.polytope
+    return QuasitoricPair(Polytope(P.n, P.m, P.vertices, P.normals),
+                          CharMatrix(pair.lam.entries), pair.name)
+
+
+def _points(fpd):
+    return (fpd.n, fpd.k, fpd.certified,
+            [(p.label, p.sign, p.weights) for p in fpd.points])
+
+
+def test_trusted_builtins_equal_the_validated_construction(monkeypatch):
+    # the builtins skip the constructors' checks and box no normal as a
+    # Fraction; their JSON, problems and points are those of the checked
+    # pair, and their minors of Lambda and of the normals need no
+    # elimination
+    calls = _count_bareiss(monkeypatch)
+    for pair in _BUILTINS:
+        ref = _validated(pair)
+        assert all(type(x) is int for row in pair.polytope.normals
+                   for x in row)
+        assert json.dumps(pair_to_json_obj(pair)) == \
+            json.dumps(pair_to_json_obj(ref))
+        assert validate_pair(pair).problems == validate_pair(ref).problems
+        assert _points(signs_and_weights(pair)) == \
+            _points(signs_and_weights(ref))
+    assert calls == []  # on both sides: ref's Fractions scale to the same ints
+
+
+def test_cp0_keeps_its_shape_error():
+    # CP^0 has one facet, so its 0 x 0 matrix does not fit: the builtin
+    # refuses it as the checked construction does
+    message = "characteristic matrix shape does not match polytope"
+    with pytest.raises(ValueError, match="^%s$" % message):
+        simplex_pair(0, ())
+    with pytest.raises(ValueError, match="^%s$" % message):
+        QuasitoricPair(Polytope(0, 1, [()], []), CharMatrix([]))
+    from toricgenera.cli import EXIT_INPUT, JobConfig, run
+    job = JobConfig("validate", input="builtin:cp0")
+    assert run(job) == EXIT_INPUT
+    assert job.lines == ["error: " + message]
+
+
+@pytest.mark.parametrize("name", ["s6", "flag3", "cp1"])
+def test_datasets_equal_the_checked_points(name):
+    from toricgenera.localize import dataset
+    fpd = dataset(name)
+    checked = FixedPointData(fpd.n, fpd.k, [
+        FixedPoint(p.label, p.sign, p.weights) for p in fpd.points])
+    assert _points(fpd) == _points(checked)
+
+
 def test_duality_invariant():
     # W_x^t Lambda_x = I for every vertex of every valid pair tried
     pairs = [simplex_pair(3, (1, -1, 1)), square_pair(-1, -1, 1, 0),
@@ -687,6 +749,9 @@ def vertex_minor_pairs(draw):
     if signs == "normals":
         normals = [[draw(st.fractions(-2, 2, max_denominator=3))
                     for _ in range(m)] for _ in range(n)]
+        if draw(st.booleans()):  # the identity seeds the normals' walk
+            for r in range(n):
+                normals[r][:n] = [int(r == c) for c in range(n)]
     elif signs == "orientations":
         orientations = [draw(st.sampled_from((1, -1))) for _ in vertices]
     return QuasitoricPair(Polytope(n, m, vertices, normals, orientations),
@@ -720,18 +785,41 @@ def _count_bareiss(monkeypatch):
 @pytest.mark.parametrize("pair", [simplex_pair(5, (-1,) * 5), _cp1(4)],
                          ids=["cp5", "cp1^4"])
 def test_eliminate_seeds_once_per_matrix(monkeypatch, pair):
-    # the vertex graph of P is connected: one elimination of Lambda and
-    # one of the normals, every other vertex by a pivot along an edge
+    # the vertex graph of P is connected and both walks start at the
+    # initial vertex, whose minors of Lambda and of the normals are the
+    # identity: no elimination, every other vertex by a pivot along an edge
     calls = _count_bareiss(monkeypatch)
     assert validate_pair(pair).ok
-    assert calls == [pair.polytope.n] * 2
+    assert calls == []
     assert _eliminate(pair)[1] == _ref_eliminate(pair)[1]
 
 
+# the standard CP^2 with its first two normals scaled by 2 and 3, so the
+# initial normal minor is diag(2, 3), and a Lambda left unrefined
+_SCALED_NORMALS = [[2, 0, -2], [0, 3, -3]]
+_UNREFINED = [[0, 1, -1], [1, 1, -2]]
+
+
+@pytest.mark.parametrize("normals, lam", [
+    (_SCALED_NORMALS, [[1, 0, -1], [0, 1, -1]]),
+    ([[1, 0, -1], [0, 1, -1]], _UNREFINED),
+    (_SCALED_NORMALS, _UNREFINED),
+], ids=["scaled-normals", "unrefined", "both"])
+def test_eliminate_seeds_each_initial_minor_that_is_not_the_identity(
+        monkeypatch, normals, lam):
+    P = simplex_pair(2, (-1, -1)).polytope
+    pair = QuasitoricPair(Polytope(2, 3, P.vertices, normals),
+                          CharMatrix(lam))
+    ref = _ref_eliminate(pair)
+    calls = _count_bareiss(monkeypatch)
+    assert _eliminate(pair) == ref
+    assert calls == [2] * ((normals == _SCALED_NORMALS) + (lam == _UNREFINED))
+
+
 @pytest.mark.parametrize("shape, lam, seeds", [
-    (_DISCONNECTED, [[1, 0, 1, 1], [0, 1, 1, 2]], 2),
-    (_PATH, [[1, 0, 1, 1], [0, 1, 1, 2]], 1),
-    (_PATH, _SINGULAR_PATH, 2),
+    (_DISCONNECTED, [[1, 0, 1, 1], [0, 1, 1, 2]], 1),
+    (_PATH, [[1, 0, 1, 1], [0, 1, 1, 2]], 0),
+    (_PATH, _SINGULAR_PATH, 1),
 ], ids=["disconnected", "path", "singular-path"])
 def test_eliminate_seeds_every_part_it_cannot_reach(monkeypatch, shape, lam,
                                                     seeds):
