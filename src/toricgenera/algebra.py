@@ -8,17 +8,21 @@ polynomials in a fixed tuple of named, evenly graded generators.
 All values are immutable after construction; every operation returns a new
 object, so sharing across threads is safe.
 
-Every series product runs on one flat integer kernel, ``_product``:
-``_flatten`` brings each factor over one common integer denominator, the
-kernel adds plain int products per (u-exponent, generator-exponent), and
-``_assemble`` makes one Fraction per non-zero sum; ``*``, ``scale`` and
-``**`` call it.  Inversion is one integer kernel, ``_invert_rows``: it
-takes flattened rows and returns the inverse's rows over their least
-common denominator, with no factorial, for ``invert_unit`` (which boxes
-them) and for the linear localized sum's unit a_+ (which does not).
-``MultiSeries._recurrence`` builds the other unit powers and exp
-(``sqrt_unit``, ``exp``) by a degree recurrence in one such pass, and
-``revert`` fills an int power table.
+Arithmetic runs on flat integer rows: ``_flatten`` brings a series over one
+common integer denominator as rows (u-exponent, degree, [(generator
+exponent, numerator)]), and ``_assemble`` makes one Fraction per non-zero
+sum.  Inside the rows a generator exponent is one packed int (``_pack``,
+through the bounded memo ``_PACKED``), so the exponent of a product is the
+int sum g1 + g2; ``_assemble`` unpacks it.  ``Poly`` and ``MultiSeries``
+keep tuple keys.  Every series product runs on one kernel, ``_product``,
+which adds plain int products per (u-exponent, generator exponent); ``*``,
+``scale`` and ``**`` call it.  The row kernels ``_invert_rows`` (1 / F),
+``_recurrence_rows`` (the unit powers and exp, by a degree recurrence),
+``_revert_rows`` (the reverse series, by an int power table) and
+``_integrate_rows`` each take and return rows over their least common
+denominator, with no Fraction between steps; ``invert_unit``,
+``_recurrence``, ``revert`` and ``integrate`` box them, and the genus
+catalog chains them and boxes once.
 ``MultiSeries.compose_at_linear`` writes each term c_d (w . u)^d straight
 into its u-monomials, and ``MultiSeries.substitute`` runs one such pass
 per variable over int power tables of the images.
@@ -44,8 +48,10 @@ tuples of the ring's and k's lengths and every u-degree <= order.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
+import re
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd, lcm
@@ -308,19 +314,110 @@ def _render(ring, rows):
     return "".join(out) or "0"
 
 
+# A generator exponent inside the integer rows is one int: entry i fills
+# the bits [_FIELD i, _FIELD (i + 1)), so the packed sum of two exponents
+# is the packed exponent of their product.  ``_pack`` refuses an entry
+# outside 0..2^32 - 1.  An exponent in a kernel's output is a sum of one
+# input exponent per factor of a product, so a field can carry into the
+# next only in a product of more than 2^32 factors, and each factor costs
+# a kernel at least one loop step.
+_FIELD = 64
+_MAX_EXPONENT = (1 << _FIELD // 2) - 1
+_MASK = (1 << _FIELD) - 1
+_MEMO_SIZE = 4096
+
+
+def _pack(e):
+    """A generator-exponent tuple as one int (see ``_FIELD``)."""
+    packed = 0
+    for i, x in enumerate(e):
+        if not 0 <= x <= _MAX_EXPONENT:
+            raise ValueError("generator exponent %r is not in 0..%d"
+                             % (x, _MAX_EXPONENT))
+        packed |= x << _FIELD * i
+    return packed
+
+
+def _unpack(n, packed):
+    """The n-entry generator-exponent tuple of a packed int."""
+    return tuple(packed >> _FIELD * i & _MASK for i in range(n))
+
+
+class _Memo(dict):
+    """A memo of ``function`` of one argument that keeps at most
+    ``_MEMO_SIZE`` keys; past that a miss is computed afresh each time."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self.function(key)
+        if len(self) < _MEMO_SIZE:
+            self[key] = value
+        return value
+
+
+_PACKED = _Memo(_pack)  # generator-exponent tuple -> packed int
+_UNPACKED = {}  # ring size n -> _Memo of packed int -> n-tuple
+
+
+def _unpacking(n):
+    """The memo that unpacks the exponents of a ring of n generators."""
+    memo = _UNPACKED.get(n)
+    if memo is None:
+        memo = _UNPACKED[n] = _Memo(functools.partial(_unpack, n))
+    return memo
+
+
 def _flatten(terms, order):
     """Series terms of u-degree <= order over one integer denominator.
 
-    Returns ``(L, [(u-exponent, degree, [(generator-exponent, numerator)])])``
-    where L is the lcm of every coefficient's denominator, each
-    coefficient equals numerator / L, and the rows are sorted by degree.
+    Returns ``(L, [(u-exponent, degree, [(packed generator exponent,
+    numerator)])])`` where L is the lcm of every coefficient's
+    denominator, each coefficient equals numerator / L, and the rows are
+    sorted by degree.
     """
     rows = sorted(((e, d, p.terms) for e, p in terms.items()
                    if (d := sum(e)) <= order), key=operator.itemgetter(1))
     den = lcm(*(c.denominator for _e, _d, pt in rows for c in pt.values()))
-    return den, [(e, d, [(g, c.numerator * (den // c.denominator))
+    return den, [(e, d, [(_PACKED[g], c.numerator * (den // c.denominator))
                          for g, c in pt.items()])
                  for e, d, pt in rows]
+
+
+def _lowest_terms(den, rows):
+    """Rows over ``den`` divided through by the gcd of den and every
+    numerator: the same rows over their least common denominator, as
+    ``_flatten`` gives them."""
+    common = gcd(den, *(c for _e, _d, p in rows for _g, c in p))
+    return den // common, [(e, d, [(g, c // common) for g, c in p])
+                           for e, d, p in rows]
+
+
+def _recur(N, rows, order, weight):
+    """N extended from [N_0] to N_0..N_order, each N_d an int polynomial
+    {u-exponent: [(packed generator exponent, int)]} with no zero term:
+    N_d = sum_(1 <= j <= d) weight(j, d) S_j N_(d-j), S_j the degree-j
+    part of ``_flatten`` rows (its degree 0 is not read)."""
+    add = operator.add
+    comps = {j: [(e, p) for e, _j, p in row]
+             for j, row in groupby(rows, operator.itemgetter(1)) if j}
+    for d in range(1, order + 1):
+        acc = {}
+        for j, comp in comps.items():
+            if j > d:
+                break
+            m = weight(j, d)
+            for e1, p1 in comp:
+                for e2, p2 in N[d - j].items():
+                    _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
+                                 p1, p2, m)
+        N.append({e: nz for e, out in acc.items()
+                  if (nz := [(g, c) for g, c in out.items() if c])})
+    return N
 
 
 def _invert_rows(den, rows, order):
@@ -331,45 +428,93 @@ def _invert_rows(den, rows, order):
     With G = rows, P_d = -sum_(j >= 1) G_j P_(d-j) / G_0 is the degree-d
     part of 1 / G, and N_d = G_0^(d+1) P_d is an int polynomial: N_0 = 1,
     N_d = -sum_j G_0^(j-1) G_j N_(d-j).  So 1 / F = den N_d / G_0^(d+1),
-    brought over |G_0|^(order+1) and divided by the gcd of all, which
-    leaves the least common denominator, as ``_flatten`` gives."""
-    add = operator.add
-    (e0, _d, ((g0, c0),)), *rest = rows
-    comps = [(j, [(e, p) for e, _j, p in row])
-             for j, row in groupby(rest, operator.itemgetter(1))]
-    N = [{e0: [(g0, 1)]}]
-    for d in range(1, order + 1):
-        acc = {}
-        for j, comp in comps:
-            if j > d:
-                break
-            m = -c0 ** (j - 1)
-            for e1, p1 in comp:
-                for e2, p2 in N[d - j].items():
-                    _add_product(acc.setdefault(tuple(map(add, e1, e2)), {}),
-                                 p1, p2, m)
-        N.append({e: nz for e, out in acc.items()
-                  if (nz := [(g, c) for g, c in out.items() if c])})
+    brought over |G_0|^(order+1) and into lowest terms."""
+    e0, _d, ((g0, c0),) = rows[0]
+    N = _recur([{e0: [(g0, 1)]}], rows, order,
+               lambda j, d: -c0 ** (j - 1))
     s, a = (1, c0) if c0 > 0 else (-1, -c0)
     rows = []
     for d, Nd in enumerate(N):
         lift = den * s ** (d + 1) * a ** (order - d)
         rows += [(e, d, [(g, c * lift) for g, c in pd])
                  for e, pd in Nd.items()]
-    top = a ** (order + 1)
-    common = gcd(top, *(c for _e, _d, p in rows for _g, c in p))
-    return top // common, [(e, d, [(g, c // common) for g, c in p])
-                           for e, d, p in rows]
+    return _lowest_terms(a ** (order + 1), rows)
+
+
+def _recurrence_rows(den, rows, k, order, a, b):
+    """``_flatten``'s (L, rows) of P to ``order``, for s = rows / den with
+    its part of degree 0 left out: P_0 = 1,
+    d P_d = sum_{j=1..d} (a j + b d) s_j P_(d-j).
+
+    The Euler operator sum_i u_i d/du_i is d on degree d, so (a, b) =
+    (alpha + 1, -1) gives (1 + s)^alpha and (1, 0) gives exp(s), for
+    every k.  In ints, with a = p/q, P_d is N_d / ((L q)^d d!) and
+    N_d = sum_j (p j + q b d) (L q)^(j-1) (d-1)!/(d-j)! S_j N_(d-j).
+    """
+    p, q = a.numerator, a.denominator
+    Lq = den * q
+    N = _recur([{(0,) * k: [(0, 1)]}], rows, order,
+               lambda j, d: (p * j + q * b * d) * Lq ** (j - 1)
+               * (factorial(d - 1) // factorial(d - j)))
+    top = factorial(order)
+    return _lowest_terms(Lq ** order * top, [
+        (e, d, [(g, c * (Lq ** (order - d) * (top // factorial(d))))
+                for g, c in pd])
+        for d, Nd in enumerate(N) for e, pd in Nd.items()])
+
+
+def _revert_rows(den, rows, order):
+    """``_flatten``'s (L, rows) of the inverse series g of a univariate
+    f = x + sum_{j>=2} f_j x^j = rows / den, to ``order``.
+
+    g = x - sum_{j>=2} f_j g^j is solved by degree with the power table
+    G[j][d] = [x^d] g^j = sum_i g_i G[j-1][d-i], which for j >= 2 needs
+    only g_1..g_(d-1).  Over f's denominator L, G[j][d] is an int
+    polynomial over L^(d-j), so the table sums ints unscaled.
+    """
+    f = {d: p for _e, d, p in rows if d > 1}
+    G = [None] + [{j: [(0, 1)]}  # g^j = x^j + ...
+                  for j in range(1, max(f, default=1) + 1)]
+    for d in range(2, order + 1):
+        for j in range(2, min(d, len(G))):
+            out = {}
+            for i in range(1, d - j + 2):
+                _add_product(out, G[1][i], G[j - 1][d - i])
+            G[j][d] = [(g, c) for g, c in out.items() if c]
+        out = {}
+        for j, fj in f.items():
+            if j <= d:
+                _add_product(out, fj, G[j][d], -den ** (j - 2))
+        G[1][d] = [(g, c) for g, c in out.items() if c]
+    return _lowest_terms(den ** (order - 1), [
+        ((d,), d, [(g, c * den ** (order - d)) for g, c in p])
+        for d, p in G[1].items() if p])
+
+
+def _integrate_rows(den, rows):
+    """``_flatten``'s (L, rows) of the termwise integral of a univariate
+    series, rows / den: x^d becomes x^(d+1) / (d + 1)."""
+    scale = lcm(*(d + 1 for _e, d, _p in rows))
+    return _lowest_terms(den * scale, [
+        ((d + 1,), d + 1, [(g, c * (scale // (d + 1))) for g, c in p])
+        for _e, d, p in rows])
 
 
 def _assemble(ring, k, order, acc, den):
-    """The series sum of (acc[e][g] / den) g u^e, non-zero sums only."""
+    """The series sum of (acc[e][g] / den) g u^e, non-zero sums only, for
+    packed generator exponents g."""
+    unpack = _unpacking(len(ring))
     terms = {}
     for e, nums in acc.items():
-        coeffs = {g: Fraction(n, den) for g, n in nums.items() if n}
+        coeffs = {unpack[g]: Fraction(n, den) for g, n in nums.items() if n}
         if coeffs:
             terms[e] = Poly._trusted(ring, coeffs)
     return MultiSeries._trusted(ring, k, order, terms)
+
+
+def _boxed(ring, k, order, den, rows):
+    """The series of ``_flatten`` rows over ``den``."""
+    return _assemble(ring, k, order, {e: dict(p) for e, _d, p in rows}, den)
 
 
 def _times_form(poly, form):
@@ -455,7 +600,7 @@ def _product(ring, k, order, factors, scale=1):
         acc = _rows_product(seed, rows, order)
     if acc is None:  # fewer than two factors
         acc = ({e: dict(p) for e, _d, p in seed} if seed is not None
-               else {(0,) * k: {(0,) * len(ring): num}})
+               else {(0,) * k: {0: num}})
     return _assemble(ring, k, order, acc, den)
 
 
@@ -474,13 +619,12 @@ def _rows_product(seed, rows, order):
 
 
 def _add_product(out, p1, p2, m=1):
-    """out[g1 + g2] += m * c1 * c2 over the (generator-exponent, int)
-    pairs of ``p1`` and ``p2``."""
-    add = operator.add
+    """out[g1 + g2] += m * c1 * c2 over the (packed generator exponent,
+    int) pairs of ``p1`` and ``p2``."""
     for g1, c1 in p1:
         c1 *= m
         for g2, c2 in p2:
-            g = tuple(map(add, g1, g2))
+            g = g1 + g2
             out[g] = out.get(g, 0) + c1 * c2
 
 
@@ -647,42 +791,11 @@ class MultiSeries:
 
     # -- core series operations ---------------------------------------
     def _recurrence(self, a, b):
-        """P to ``order``, s being self's part of degree >= 1: P_0 = 1,
-        d P_d = sum_{j=1..d} (a j + b d) s_j P_(d-j).
-
-        The Euler operator sum_i u_i d/du_i is d on degree d, so (a, b) =
-        (alpha + 1, -1) gives (1 + s)^alpha and (1, 0) gives exp(s), for
-        every k.  In ints, with a = p/q and s_j = S_j / L, P_d is
-        N_d / ((L q)^d d!) and N_d = sum_j (p j + q b d) (L q)^(j-1)
-        (d-1)!/(d-j)! S_j N_(d-j).
-        """
-        order, add = self.order, operator.add
-        den, rows = _flatten(self.terms, order)
-        p, q = a.numerator, a.denominator
-        Lq = den * q
-        comps = {d: [(e, g) for e, _d, g in row]
-                 for d, row in groupby(rows, operator.itemgetter(1)) if d}
-        N = [{(0,) * self.k: [((0,) * len(self.ring), 1)]}]
-        for d in range(1, order + 1):
-            acc = {}
-            for j, s_j in comps.items():
-                if j > d:
-                    break
-                m = (p * j + q * b * d) * Lq ** (j - 1) \
-                    * (factorial(d - 1) // factorial(d - j))
-                for e1, p1 in s_j:
-                    for e2, p2 in N[d - j].items():
-                        e = tuple(map(add, e1, e2))
-                        _add_product(acc.setdefault(e, {}), p1, p2, m)
-            N.append({e: nz for e, out in acc.items()
-                      if (nz := [(g, c) for g, c in out.items() if c])})
-        top = factorial(order)
-        lift = [Lq ** (order - d) * (top // factorial(d))
-                for d in range(order + 1)]
-        return _assemble(self.ring, self.k, order, {
-            e: {g: c * lift[d] for g, c in pd}
-            for d, Nd in enumerate(N) for e, pd in Nd.items()},
-            Lq ** order * top)
+        """P to ``order`` with P_0 = 1 and d P_d = sum_{j=1..d}
+        (a j + b d) s_j P_(d-j), s being self's part of degree >= 1: the
+        series of ``_recurrence_rows``."""
+        return _boxed(self.ring, self.k, self.order, *_recurrence_rows(
+            *_flatten(self.terms, self.order), self.k, self.order, a, b))
 
     def invert_unit(self):
         """Inverse of a series whose constant term is a nonzero rational,
@@ -692,10 +805,8 @@ class MultiSeries:
             raise ValueError("invert_unit: constant term is not rational")
         if c0 == 0:
             raise ZeroDivisionError("invert_unit: constant term is zero")
-        den, rows = _invert_rows(*_flatten(self.terms, self.order),
-                                 self.order)
-        return _assemble(self.ring, self.k, self.order,
-                         {e: dict(p) for e, _d, p in rows}, den)
+        return _boxed(self.ring, self.k, self.order, *_invert_rows(
+            *_flatten(self.terms, self.order), self.order))
 
     def sqrt_unit(self):
         """Square root of a series with constant term 1: (1 + s)^(1/2) at
@@ -718,11 +829,12 @@ class MultiSeries:
             (d - 1,): p * d for (d,), p in self.terms.items() if d})
 
     def integrate(self):
-        """Termwise integral of a univariate series, vanishing at 0."""
+        """Termwise integral of a univariate series, vanishing at 0, by
+        ``_integrate_rows``."""
         if self.k != 1:
             raise ValueError("integrate is for univariate series")
-        return MultiSeries(self.ring, 1, self.order + 1, {
-            (d + 1,): p * Fraction(1, d + 1) for (d,), p in self.terms.items()})
+        return _boxed(self.ring, 1, self.order + 1, *_integrate_rows(
+            *_flatten(self.terms, self.order)))
 
     def shift_down(self, i, n=1):
         """Exact division by u_i^n; fails if any term has u_i-exponent < n."""
@@ -767,14 +879,14 @@ class MultiSeries:
                 raise ValueError("image ring or variable-count mismatch")
             if not g.constant_term().is_zero():
                 raise ValueError("substitution image has nonzero constant term")
-        add, one = operator.add, (0,) * len(self.ring)
+        add = operator.add
         den, rows = _flatten(self.terms, order)
         # (u-exponents still to substitute, v-exponent, its degree) -> terms
         state = {(e, (0,) * k2, 0): p for e, _d, p in rows}
         for image in images:
             den_i, base = _flatten(image.terms, order)
             top = max((e[0] for e, _a, _d in state), default=0)
-            powers = [[((0,) * k2, 0, [(one, 1)])]]  # images[i]^t, by degree
+            powers = [[((0,) * k2, 0, [(0, 1)])]]  # images[i]^t, by degree
             for _t in range(top):
                 powers.append(sorted(
                     ((b, sum(b), nz) for b, out in
@@ -826,38 +938,16 @@ class MultiSeries:
         return _assemble(self.ring, k, order, acc, den * den_w ** order)
 
     def revert(self):
-        """Inverse series g of a univariate f = x + sum_{j>=2} f_j x^j.
-
-        g = x - sum_{j>=2} f_j g^j is solved by degree with the power table
-        G[j][d] = [x^d] g^j = sum_i g_i G[j-1][d-i], which for j >= 2 needs
-        only g_1..g_(d-1).  Over f's denominator L, G[j][d] is an int
-        polynomial over L^(d-j), so the table sums ints unscaled.
-        """
+        """Inverse series g of a univariate f = x + sum_{j>=2} f_j x^j,
+        by ``_revert_rows``."""
         if self.k != 1:
             raise ValueError("revert is for univariate series")
         if not self.constant_term().is_zero():
             raise ValueError("revert requires zero constant term")
         if self.coefficient((1,)).constant_value() != 1:
             raise ValueError("revert requires leading coefficient 1")
-        order = self.order
-        den, rows = _flatten(self.terms, order)
-        f = {d: p for _e, d, p in rows if d > 1}
-        G = [None] + [{j: [((0,) * len(self.ring), 1)]}  # g^j = x^j + ...
-                      for j in range(1, max(f, default=1) + 1)]
-        for d in range(2, order + 1):
-            for j in range(2, min(d, len(G))):
-                out = {}
-                for i in range(1, d - j + 2):
-                    _add_product(out, G[1][i], G[j - 1][d - i])
-                G[j][d] = [(g, c) for g, c in out.items() if c]
-            out = {}
-            for j, fj in f.items():
-                if j <= d:
-                    _add_product(out, fj, G[j][d], -den ** (j - 2))
-            G[1][d] = [(g, c) for g, c in out.items() if c]
-        return _assemble(self.ring, 1, order, {
-            (d,): {g: c * den ** (order - d) for g, c in p}
-            for d, p in G[1].items() if p}, den ** (order - 1))
+        return _boxed(self.ring, 1, self.order, *_revert_rows(
+            *_flatten(self.terms, self.order), self.order))
 
     def divide_linear(self, w):
         """Exact division by the linear form w . u.
@@ -940,16 +1030,27 @@ def _as_int(x, what, *args):
     raise ValueError("%s is not an integer: %r" % (what % args, x))
 
 
+# an exact rational as ``str(Fraction)`` writes it: ASCII digits, no
+# leading zero, a sign on the numerator alone and no zero denominator
+_RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+
+
 def _as_rational(x, what, *args):
-    """``x`` as a Fraction from an int, a Fraction or an exact string such
-    as "1/2"; floats and bools are refused, never rounded."""
+    """``x`` as a Fraction from an int, a Fraction or an exact string in
+    the form ``str(Fraction)`` writes, such as "-1/2" or "3", between
+    optional ASCII spaces; floats, bools and every other string are
+    refused, never rounded or coerced."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ValueError:
-            pass
+        match = _RATIONAL.fullmatch(x.strip(" \t\n\r\f\v"))
+        if match:
+            num, den = match.groups()
+            try:
+                return Fraction(int(num)) if den is None else \
+                    Fraction(int(num), int(den))
+            except ValueError:  # more digits than int() reads
+                pass
     elif not isinstance(x, bool):
         try:
             return Fraction(operator.index(x))
@@ -1035,7 +1136,7 @@ class LocalizedSum:
             pieces.append((den_x, flat, _expand_forms(self.k, missing)))
         L = lcm(*(den_x for den_x, _flat, _poly in pieces))
         add = operator.add
-        one = [((0,) * len(self.ring), 1)]  # the unit generator row
+        one = [(0, 1)]  # the unit generator row
         acc = {}
         for den_x, flat, poly in pieces:
             for e1, _d, p1 in flat:

@@ -6,6 +6,11 @@ group law is F(u1, u2) = b(m(u1) + m(u2)).  The catalog covers the familiar
 examples (Todd, signature, c_n, Abel, two-parameter Todd, elliptic) together
 with the Krichever genus x exp(E), E built from Weierstrass functions by
 integer recurrences for the Taylor and Laurent coefficients of p.
+
+The builders of signature, t2, elliptic and Krichever write their series
+as integer rows (see ``algebra``), chain the row kernels of inversion,
+product, the degree recurrence, integration and reversion on them, and
+box the exponential once.
 """
 
 from __future__ import annotations
@@ -15,8 +20,17 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from toricgenera.algebra import (
+    _PACKED,
     _add_product,
     _assemble,
+    _boxed,
+    _integrate_rows,
+    _invert_rows,
+    _lowest_terms,
+    _recurrence_rows,
+    _revert_rows,
+    _rows_product,
+    _unpacking,
     MultiSeries,
     Poly,
     QQ,
@@ -188,45 +202,57 @@ def _cn(M):
 
 
 def _complete_homogeneous(j, c, shift=0):
-    """c * h_j(y, z) * (y z)^shift, h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
-    return Poly(_YZ_RING, {(i + shift, j - i + shift): c for i in range(j + 1)})
+    """The rows entry [(packed exponent, c)] of c * h_j(y, z) * (y z)^shift,
+    h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
+    return [(_PACKED[i + shift, j - i + shift], c) for i in range(j + 1)]
+
+
+def _abel_rows(M):
+    """(M!, rows) of the abel exponential sum_j h_j(y, z) x^(j+1) / (j+1)!."""
+    top = factorial(M)
+    return top, [((j + 1,), j + 1,
+                  _complete_homogeneous(j, top // factorial(j + 1)))
+                 for j in range(M)]
 
 
 def _abel(M):
-    return MultiSeries(_YZ_RING, 1, M, {
-        (j + 1,): _complete_homogeneous(j, Fraction(1, factorial(j + 1)))
-        for j in range(M)})
+    return _boxed(_YZ_RING, 1, M, *_abel_rows(M))
 
 
 def _t2(M):
-    # (e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
-    # cancelled exactly from numerator and denominator so that y = z is
-    # a legal specialization; the numerator is the abel exponential.
-    den_terms = {(0,): 1}
-    for m in range(2, M + 1):
-        den_terms[(m,)] = _complete_homogeneous(
-            m - 2, Fraction(-1, factorial(m)), 1)
-    den = MultiSeries(_YZ_RING, 1, M, den_terms)
-    return _abel(M) * den.invert_unit()
+    """(e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
+    cancelled exactly from numerator and denominator so that y = z is a
+    legal specialization: the abel rows times the inverse rows of the
+    denominator, boxed once."""
+    top, abel = _abel_rows(M)
+    den, inverse = _invert_rows(top, [((0,), 0, [(0, top)])] + [
+        ((m,), m, _complete_homogeneous(m - 2, -(top // factorial(m)), 1))
+        for m in range(2, M + 1)], M)
+    return _assemble(_YZ_RING, 1, M, _rows_product(abel, inverse, M),
+                     top * den)
 
 
 def _signature(M):
-    sinh = MultiSeries(_Z_RING, 1, M, {
-        (j,): Poly(_Z_RING, {(j - 1,): Fraction(1, factorial(j))})
-        for j in range(1, M + 1, 2)})
-    cosh = MultiSeries(_Z_RING, 1, M, {
-        (j,): Poly(_Z_RING, {(j,): Fraction(1, factorial(j))})
-        for j in range(0, M + 1, 2)})
-    return sinh * cosh.invert_unit()
+    """tanh(zx) / z: the rows of z^-1 sinh(zx) times the inverse rows of
+    cosh(zx), both over M!, boxed once."""
+    top = factorial(M)
+    sinh = [((j,), j, [(_PACKED[j - 1,], top // factorial(j))])
+            for j in range(1, M + 1, 2)]
+    den, inverse = _invert_rows(top, [
+        ((j,), j, [(_PACKED[j,], top // factorial(j))])
+        for j in range(0, M + 1, 2)], M)
+    return _assemble(_Z_RING, 1, M, _rows_product(sinh, inverse, M),
+                     top * den)
 
 
 def _elliptic(M):
-    ring = _ELLIPTIC_RING
-    d, e = Poly.gen(ring, "delta"), Poly.gen(ring, "eps")
-    # (1 - 2 delta t^2 + eps t^4)^(-1/2), integrated, then reverted
-    R = MultiSeries(ring, 1, M, {(0,): 1, (2,): d * -2, (4,): e})
-    integrand = R._recurrence(Fraction(1, 2), -1)  # alpha = -1/2
-    return integrand.integrate().truncate(M).revert()
+    """The reverse of the integral of (1 - 2 delta t^2 + eps t^4)^(-1/2):
+    the degree recurrence with alpha = -1/2 to order M - 1, integrated to
+    order M and reverted, on rows, boxed once."""
+    R = [((0,), 0, [(0, 1)]), ((2,), 2, [(_PACKED[1, 0], -2)]),
+         ((4,), 4, [(_PACKED[0, 1], 1)])]
+    return _boxed(_ELLIPTIC_RING, 1, M, *_revert_rows(*_integrate_rows(
+        *_recurrence_rows(1, R, 1, M - 1, Fraction(1, 2), -1)), M))
 
 
 # -- Krichever genus --------------------------------------------------------
@@ -234,30 +260,43 @@ def _elliptic(M):
 _KRING = make_ring(("a", 2), ("p2", 4), ("p3", 6), ("g2", 8))
 
 
+def _kring_poly(terms):
+    """An int polynomial over (a, p2, p3, g2), {packed exponent: int}."""
+    return {_PACKED[g]: c for g, c in terms.items()}
+
+
+def _kring_tuples(poly):
+    """The same polynomial keyed by exponent tuples."""
+    unpack = _unpacking(len(_KRING))
+    return {unpack[g]: c for g, c in poly.items()}
+
+
 def _weierstrass_taylor(count):
     """R_0..R_(count-1), int polynomials {exponent over (a, p2, p3, g2): int}."""
-    R = [{(0, 1, 0, 0): 2}, {(0, 0, 1, 0): 2},
-         {(0, 2, 0, 0): 12, (0, 0, 0, 1): -1}]
+    R = [_kring_poly({(0, 1, 0, 0): 2}), _kring_poly({(0, 0, 1, 0): 2}),
+         _kring_poly({(0, 2, 0, 0): 12, (0, 0, 0, 1): -1})]
     for j in range(1, count - 2):
         acc = {}
         for i in range(j + 1):
             _add_product(acc, R[i].items(), R[j - i].items(), 3 * comb(j, i))
         R.append({g: c for g, c in acc.items() if c})
-    return R[:max(count, 0)]
+    return [_kring_tuples(R_j) for R_j in R[:max(count, 0)]]
 
 
 def _weierstrass_laurent(count):
     """{j: (int polynomial, denominator) of c_j} for 2 <= j <= max(count, 3)."""
-    c = {2: ({(0, 0, 0, 1): 1}, 20),
-         3: ({(0, 3, 0, 0): 4, (0, 1, 0, 1): -1, (0, 0, 2, 0): -1}, 28)}
+    c = {2: (_kring_poly({(0, 0, 0, 1): 1}), 20),
+         3: (_kring_poly({(0, 3, 0, 0): 4, (0, 1, 0, 1): -1,
+                          (0, 0, 2, 0): -1}), 28)}
     for j in range(4, count + 1):
         pairs = [(c[i], c[j - i]) for i in range(2, j - 1)]
         den = lcm(*(d1 * d2 for (_n1, d1), (_n2, d2) in pairs))
         acc = {}
         for (n1, d1), (n2, d2) in pairs:
             _add_product(acc, n1.items(), n2.items(), 3 * den // (d1 * d2))
-        c[j] = ({g: x for g, x in acc.items() if x}, (2 * j + 1) * (j - 3) * den)
-    return c
+        c[j] = ({g: x for g, x in acc.items() if x},
+                (2 * j + 1) * (j - 3) * den)
+    return {j: (_kring_tuples(c_j), den) for j, (c_j, den) in c.items()}
 
 
 def _krichever(M):
@@ -271,8 +310,9 @@ def _krichever(M):
     for j >= 1.  Its x^(2j) term is -c_j / (2j (2j-1)), with c_j the Laurent
     coefficients of p(x) = 1/x^2 + sum c_j x^(2j-2): c_2 = g2/20, c_3 = g3/28
     with g3 = 4 p2^3 - g2 p2 - p3^2, and c_j = 3/((2j+1)(j-3)) sum_(i=2..j-2)
-    c_i c_(j-i) for j >= 4.  exp(E) is taken once, to order M - 1, and
-    shifted up one degree."""
+    c_i c_(j-i) for j >= 4.  exp(E) is taken once on E's rows, to order
+    M - 1, by the degree recurrence, and boxed once, shifted up one
+    degree."""
     top = M - 1
     parts = [(1, {(1, 0, 0, 0): 1}, 1)]  # (degree, int polynomial, divisor)
     parts += [(j + 2, R_j, (-1) ** j * 2 * factorial(j + 2))
@@ -283,12 +323,15 @@ def _krichever(M):
     den = lcm(*(q for _d, _p, q in parts))
     acc = {}
     for d, poly, q in parts:
-        out = acc.setdefault((d,), {})
+        out = acc.setdefault(d, {})
         for g, c in poly.items():
+            g = _PACKED[g]
             out[g] = out.get(g, 0) + c * (den // q)
-    exponent = _assemble(_KRING, 1, top, acc, den)
-    return MultiSeries._trusted(_KRING, 1, M, {
-        (d + 1,): p for (d,), p in exponent.exp().terms.items()})
+    den, rows = _recurrence_rows(*_lowest_terms(den, [
+        ((d,), d, [(g, c) for g, c in out.items() if c])
+        for d, out in sorted(acc.items())]), 1, top, 1, 0)
+    return _assemble(_KRING, 1, M, {(d + 1,): dict(p) for _e, d, p in rows},
+                     den)
 
 
 def krichever_exponential(order):

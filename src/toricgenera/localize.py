@@ -123,8 +123,8 @@ def _point_forms(point):
 
 @functools.lru_cache(maxsize=16)
 def _a_plus_rows(genus, top):
-    """(den, {t: [(generator-exponent, int)]}), a_t = rows[t] / den for
-    t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows`` on the
+    """(den, {t: [(packed generator exponent, int)]}), a_t = rows[t] / den
+    for t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows`` on the
     exponential's rows shifted down one degree.  The genus is rebuilt by
     ``at_order`` only when its exponential is exact to less than top + 1.
     Kept for the last few (genus, top), as the pairing search localizes
@@ -154,7 +154,7 @@ def _linear_total(fpd, genus, order):
     if evaluated:
         L, nums = evaluated
         return _assemble(genus.ring, k, 0,
-                         _ring_sums(genus, coeff, den_a, n, nums),
+                         _ring_sums(coeff, den_a, n, nums),
                          den_a ** n * L), {}
     points = [(point.sign,) + _point_forms(point) for point in fpd.points]
     D = Counter()
@@ -225,7 +225,7 @@ def _linear_total(fpd, genus, order):
         D = Counter()
     if D:  # S over D: its Fraction division decides for this genus
         nums = Z
-    acc = _ring_sums(genus, coeff, den_a, n, nums)
+    acc = _ring_sums(coeff, den_a, n, nums)
     acc = {tuple(e // d % B for d in digits): p for e, p in acc.items()}
     return _assemble(genus.ring, k, order + sum(D.values()), acc,
                      den_a ** n * L), dict(D)
@@ -358,12 +358,12 @@ def _evaluated_sums(fpd, T):
                for lam, den, row in rows}
 
 
-def _ring_sums(genus, coeff, den_a, n, nums):
-    """{u-exponent: {generator-exponent: int}}, the sum over lam of
+def _ring_sums(coeff, den_a, n, nums):
+    """{u-exponent: {packed generator exponent: int}}, the sum over lam of
     den_a^n a_lam nums[lam]: a_lam over den_a^n is built from
     a_(lam minus its last part), and lam has at most n parts, so den_a
     divides exactly."""
-    ring_of = {(): [((0,) * len(genus.ring), den_a ** n)]}
+    ring_of = {(): [(0, den_a ** n)]}
 
     def ring(lam):
         if lam not in ring_of:

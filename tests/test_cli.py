@@ -370,6 +370,23 @@ def test_coerced_pair_normals_exit_1(tmp_path, capsys, row, col, value):
         "rational: %r\n" % (row + 1, col + 1, value))
 
 
+@pytest.mark.parametrize("command", ["validate", "genus"])
+@pytest.mark.parametrize("value", ["1/0", "1_0", "\u0663", "+1", "07", "1e3",
+                                   "0.5"])
+def test_normal_strings_not_in_the_written_form_exit_1(tmp_path, capsys,
+                                                       command, value):
+    # "1/0" raised ZeroDivisionError, and the others were coerced
+    obj = pair_to_json_obj(simplex_pair(2, (-1, -1)))
+    obj["polytope"]["normals"][1][0] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--input", str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert not out and err == (
+        "error: normal entry at row 2, column 1 is not an exact "
+        "rational: %r\n" % value)
+
+
 def _job(entry, capsys, command, **kw):
     """(exit code, output lines) of a job run through ``main`` or ``run``;
     ``main`` prints an exit-1 job to stderr alone, any other to stdout."""

@@ -456,6 +456,37 @@ def test_exact_normal_entries_are_kept():
     assert all(type(x) is F for row in got for x in row)
 
 
+# strings that ``str(Fraction)`` never writes: a zero denominator, digit
+# separators, non-ASCII digits, a plus sign, leading zeros, exponents,
+# decimals, a signed denominator and malformed quotients
+MALFORMED_NORMALS = ["1/0", "-1/0", "1_0", "\u0663", "+1", "07", "-00",
+                     "1e3", "0.5", "1/-2", "-1/02", "1/", "/2", "1 / 2",
+                     "--1", "", " ", "\u30001", "0x1", "inf", "nan"]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_NORMALS)
+def test_normal_strings_are_read_only_in_the_written_form(bad):
+    normals = [[1, 0, -1], [0, 1, -1]]
+    normals[1][2] = bad
+    with pytest.raises(ValueError) as info:
+        Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], normals)
+    assert str(info.value) == "normal entry at row 2, column 3 is not an " \
+        "exact rational: %r" % (bad,)
+
+
+def test_written_normal_strings_are_read_exactly():
+    from fractions import Fraction as F
+
+    normals = [["1", "-0", "-1/2"], ["2/4", "\t10 ", "-30/7"]]
+    got = Polytope(2, 3, [(1, 2), (2, 3), (1, 3)], normals).normals
+    assert got == [[1, 0, F(-1, 2)], [F(1, 2), 10, F(-30, 7)]]
+    assert all(type(x) is F for row in got for x in row)
+    # what the writer emits is read back as it was
+    values = [F(p, q) for p in range(-7, 8) for q in range(1, 6)]
+    assert [Polytope(1, len(values), [(1,)], [[str(q) for q in values]])
+            .normals[0]] == [values]
+
+
 def test_fixed_point_invariants():
     with pytest.raises(ValueError):
         FixedPoint("x", 1, [(0, 0)])
