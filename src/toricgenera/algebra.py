@@ -8,13 +8,16 @@ polynomials in a fixed tuple of named, evenly graded generators.
 All values are immutable after construction; every operation returns a new
 object, so sharing across threads is safe.
 
+A generator exponent is one packed int everywhere (``_pack``): it keys
+``Poly.terms`` and the integer rows alike, so the exponent of a product is
+the int sum g1 + g2.  ``Poly(ring, {exponent tuple: c})`` checks and packs
+each exponent where it enters, and ``Poly.sorted_terms`` unpacks them for
+the text, JSON and ``substitute_gens``; a series keeps its u-exponents as
+tuples, which ``MultiSeries(...)`` checks the same way.
 Arithmetic runs on flat integer rows: ``_flatten`` brings a series over one
-common integer denominator as rows (u-exponent, degree, [(generator
+common integer denominator as rows (u-exponent, degree, [(packed generator
 exponent, numerator)]), and ``_assemble`` makes one Fraction per non-zero
-sum.  Inside the rows a generator exponent is one packed int (``_pack``,
-through the bounded memo ``_PACKED``), so the exponent of a product is the
-int sum g1 + g2; ``_assemble`` unpacks it.  ``Poly`` and ``MultiSeries``
-keep tuple keys.  Every series product runs on one kernel, ``_product``,
+sum.  Every series product runs on one kernel, ``_product``,
 which adds plain int products per (u-exponent, generator exponent); ``*``,
 ``scale`` and ``**`` call it.  The row kernels ``_invert_rows`` (1 / F),
 ``_recurrence_rows`` (the unit powers and exp, by a degree recurrence),
@@ -35,23 +38,24 @@ same division on int polynomials, which the linear localized sum runs on
 its genus-free partition sums before any coefficient ring enters.
 
 Both classes serialize through one canonical form: ``_sorted_terms`` orders
-a term dict by weighted degree (generator degrees for a ``Poly``, 1 per
-u-variable for a series), then by descending exponents, and ``_render``
-writes rows of (u-exponent, coefficient ``Poly``) as text; a ``Poly`` is
-the single row ``((), self)``.
+a term dict of exponent tuples by weighted degree (generator degrees for a
+``Poly``, 1 per u-variable for a series), then by descending exponents,
+and ``_render`` writes rows of (u-exponent, coefficient ``Poly``) as text;
+a ``Poly`` is the single row ``((), self)``.
 
 Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
 which skip the re-validation of ``__init__``.  They may only be given
-fresh dicts that no one else holds, with no zero coefficient, exponent
-tuples of the ring's and k's lengths and every u-degree <= order.
+fresh dicts that no one else holds, with no zero coefficient, packed
+generator exponents of the ring, u-exponent tuples of length k and every
+u-degree <= order.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 import re
+import struct
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd, lcm
@@ -120,9 +124,11 @@ def _frac(x):
 class Poly:
     """Sparse polynomial over Q in the ring's generators.
 
-    Terms map generator-exponent tuples to nonzero Fractions; zero
-    coefficients are never stored and serialization follows the one
-    canonical order, so equal polynomials have identical representations.
+    Terms map packed generator exponents (``_pack``) to nonzero
+    Fractions; zero coefficients are never stored and serialization
+    follows the one canonical order, so equal polynomials have identical
+    representations.  The constructor takes exponent tuples and refuses
+    an entry that is not an int in 0..2^32 - 1, naming it.
     """
 
     __slots__ = ("ring", "terms")
@@ -134,16 +140,17 @@ class Poly:
         for e, c in terms.items():
             if len(e) != n:
                 raise ValueError("exponent length %d != ring size %d" % (len(e), n))
+            g = _pack(e)
             c = _frac(c)
             if c:
-                clean[tuple(e)] = c
+                clean[g] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
     @classmethod
     def _trusted(cls, ring, terms):
-        """Wrap ``terms`` as is: a fresh dict of full-length exponent
-        tuples to non-zero Fractions (see the module docstring)."""
+        """Wrap ``terms`` as is: a fresh dict of packed generator
+        exponents to non-zero Fractions (see the module docstring)."""
         self = object.__new__(cls)
         self.ring = ring
         self.terms = terms
@@ -151,14 +158,12 @@ class Poly:
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return cls._trusted(ring, {})
 
     @classmethod
     def constant(cls, ring, value):
         value = _frac(value)
-        if not value:
-            return cls.zero(ring)
-        return cls(ring, {(0,) * len(ring): value})
+        return cls._trusted(ring, {0: value} if value else {})
 
     @classmethod
     def gen(cls, ring, name, power=1):
@@ -166,7 +171,7 @@ class Poly:
             if g.name == name:
                 e = [0] * len(ring)
                 e[i] = power
-                return cls(ring, {tuple(e): Fraction(1)})
+                return cls(ring, {tuple(e): 1})
         raise KeyError("no generator named %r" % name)
 
     # -- predicates ---------------------------------------------------
@@ -178,8 +183,8 @@ class Poly:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
-            e, c = next(iter(self.terms.items()))
-            if not any(e):
+            g, c = next(iter(self.terms.items()))
+            if not g:
                 return c
         return None
 
@@ -193,18 +198,19 @@ class Poly:
             other = Poly.constant(self.ring, other)
         self._same_ring(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+        for g, c in other.terms.items():
+            s = terms.get(g, 0) + c
             if s:
-                terms[e] = s
+                terms[g] = s
             else:
-                terms.pop(e, None)
-        return Poly(self.ring, terms)
+                terms.pop(g, None)
+        return Poly._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.ring,
+                             {g: -c for g, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -217,18 +223,16 @@ class Poly:
             q = _frac(other)
             if not q:
                 return Poly.zero(self.ring)
-            return Poly(self.ring, {e: c * q for e, c in self.terms.items()})
+            return Poly._trusted(self.ring,
+                                 {g: c * q for g, c in self.terms.items()})
         self._same_ring(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        for g1, c1 in self.terms.items():
+            for g2, c2 in other.terms.items():
+                g = g1 + g2
+                terms[g] = terms.get(g, 0) + c1 * c2
+        return Poly._trusted(self.ring,
+                             {g: c for g, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -254,7 +258,7 @@ class Poly:
         to the target generator with the same name.
         """
         out = Poly.zero(target_ring)
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             term = Poly.constant(target_ring, c)
             for g, ei in zip(self.ring, e):
                 if ei:
@@ -267,7 +271,11 @@ class Poly:
 
     # -- serialization ------------------------------------------------
     def sorted_terms(self):
-        return _sorted_terms(self.terms, [g.degree for g in self.ring])
+        """The (exponent tuple, coefficient) pairs in the canonical order."""
+        n = len(self.ring)
+        return _sorted_terms(
+            {_unpack(n, g): c for g, c in self.terms.items()},
+            [g.degree for g in self.ring])
 
     def __str__(self):
         return _render(self.ring, (((), self),))
@@ -314,62 +322,42 @@ def _render(ring, rows):
     return "".join(out) or "0"
 
 
-# A generator exponent inside the integer rows is one int: entry i fills
-# the bits [_FIELD i, _FIELD (i + 1)), so the packed sum of two exponents
-# is the packed exponent of their product.  ``_pack`` refuses an entry
-# outside 0..2^32 - 1.  An exponent in a kernel's output is a sum of one
-# input exponent per factor of a product, so a field can carry into the
-# next only in a product of more than 2^32 factors, and each factor costs
-# a kernel at least one loop step.
+# A generator exponent is one int: entry i fills the bits
+# [_FIELD i, _FIELD (i + 1)), so the packed sum of two exponents is the
+# packed exponent of their product.  ``_pack`` refuses an entry outside
+# 0..2^32 - 1.  An exponent in a kernel's output is a sum of one input
+# exponent per factor of a product, so a field can carry into the next
+# only in a product of more than 2^32 factors, and each factor costs a
+# kernel at least one loop step.
 _FIELD = 64
 _MAX_EXPONENT = (1 << _FIELD // 2) - 1
-_MASK = (1 << _FIELD) - 1
-_MEMO_SIZE = 4096
+
+
+def _exponent(e, what):
+    """The exponent ``e`` as a tuple of ints in 0..2^32 - 1: floats,
+    strings, bools and negative entries are refused, never truncated,
+    and ``what`` names the exponent in the error."""
+    out = []
+    for i, x in enumerate(e, 1):
+        x = _as_int(x, "%s entry %d", what, i)
+        if not 0 <= x <= _MAX_EXPONENT:
+            raise ValueError("%s entry %d is not in 0..%d: %r"
+                             % (what, i, _MAX_EXPONENT, x))
+        out.append(x)
+    return tuple(out)
 
 
 def _pack(e):
     """A generator-exponent tuple as one int (see ``_FIELD``)."""
-    packed = 0
-    for i, x in enumerate(e):
-        if not 0 <= x <= _MAX_EXPONENT:
-            raise ValueError("generator exponent %r is not in 0..%d"
-                             % (x, _MAX_EXPONENT))
-        packed |= x << _FIELD * i
-    return packed
+    return sum(x << _FIELD * i
+               for i, x in enumerate(_exponent(e, "generator exponent")))
 
 
 def _unpack(n, packed):
-    """The n-entry generator-exponent tuple of a packed int."""
-    return tuple(packed >> _FIELD * i & _MASK for i in range(n))
-
-
-class _Memo(dict):
-    """A memo of ``function`` of one argument that keeps at most
-    ``_MEMO_SIZE`` keys; past that a miss is computed afresh each time."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key):
-        value = self.function(key)
-        if len(self) < _MEMO_SIZE:
-            self[key] = value
-        return value
-
-
-_PACKED = _Memo(_pack)  # generator-exponent tuple -> packed int
-_UNPACKED = {}  # ring size n -> _Memo of packed int -> n-tuple
-
-
-def _unpacking(n):
-    """The memo that unpacks the exponents of a ring of n generators."""
-    memo = _UNPACKED.get(n)
-    if memo is None:
-        memo = _UNPACKED[n] = _Memo(functools.partial(_unpack, n))
-    return memo
+    """The n-entry generator-exponent tuple of a packed int: its fields,
+    read as n little-endian unsigned 64-bit words (``_FIELD``)."""
+    return struct.unpack("<%dQ" % n,
+                         packed.to_bytes(_FIELD // 8 * n, "little"))
 
 
 def _flatten(terms, order):
@@ -383,7 +371,7 @@ def _flatten(terms, order):
     rows = sorted(((e, d, p.terms) for e, p in terms.items()
                    if (d := sum(e)) <= order), key=operator.itemgetter(1))
     den = lcm(*(c.denominator for _e, _d, pt in rows for c in pt.values()))
-    return den, [(e, d, [(_PACKED[g], c.numerator * (den // c.denominator))
+    return den, [(e, d, [(g, c.numerator * (den // c.denominator))
                          for g, c in pt.items()])
                  for e, d, pt in rows]
 
@@ -503,10 +491,9 @@ def _integrate_rows(den, rows):
 def _assemble(ring, k, order, acc, den):
     """The series sum of (acc[e][g] / den) g u^e, non-zero sums only, for
     packed generator exponents g."""
-    unpack = _unpacking(len(ring))
     terms = {}
     for e, nums in acc.items():
-        coeffs = {unpack[g]: Fraction(n, den) for g, n in nums.items() if n}
+        coeffs = {g: Fraction(n, den) for g, n in nums.items() if n}
         if coeffs:
             terms[e] = Poly._trusted(ring, coeffs)
     return MultiSeries._trusted(ring, k, order, terms)
@@ -647,12 +634,13 @@ class MultiSeries:
         for e, p in terms.items():
             if len(e) != k:
                 raise ValueError("u-exponent length %d != k=%d" % (len(e), k))
+            e = _exponent(e, "u-exponent")
             if sum(e) > order:
                 continue
             if not isinstance(p, Poly):
                 p = Poly.constant(ring, p)
             if not p.is_zero():
-                clean[tuple(e)] = p
+                clean[e] = p
         self.terms = clean
 
     # -- constructors -------------------------------------------------

@@ -10,7 +10,11 @@ integer recurrences for the Taylor and Laurent coefficients of p.
 The builders of signature, t2, elliptic and Krichever write their series
 as integer rows (see ``algebra``), chain the row kernels of inversion,
 product, the degree recurrence, integration and reversion on them, and
-box the exponential once.
+box the exponential once.  A monomial is its packed generator exponent
+throughout, the key of the rows and of ``Poly.terms`` alike, so the
+Weierstrass recurrences add the packed exponents of a, p2, p3 and g2.  A
+genus keeps the int rows of its unit a_+ per order, which the linear
+localized sum reads and ``a_plus`` boxes.
 """
 
 from __future__ import annotations
@@ -20,17 +24,17 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from toricgenera.algebra import (
-    _PACKED,
     _add_product,
     _assemble,
     _boxed,
+    _flatten,
     _integrate_rows,
     _invert_rows,
     _lowest_terms,
+    _pack,
     _recurrence_rows,
     _revert_rows,
     _rows_product,
-    _unpacking,
     MultiSeries,
     Poly,
     QQ,
@@ -52,9 +56,10 @@ class GenusSpec:
     """A genus: name, coefficient ring and exponential series.
 
     The exponential is a univariate series exact to ``order``; the
-    logarithm (exact to ``order``) is its reverse series and ``a_plus``
-    (exact to ``order - 1``) the unit 1/b_+, both cached.  ``at_order(m)``
-    is the same genus exact to m and no further, over the same ring.
+    logarithm (exact to ``order``) is its reverse series, cached, and
+    ``a_plus`` (exact to ``order - 1``) the unit 1/b_+, boxed from the
+    cached rows of ``_a_plus_rows``.  ``at_order(m)`` is the same genus
+    exact to m and no further, over the same ring.
     """
 
     def __init__(self, name, exponential, builder=None):
@@ -69,7 +74,7 @@ class GenusSpec:
         self.exponential = exponential
         self._builder = builder
         self._logarithm = None
-        self._a_plus = None
+        self._a_plus = {}  # top -> the rows of _a_plus_rows
         self._at_order = {}
 
     @property
@@ -104,11 +109,27 @@ class GenusSpec:
         """The unit series b(x)/x."""
         return self.exponential.shift_down(0)
 
+    def _a_plus_rows(self, top):
+        """(den, {t: [(packed generator exponent, int)]}), a_t = rows[t] /
+        den for t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows``
+        on the exponential's rows shifted down one degree, derived once
+        per top.  The genus is rebuilt by ``at_order`` only when its
+        exponential is exact to less than top + 1.  Callers only read the
+        result."""
+        if top not in self._a_plus:
+            spec = self if self.order > top else self.at_order(top + 1)
+            den, rows = _flatten(spec.exponential.terms, top + 1)
+            den, rows = _invert_rows(
+                den, [((d - 1,), d - 1, p) for _e, d, p in rows], top)
+            self._a_plus[top] = den, {d: p for _e, d, p in rows}
+        return self._a_plus[top]
+
     def a_plus(self):
         """The unit series a_+ = 1/b_+ = x/b(x), exact to order - 1."""
-        if self._a_plus is None:
-            self._a_plus = self.b_plus().invert_unit()
-        return self._a_plus
+        top = self.order - 1
+        den, rows = self._a_plus_rows(top)
+        return _assemble(self.ring, 1, top,
+                         {(t,): dict(p) for t, p in rows.items()}, den)
 
     def exp_coefficient(self, j):
         """b_j, the coefficient of x^{j+1} in the exponential."""
@@ -204,7 +225,7 @@ def _cn(M):
 def _complete_homogeneous(j, c, shift=0):
     """The rows entry [(packed exponent, c)] of c * h_j(y, z) * (y z)^shift,
     h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
-    return [(_PACKED[i + shift, j - i + shift], c) for i in range(j + 1)]
+    return [(_pack((i + shift, j - i + shift)), c) for i in range(j + 1)]
 
 
 def _abel_rows(M):
@@ -234,12 +255,13 @@ def _t2(M):
 
 def _signature(M):
     """tanh(zx) / z: the rows of z^-1 sinh(zx) times the inverse rows of
-    cosh(zx), both over M!, boxed once."""
+    cosh(zx), both over M!, boxed once.  Over one generator the packed
+    exponent of z^j is j."""
     top = factorial(M)
-    sinh = [((j,), j, [(_PACKED[j - 1,], top // factorial(j))])
+    sinh = [((j,), j, [(j - 1, top // factorial(j))])
             for j in range(1, M + 1, 2)]
     den, inverse = _invert_rows(top, [
-        ((j,), j, [(_PACKED[j,], top // factorial(j))])
+        ((j,), j, [(j, top // factorial(j))])
         for j in range(0, M + 1, 2)], M)
     return _assemble(_Z_RING, 1, M, _rows_product(sinh, inverse, M),
                      top * den)
@@ -249,8 +271,8 @@ def _elliptic(M):
     """The reverse of the integral of (1 - 2 delta t^2 + eps t^4)^(-1/2):
     the degree recurrence with alpha = -1/2 to order M - 1, integrated to
     order M and reverted, on rows, boxed once."""
-    R = [((0,), 0, [(0, 1)]), ((2,), 2, [(_PACKED[1, 0], -2)]),
-         ((4,), 4, [(_PACKED[0, 1], 1)])]
+    R = [((0,), 0, [(0, 1)]), ((2,), 2, [(_pack((1, 0)), -2)]),
+         ((4,), 4, [(_pack((0, 1)), 1)])]
     return _boxed(_ELLIPTIC_RING, 1, M, *_revert_rows(*_integrate_rows(
         *_recurrence_rows(1, R, 1, M - 1, Fraction(1, 2), -1)), M))
 
@@ -258,36 +280,28 @@ def _elliptic(M):
 # -- Krichever genus --------------------------------------------------------
 
 _KRING = make_ring(("a", 2), ("p2", 4), ("p3", 6), ("g2", 8))
-
-
-def _kring_poly(terms):
-    """An int polynomial over (a, p2, p3, g2), {packed exponent: int}."""
-    return {_PACKED[g]: c for g, c in terms.items()}
-
-
-def _kring_tuples(poly):
-    """The same polynomial keyed by exponent tuples."""
-    unpack = _unpacking(len(_KRING))
-    return {unpack[g]: c for g, c in poly.items()}
+# the packed exponents of a, p2, p3 and g2; a monomial's is their sum
+_A, _P2, _P3, _G2 = (_pack(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                        (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def _weierstrass_taylor(count):
-    """R_0..R_(count-1), int polynomials {exponent over (a, p2, p3, g2): int}."""
-    R = [_kring_poly({(0, 1, 0, 0): 2}), _kring_poly({(0, 0, 1, 0): 2}),
-         _kring_poly({(0, 2, 0, 0): 12, (0, 0, 0, 1): -1})]
+    """R_0..R_(count-1), int polynomials {packed exponent over (a, p2, p3,
+    g2): int}."""
+    R = [{_P2: 2}, {_P3: 2}, {2 * _P2: 12, _G2: -1}]
     for j in range(1, count - 2):
         acc = {}
         for i in range(j + 1):
             _add_product(acc, R[i].items(), R[j - i].items(), 3 * comb(j, i))
         R.append({g: c for g, c in acc.items() if c})
-    return [_kring_tuples(R_j) for R_j in R[:max(count, 0)]]
+    return R[:max(count, 0)]
 
 
 def _weierstrass_laurent(count):
-    """{j: (int polynomial, denominator) of c_j} for 2 <= j <= max(count, 3)."""
-    c = {2: (_kring_poly({(0, 0, 0, 1): 1}), 20),
-         3: (_kring_poly({(0, 3, 0, 0): 4, (0, 1, 0, 1): -1,
-                          (0, 0, 2, 0): -1}), 28)}
+    """{j: (int polynomial, denominator) of c_j} for 2 <= j <= max(count, 3),
+    the polynomials keyed as in ``_weierstrass_taylor``."""
+    c = {2: ({_G2: 1}, 20),
+         3: ({3 * _P2: 4, _P2 + _G2: -1, 2 * _P3: -1}, 28)}
     for j in range(4, count + 1):
         pairs = [(c[i], c[j - i]) for i in range(2, j - 1)]
         den = lcm(*(d1 * d2 for (_n1, d1), (_n2, d2) in pairs))
@@ -296,7 +310,7 @@ def _weierstrass_laurent(count):
             _add_product(acc, n1.items(), n2.items(), 3 * den // (d1 * d2))
         c[j] = ({g: x for g, x in acc.items() if x},
                 (2 * j + 1) * (j - 3) * den)
-    return {j: (_kring_tuples(c_j), den) for j, (c_j, den) in c.items()}
+    return c
 
 
 def _krichever(M):
@@ -314,7 +328,7 @@ def _krichever(M):
     M - 1, by the degree recurrence, and boxed once, shifted up one
     degree."""
     top = M - 1
-    parts = [(1, {(1, 0, 0, 0): 1}, 1)]  # (degree, int polynomial, divisor)
+    parts = [(1, {_A: 1}, 1)]  # (degree, int polynomial, divisor)
     parts += [(j + 2, R_j, (-1) ** j * 2 * factorial(j + 2))
               for j, R_j in enumerate(_weierstrass_taylor(top - 1))]
     parts += [(2 * j, c_j, -2 * j * (2 * j - 1) * den)
@@ -325,7 +339,6 @@ def _krichever(M):
     for d, poly, q in parts:
         out = acc.setdefault(d, {})
         for g, c in poly.items():
-            g = _PACKED[g]
             out[g] = out.get(g, 0) + c * (den // q)
     den, rows = _recurrence_rows(*_lowest_terms(den, [
         ((d,), d, [(g, c) for g, c in out.items() if c])

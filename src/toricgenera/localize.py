@@ -5,11 +5,12 @@ the sum over fixed points is an honest power series exactly when the
 Conner-Floyd relations hold, and its homogeneous pieces are the cf
 coefficients (the constant one being the non-equivariant genus).  The
 genus enters the linear sum as the int rows of its unit a_+ = x/b(x),
-inverted straight off the exponential's rows by ``_invert_rows``.  The
-linear sum builds its genus-free partition sums Z_lam from int power
-rows (a shift for a coordinate form u_i) and divides them by the common
-denominator over the integers before the genus enters; only data that
-fail the universal relations leave the division to the genus's Fractions.
+which ``GenusSpec._a_plus_rows`` inverts straight off the exponential's
+rows and keeps per order on the genus.  The linear sum builds its
+genus-free partition sums Z_lam from int power rows (a shift for a
+coordinate form u_i) and divides them by the common denominator over the
+integers before the genus enters; only data that fail the universal
+relations leave the division to the genus's Fractions.
 A divided sum is one series over no forms, and ``cf_series`` splits it
 by degree into its entries.
 Certified data at order 0 skip the denominator: each point's power sums
@@ -41,7 +42,6 @@ from toricgenera.algebra import (
     _divide_forms,
     _expand_forms,
     _flatten,
-    _invert_rows,
     _product,
 )
 from toricgenera.fgl import GenusSpec, _augmentation, partitions, weight_series
@@ -121,24 +121,9 @@ def _point_forms(point):
     return forms, scales, content
 
 
-@functools.lru_cache(maxsize=16)
-def _a_plus_rows(genus, top):
-    """(den, {t: [(packed generator exponent, int)]}), a_t = rows[t] / den
-    for t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows`` on the
-    exponential's rows shifted down one degree.  The genus is rebuilt by
-    ``at_order`` only when its exponential is exact to less than top + 1.
-    Kept for the last few (genus, top), as the pairing search localizes
-    many blocks with one genus; callers only read the result."""
-    spec = genus if genus.order > top else genus.at_order(top + 1)
-    den, rows = _flatten(spec.exponential.terms, top + 1)
-    den, rows = _invert_rows(den, [((d - 1,), d - 1, p) for _e, d, p in rows],
-                             top)
-    return den, {d: p for _e, d, p in rows}
-
-
 def _linear_total(fpd, genus, order):
     """(S, D) of the linear localized sum in one pass, with a_+ as int rows
-    from ``_a_plus_rows`` (no series boxed): a weight s f takes
+    from ``GenusSpec._a_plus_rows`` (no series boxed): a weight s f takes
     each state, an int polynomial in u per partition mu of the degrees used
     so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
     the base-B digits of one int, so (u_i)^t is the shift t B^i; only a
@@ -148,7 +133,7 @@ def _linear_total(fpd, genus, order):
     their sums come from ``_evaluated_sums``, unless it finds a pole."""
     k, n = fpd.k, fpd.n
     top = order + n
-    den_a, coeff = _a_plus_rows(genus, top)  # a_t = coeff[t] / den_a
+    den_a, coeff = genus._a_plus_rows(top)  # a_t = coeff[t] / den_a
     T = sorted(coeff)
     evaluated = fpd.certified and not order and _evaluated_sums(fpd, T)
     if evaluated:
@@ -181,7 +166,7 @@ def _linear_total(fpd, genus, order):
                         ones = MultiSeries(QQ, 1, T[-1], {(t,): 1 for t in T})
                     table = {t: [] for t in T}
                     for e, p in ones.compose_at_linear(f, k).terms.items():
-                        table[sum(e)].append((pack(e), p.terms[()].numerator))
+                        table[sum(e)].append((pack(e), p.terms[0].numerator))
                     powers[f, 1] = list(table.items())
             if (f, s) not in powers:
                 powers[f, s] = [(t, [(e, c * s ** t) for e, c in rows])

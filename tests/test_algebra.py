@@ -19,6 +19,8 @@ from toricgenera.algebra import (
     _expand_forms,
     _flatten,
     _invert_rows,
+    _pack,
+    _unpack,
     canonical_linear_form,
     make_ring,
 )
@@ -647,7 +649,7 @@ def _assert_same(got, want):
         assert type(e) is tuple and len(e) == got.k and sum(e) <= got.order
         assert isinstance(p, Poly) and p.ring == got.ring and p.terms
         for g, c in p.terms.items():
-            assert type(g) is tuple and len(g) == len(got.ring)
+            assert type(g) is int and _pack(_unpack(len(got.ring), g)) == g
             assert type(c) is F and c != 0
 
 
@@ -1214,6 +1216,181 @@ def test_poly_is_unhashable_like_multiseries():
 
 
 # ---------------------------------------------------------------------------
+# exponents: refused where they enter, packed keys against tuple keys
+# ---------------------------------------------------------------------------
+
+class _Index:
+    """An int-like exponent, as numpy's ints are: it has ``__index__``."""
+
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 1.5, -1, True, "1", None])
+def test_a_bad_exponent_is_refused_where_it_enters(bad):
+    # refused by the constructor, so that none reaches the text (where %d
+    # truncates a float) or the packed arithmetic
+    ring = make_ring(("b", 2))
+    with pytest.raises(ValueError, match="generator exponent entry 1"):
+        Poly(ring, {(bad,): 1})
+    with pytest.raises(ValueError, match="generator exponent entry 1"):
+        Poly(ring, {(bad,): 0})
+    with pytest.raises(ValueError, match="generator exponent entry 2"):
+        Poly(make_ring(("a", 2), ("b", 2)), {(0, bad): 1})
+    with pytest.raises(ValueError, match="u-exponent entry 1"):
+        MultiSeries(QQ, 1, 2, {(bad,): 1})
+    with pytest.raises(ValueError, match="u-exponent entry 2"):
+        MultiSeries(ring, 2, 2, {(0, bad): Poly.gen(ring, "b")})
+    if not isinstance(bad, str):
+        with pytest.raises(ValueError, match="generator exponent entry 1"):
+            Poly.gen(ring, "b", bad)
+
+
+def test_an_int_like_exponent_enters_as_its_int():
+    ring = make_ring(("b", 2))
+    assert Poly(ring, {(_Index(),): 1}) == Poly.gen(ring, "b", 2)
+    s = MultiSeries(QQ, 1, 2, {(_Index(),): 1})
+    assert s == var(QQ, 1, 2, 0) ** 2 and list(s.terms) == [(2,)]
+
+
+def test_poly_keys_are_packed_exponents():
+    ring = make_ring(("a", 2), ("b", 4))
+    p = Poly(ring, {(2, 1): 3, (0, 0): F(1, 2)})
+    assert p.terms == {_pack((2, 1)): 3, 0: F(1, 2)}
+    assert p.sorted_terms() == [((0, 0), F(1, 2)), ((2, 1), 3)]
+    assert Poly.gen(ring, "b").terms == {_pack((0, 1)): 1}
+    assert Poly.constant(ring, 5).terms == {0: 5}
+    assert Poly.constant(QQ, 5).terms == {0: 5}
+
+
+class _TuplePoly:
+    """``Poly`` as it was with generator-exponent tuples for keys: the
+    reference for the packed keys, with its own canonical order and text."""
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = {tuple(e): F(c) for e, c in terms.items() if c}
+
+    @classmethod
+    def constant(cls, ring, value):
+        return cls(ring, {(0,) * len(ring): value})
+
+    @classmethod
+    def gen(cls, ring, name):
+        return cls(ring, {tuple(int(g.name == name) for g in ring): 1})
+
+    def constant_value(self):
+        if not self.terms:
+            return F(0)
+        if len(self.terms) == 1:
+            e, c = next(iter(self.terms.items()))
+            if not any(e):
+                return c
+        return None
+
+    def __add__(self, other):
+        if not isinstance(other, _TuplePoly):
+            other = _TuplePoly.constant(self.ring, other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return _TuplePoly(self.ring, terms)
+
+    def __neg__(self):
+        return _TuplePoly(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _TuplePoly):
+            return _TuplePoly(self.ring, {e: c * other
+                                          for e, c in self.terms.items()})
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return _TuplePoly(self.ring, terms)
+
+    def __pow__(self, n):
+        result = _TuplePoly.constant(self.ring, 1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, (int, F)):
+            other = _TuplePoly.constant(self.ring, other)
+        return self.ring == other.ring and self.terms == other.terms
+
+    def substitute_gens(self, target_ring, images):
+        out = _TuplePoly(target_ring, {})
+        for e, c in self.terms.items():
+            term = _TuplePoly.constant(target_ring, c)
+            for g, ei in zip(self.ring, e):
+                if ei:
+                    img = images.get(g.name)
+                    if img is None:
+                        img = _TuplePoly.gen(target_ring, g.name)
+                    term = term * img ** ei
+            out = out + term
+        return out
+
+    def sorted_terms(self):
+        return _ref_poly_sorted(self)
+
+    def __str__(self):
+        return _ref_render_terms(_ref_poly_term_strings(self))
+
+    def to_json_obj(self):
+        return _ref_poly_json(self)
+
+
+def _key_terms(ring):
+    exps = st.tuples(*[st.integers(0, 3)] * len(ring))
+    return st.dictionaries(exps, _COEFFS, max_size=4)
+
+
+# rings of 0, 1, 2, 4 and 9 generators
+_KEY_RINGS = st.sampled_from([QQ, ZRING, make_ring(("y", 2), ("z", 2)),
+                              _KRING, catalog("hurewicz", 1,
+                                              generators=9).ring])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_poly_matches_the_tuple_keyed_reference(data):
+    ring = data.draw(_KEY_RINGS)
+    t1, t2 = data.draw(_key_terms(ring)), data.draw(_key_terms(ring))
+    p, q = Poly(ring, t1), Poly(ring, t2)
+    rp, rq = _TuplePoly(ring, t1), _TuplePoly(ring, t2)
+    c = data.draw(_COEFFS)
+    n = data.draw(st.integers(0, 3))
+
+    def same(got, want):
+        assert str(got) == str(want)
+        assert got.sorted_terms() == want.sorted_terms()
+        assert got.to_json_obj() == want.to_json_obj()
+        assert got.constant_value() == want.constant_value()
+        assert got == Poly(ring, dict(want.terms))
+
+    for got, want in ((p, rp), (p + q, rp + rq), (p - q, rp - rq),
+                      (p * q, rp * rq), (p ** n, rp ** n), (p * c, rp * c),
+                      (p + c, rp + c), (-p, -rp)):
+        same(got, want)
+    assert (p == q) == (rp == rq) and (p == c) == (rp == c)
+    # images for some generators; the others map to themselves
+    names = data.draw(st.lists(st.sampled_from([g.name for g in ring]),
+                               max_size=2, unique=True)) if ring else []
+    images = {name: data.draw(_key_terms(ring)) for name in names}
+    same(p.substitute_gens(ring, {name: Poly(ring, t)
+                                  for name, t in images.items()}),
+         rp.substitute_gens(ring, {name: _TuplePoly(ring, t)
+                                   for name, t in images.items()}))
+
+
+# ---------------------------------------------------------------------------
 # the one renderer against the two it replaced
 # ---------------------------------------------------------------------------
 
@@ -1225,7 +1402,8 @@ def _ref_fmt_frac(q, product_context):
 
 
 def _ref_poly_sorted(p):
-    return sorted(p.terms.items(), key=lambda t: (
+    terms = p.terms if isinstance(p, _TuplePoly) else dict(p.sorted_terms())
+    return sorted(terms.items(), key=lambda t: (
         sum(ei * g.degree for ei, g in zip(t[0], p.ring)),
         tuple(-x for x in t[0])))
 

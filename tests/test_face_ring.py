@@ -179,7 +179,7 @@ def test_face_ring_genus_matches_localization(pair):
     # the hurewicz value is sum_omega b^omega c_omega(nu): its coefficients
     # are the normal Chern numbers, which give every genus
     hurewicz = values["hurewicz"]
-    chern = {omega: hurewicz.terms.get(
+    chern = {omega: dict(hurewicz.sorted_terms()).get(
         tuple(omega.count(j) for j in range(1, n + 1)), Fraction(0))
         for omega in partitions(n)}
     assert all(c.denominator == 1 for c in chern.values())

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from toricgenera.algebra import MultiSeries, Poly, QQ
+from toricgenera.algebra import MultiSeries, Poly, QQ, _unpack
 from toricgenera.fgl import (
     _KRING,
     _krichever,
@@ -36,6 +37,21 @@ def _gen(ring, name):
 # ---------------------------------------------------------------------------
 # catalog exponentials: frozen low-order coefficients
 # ---------------------------------------------------------------------------
+
+def test_catalog_text_and_json_are_pinned():
+    # the md5 over str and to_json() of every catalog genus's exponential,
+    # logarithm and a_+ at orders 1..10, hurewicz with 1..9 generators, as
+    # they were with tuple-keyed polynomial terms
+    h = hashlib.md5()
+    for name in CATALOG_NAMES:
+        for generators in range(1, 10) if name == "hurewicz" else (None,):
+            for M in range(1, 11):
+                spec = catalog(name, M, generators=generators)
+                for s in (spec.exponential, spec.logarithm, spec.a_plus()):
+                    h.update(str(s).encode() + b"\0" + s.to_json().encode()
+                             + b"\0")
+    assert h.hexdigest() == "c9d0a7bd101920f86bea4014f11e6644"
+
 
 def test_todd_coefficients():
     td = catalog("todd", 6)
@@ -358,7 +374,7 @@ def test_krichever_homogeneous_grading():
     kv = krichever_exponential(8)
     for j in range(1, 8):
         degs = {sum(ei * g.degree for ei, g in zip(e, kv.ring))
-                for e in kv.exp_coefficient(j).terms}
+                for e in dict(kv.exp_coefficient(j).sorted_terms())}
         assert degs <= {2 * j}
 
 
@@ -375,7 +391,7 @@ def _ref_weierstrass_derivative(poly):
         "g2": Poly.zero(ring),
     }
     out = Poly.zero(ring)
-    for e, c in poly.terms.items():
+    for e, c in poly.sorted_terms():
         for i, ei in enumerate(e):
             if not ei:
                 continue
@@ -430,13 +446,19 @@ def test_weierstrass_taylor_matches_chain_rule_derivatives():
         [[], [], R[:1], R[:2], R[:3]]
     wp = Poly.gen(_KRING, "p2")
     for j in range(11):
-        assert Poly(_KRING, R[j]) == wp * 2, j
+        assert _poly_of(R[j]) == wp * 2, j
         assert all(isinstance(c, int) for c in R[j].values())
         wp = _ref_weierstrass_derivative(wp)
 
 
+def _poly_of(packed, den=1):
+    """The Poly of an int polynomial {packed exponent: int} over den."""
+    return Poly(_KRING, {_unpack(len(_KRING), g): F(c, den)
+                         for g, c in packed.items()})
+
+
 def _laurent_polys(count):
-    return {j: Poly(_KRING, {g: F(c, den) for g, c in num.items()})
+    return {j: _poly_of(num, den)
             for j, (num, den) in _weierstrass_laurent(count).items()}
 
 
@@ -513,7 +535,7 @@ def test_fks_congruences_krichever():
     shape = verify_bsfgl_shape(kv, 6)
 
     def indecomposable(poly):
-        return Poly(poly.ring, {e: c for e, c in poly.terms.items()
+        return Poly(poly.ring, {e: c for e, c in poly.sorted_terms()
                                 if sum(e) < 2})
 
     f = [kv.exp_coefficient(j) for j in range(5)]

@@ -1018,7 +1018,7 @@ def test_an_even_unit_reads_fewer_products():
     for n, genus_name, count in ((7, "signature", 29), (7, "elliptic", 29),
                                  (7, "todd", 44), (6, "signature", 21),
                                  (6, "todd", 29)):
-        _den, rows = localize._a_plus_rows(catalog(genus_name, n), n)
+        _den, rows = catalog(genus_name, n)._a_plus_rows(n)
         _low, steps, _rows = localize._evaluation_plan(n, tuple(sorted(rows)))
         assert len(steps) == count, (n, genus_name)
     assert len(localize._power_table(7)[0]) == 44
@@ -1026,13 +1026,14 @@ def test_an_even_unit_reads_fewer_products():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_a_plus_rows_equal_the_boxed_unit(name):
-    # a_+ straight off the exponential's rows, against GenusSpec.a_plus()
-    # and against Miller's recurrence on b_+, term by term; the genus is
-    # built exact to 3, so tops 1 and 2 truncate it and 3..10 rebuild it
+    # a_+ straight off the exponential's rows, against GenusSpec.a_plus(),
+    # which boxes them, and against Miller's recurrence on b_+, the
+    # independent reference, term by term; the genus is built exact to 3,
+    # so tops 1 and 2 truncate it and 3..10 rebuild it
     for generators in range(1, 7) if name == "hurewicz" else (None,):
         genus = catalog(name, 1, generators=generators)
         for top in range(1, 11):
-            den, rows = localize._a_plus_rows(genus, top)
+            den, rows = genus._a_plus_rows(top)
             spec = genus.at_order(top + 1)
             for unit in (spec.a_plus(), spec.b_plus()._recurrence(0, -1)):
                 ref_den, ref = _flatten(unit.terms, top)
