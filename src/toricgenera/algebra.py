@@ -17,9 +17,10 @@ tuples, which ``MultiSeries(...)`` checks the same way.
 Arithmetic runs on flat integer rows: ``_flatten`` brings a series over one
 common integer denominator as rows (u-exponent, degree, [(packed generator
 exponent, numerator)]), and ``_assemble`` makes one Fraction per non-zero
-sum.  Every series product runs on one kernel, ``_product``,
-which adds plain int products per (u-exponent, generator exponent); ``*``,
-``scale`` and ``**`` call it.  The row kernels ``_invert_rows`` (1 / F),
+sum.  Every product adds plain int products per generator exponent with
+``_add_product``: a ``Poly`` product on its terms, and every series
+product per u-exponent in one kernel, ``_product``, which ``*``,
+``scale`` and ``**`` call.  The row kernels ``_invert_rows`` (1 / F),
 ``_recurrence_rows`` (the unit powers and exp, by a degree recurrence),
 ``_revert_rows`` (the reverse series, by an int power table) and
 ``_integrate_rows`` each take and return rows over their least common
@@ -114,9 +115,10 @@ QQ = make_ring()  # the rationals: no generators
 
 
 def _frac(x):
+    """A coefficient as a Fraction: an int or a Fraction, not a bool."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("expected an exact rational, got %r" % (x,))
 
@@ -227,10 +229,7 @@ class Poly:
                                  {g: c * q for g, c in self.terms.items()})
         self._same_ring(other)
         terms = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g = g1 + g2
-                terms[g] = terms.get(g, 0) + c1 * c2
+        _add_product(terms, self.terms.items(), other.terms.items())
         return Poly._trusted(self.ring,
                              {g: c for g, c in terms.items() if c})
 
@@ -245,7 +244,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.constant(self.ring, other)
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.terms == other.terms)
@@ -571,23 +570,13 @@ def _expand_forms(k, forms):
 def _product(ring, k, order, factors, scale=1):
     """``scale`` (an int or Fraction) times the product of ``factors``,
     series flattened by ``_flatten``, exact to ``order`` in one integer
-    pass.  The first factor's rows, times the numerator of ``scale``, seed
-    the accumulator; with no factors the product is the constant ``scale``."""
-    num, den = scale.numerator, scale.denominator
-    seed = acc = None
+    pass: the accumulator starts as the constant row of the numerator of
+    ``scale`` and takes every factor in turn."""
+    den, acc = scale.denominator, {(0,) * k: {0: scale.numerator}}
     for den_f, rows in factors:
         den *= den_f
-        if seed is None:
-            seed = rows if num == 1 else [
-                (e, d, [(g, c * num) for g, c in p]) for e, d, p in rows]
-            continue
-        if acc is not None:
-            seed = [(e, sum(e), [(g, c) for g, c in p.items() if c])
-                    for e, p in acc.items()]
-        acc = _rows_product(seed, rows, order)
-    if acc is None:  # fewer than two factors
-        acc = ({e: dict(p) for e, _d, p in seed} if seed is not None
-               else {(0,) * k: {0: num}})
+        acc = _rows_product([(e, sum(e), [(g, c) for g, c in p.items() if c])
+                             for e, p in acc.items()], rows, order)
     return _assemble(ring, k, order, acc, den)
 
 
@@ -656,8 +645,16 @@ class MultiSeries:
         return self
 
     @classmethod
+    def _derived(cls, ring, k, order, terms):
+        """``_trusted``, for a k or order that an argument sets: a
+        negative one is refused as ``__init__`` refuses it."""
+        if k < 0 or order < 0:
+            raise ValueError("k and order must be >= 0")
+        return cls._trusted(ring, k, order, terms)
+
+    @classmethod
     def zero(cls, ring, k, order):
-        return cls(ring, k, order, {})
+        return cls._derived(ring, k, order, {})
 
     @classmethod
     def constant(cls, ring, k, order, value):
@@ -673,11 +670,11 @@ class MultiSeries:
     def linear_form(cls, ring, k, order, w):
         """The degree-one series w1*u1 + ... + wk*uk."""
         terms = {}
-        for i, wi in enumerate(w):
+        for i, wi in enumerate(map(_frac, w)):
             if wi:
                 e = [0] * k
                 e[i] = 1
-                terms[tuple(e)] = _frac(wi)
+                terms[tuple(e)] = wi
         return cls(ring, k, order, terms)
 
     # -- basic access -------------------------------------------------
@@ -691,19 +688,19 @@ class MultiSeries:
         return self.coefficient((0,) * self.k)
 
     def homogeneous_component(self, d):
-        return MultiSeries(self.ring, self.k, self.order,
-                           {e: p for e, p in self.terms.items() if sum(e) == d})
+        return self._trusted(self.ring, self.k, self.order,
+                             {e: p for e, p in self.terms.items() if sum(e) == d})
 
     def slice_var(self, j, power):
         """Coefficient of u_j^power, as a series in the remaining variables."""
-        return MultiSeries(self.ring, self.k - 1, self.order - power, {
+        return self._derived(self.ring, self.k - 1, self.order - power, {
             e[:j] + e[j + 1:]: p for e, p in self.terms.items() if e[j] == power})
 
     def truncate(self, order):
         """Restrict to degrees <= order; never claims more exactness."""
         order = min(order, self.order)
-        return MultiSeries(self.ring, self.k, order,
-                           {e: p for e, p in self.terms.items() if sum(e) <= order})
+        return self._derived(self.ring, self.k, order,
+                             {e: p for e, p in self.terms.items() if sum(e) <= order})
 
     # -- arithmetic ---------------------------------------------------
     def _compat(self, other):
@@ -725,13 +722,13 @@ class MultiSeries:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return MultiSeries(self.ring, self.k, order, terms)
+        return self._trusted(self.ring, self.k, order, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiSeries(self.ring, self.k, self.order,
-                           {e: -p for e, p in self.terms.items()})
+        return self._trusted(self.ring, self.k, self.order,
+                             {e: -p for e, p in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -813,7 +810,7 @@ class MultiSeries:
         """d/du of a univariate series, exact to one order less."""
         if self.k != 1:
             raise ValueError("derivative is for univariate series")
-        return MultiSeries(self.ring, 1, self.order - 1, {
+        return self._derived(self.ring, 1, self.order - 1, {
             (d - 1,): p * d for (d,), p in self.terms.items() if d})
 
     def integrate(self):
@@ -831,7 +828,7 @@ class MultiSeries:
             if e[i] < n:
                 raise NotDivisibleError(sum(e))
             terms[e[:i] + (e[i] - n,) + e[i + 1:]] = p
-        return MultiSeries(self.ring, self.k, self.order - n, terms)
+        return self._derived(self.ring, self.k, self.order - n, terms)
 
     def embed(self, k, positions):
         """Re-index variables into a larger variable set.
@@ -844,7 +841,7 @@ class MultiSeries:
             for i, ei in enumerate(e):
                 e2[positions[i]] = ei
             terms[tuple(e2)] = p
-        return MultiSeries(self.ring, k, self.order, terms)
+        return self._derived(self.ring, k, self.order, terms)
 
     def substitute(self, images):
         """Compose: substitute images[i] (zero constant term) for u_i.
@@ -907,7 +904,7 @@ class MultiSeries:
         if self.k != 1:
             raise ValueError("compose_at_linear is for univariate series")
         order = self.order if order is None else min(order, self.order)
-        weights = [(i, _frac(wi)) for i, wi in enumerate(w) if wi]
+        weights = [(i, q) for i, q in enumerate(map(_frac, w)) if q]
         den_w = lcm(*(q.denominator for _i, q in weights))
         form = [(i, q.numerator * (den_w // q.denominator)) for i, q in weights]
         den, flat = _flatten(self.terms, order)
@@ -976,7 +973,7 @@ class MultiSeries:
                             below[mm] = r
             if rows.get(0):
                 raise NotDivisibleError(d, w)
-        return MultiSeries(self.ring, self.k, self.order - 1, out)
+        return self._trusted(self.ring, self.k, self.order - 1, out)
 
     # -- serialization ------------------------------------------------
     def sorted_terms(self):

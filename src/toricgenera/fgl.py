@@ -337,9 +337,7 @@ def _krichever(M):
     den = lcm(*(q for _d, _p, q in parts))
     acc = {}
     for d, poly, q in parts:
-        out = acc.setdefault(d, {})
-        for g, c in poly.items():
-            out[g] = out.get(g, 0) + c * (den // q)
+        _add_product(acc.setdefault(d, {}), poly.items(), [(0, 1)], den // q)
     den, rows = _recurrence_rows(*_lowest_terms(den, [
         ((d,), d, [(g, c) for g, c in out.items() if c])
         for d, out in sorted(acc.items())]), 1, top, 1, 0)

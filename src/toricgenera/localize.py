@@ -16,10 +16,12 @@ by degree into its entries.
 Certified data at order 0 skip the denominator: each point's power sums
 at one generic direction give every p_mu with |mu| < n, and each p_mu
 with |mu| = n that some row reads, by one product each, and exact
-integer rows of n alone (``_m_in_p``) turn their sums into the monomial
-sums q_lam, |lam| = n.  Validation checks the signs of a pair along
-every edge, so its sums have no pole; a non-zero sum of lower degree
-would be one, and sends the data to the torus pass.
+integer rows of lam alone, keyed by the mu they read (``_m_in_p``), turn
+their sums into the monomial sums q_lam, |lam| = n.  Every partition is
+the descending tuple that ``fgl.partitions`` writes.  Validation checks
+the signs of a pair along every edge, so its sums have no pole; a
+non-zero sum of lower degree would be one, and sends the data to the
+torus pass.
 """
 
 from __future__ import annotations
@@ -185,8 +187,8 @@ def _linear_total(fpd, genus, order):
                 for t, rows in step:
                     if t + sum(mu) > top:
                         break
-                    out = grown.setdefault(
-                        tuple(sorted(mu + (t,))) if t else mu, {})
+                    lam = tuple(sorted(mu + (t,), reverse=True)) if t else mu
+                    out = grown.setdefault(lam, {})
                     for e1, c1 in poly.items():
                         for e2, c2 in rows:
                             e = e1 + e2
@@ -217,25 +219,6 @@ def _linear_total(fpd, genus, order):
 
 
 @functools.cache
-def _power_table(n):
-    """(steps, low, top), the constants of degree n that
-    ``_evaluated_sums`` applies, built once per n and process.
-
-    ``steps`` lists (parent, part) for every non-empty partition mu with
-    |mu| <= n, by size, so that p_mu = p_(parent) p_part, partition 0
-    being the empty one.  The first ``low`` partitions have |mu| < n;
-    ``top`` maps each lam |- n, a descending tuple, to its index, (n)
-    first."""
-    index, steps = {(): 0}, []
-    for size in range(1, n + 1):
-        for mu in partitions(size):
-            steps.append((index[mu[:-1]], mu[-1]))
-            index[mu] = len(index)
-    top = {lam: index[lam] for lam in partitions(n)}
-    return tuple(steps), len(index) - len(top), top
-
-
-@functools.cache
 def _p_in_m(mu):
     """p_mu over the monomial basis, {lam: int}, for a descending mu:
     p_r m_nu adds r to one part v of nu, or to a new part v = 0, with
@@ -255,23 +238,23 @@ def _p_in_m(mu):
 
 @functools.cache
 def _m_in_p(lam):
-    """(den, ((i, r), ...)) with den m_lam = sum r p_mu over mu |- |lam|,
-    mu at index i of ``_power_table`` (Macdonald I.6), for a descending
-    lam: a constant of lam, built when first asked for.  p_lam =
-    sum R m_nu runs over the coarsenings nu of lam: lam itself, with
-    R_(lam lam) = prod_i (multiplicity of i)!, and partitions that are
+    """(den, ((mu, r), ...)) with den m_lam = sum r p_mu over mu |- |lam|
+    (Macdonald I.6), for a descending lam: a constant of lam, keyed by
+    the descending mu, built when first asked for.  p_lam = sum R m_nu
+    runs over the coarsenings nu of lam: lam itself, with R_(lam lam) =
+    prod_i (multiplicity of i)!, and partitions that are
     lexicographically greater.  So m_lam = (p_lam - sum R m_nu) /
     R_(lam lam), by recursion down from m_(n) = p_(n)."""
     R = _p_in_m(lam)
     others = [(c, *_m_in_p(nu)) for nu, c in R.items() if nu != lam]
     D = lcm(*(den for _c, den, _row in others))
-    row = {_power_table(sum(lam))[2][lam]: D}
+    row = {lam: D}
     for c, den, other in others:
-        for i, a in other:
-            row[i] = row.get(i, 0) - c * (D // den) * a
+        for mu, a in other:
+            row[mu] = row.get(mu, 0) - c * (D // den) * a
     den = R[lam] * D
     g = gcd(den, *row.values())
-    return den // g, tuple((i, a // g) for i, a in row.items() if a)
+    return den // g, tuple((mu, a // g) for mu, a in row.items() if a)
 
 
 @functools.cache
@@ -279,22 +262,28 @@ def _evaluation_plan(n, T):
     """(low, steps, rows), the products ``_evaluated_sums`` forms at
     degree n for the unit degrees T, built once per (n, T) and process.
 
-    ``steps`` lists (parent, part) for each product: first those of every
-    non-empty |mu| < n from ``_power_table``, which with the empty one
-    fill the first ``low`` places and which the pole check reads, then
-    those of each mu |- n that some row ``_m_in_p(lam)`` reads, lam |- n
-    with parts in T.  ``rows`` lists (lam, den, ((place, r), ...)) for
-    each such lam, (n) first.  At n = 0 the empty partition is lam."""
-    table, low, top = _power_table(n)
-    lams = [lam for lam in top if set(T).issuperset(lam)]
-    read = sorted({i for lam in lams for i, _r in _m_in_p(lam)[1]} - {0})
-    place = {0: 0, **{i: low + j for j, i in enumerate(read)}}
+    Each product p_mu has a place, the empty mu place 0: by size from
+    ``partitions``, every |mu| < n, which fill the first ``low`` places
+    and which the pole check reads, then each mu |- n that some row
+    ``_m_in_p(lam)`` reads, lam |- n with parts in T.  ``steps`` lists
+    (place of mu[:-1], mu[-1]) for each non-empty mu, in place order, as
+    p_mu = p_(mu[:-1]) p_(mu[-1]).  ``rows`` lists (lam, den, ((place,
+    r), ...)) for each such lam, (n) first.  At n = 0 the empty
+    partition is lam, and no place is low."""
+    lams = [lam for lam in partitions(n) if set(T).issuperset(lam)]
+    read = {mu for lam in lams for mu, _r in _m_in_p(lam)[1]}
+    place, steps, low = {(): 0}, [], 0
+    for size in range(1, n + 1):
+        low = len(place)  # the places of |mu| < size
+        for mu in partitions(size):
+            if size < n or mu in read:
+                place[mu] = len(place)
+                steps.append((place[mu[:-1]], mu[-1]))
     rows = []
     for lam in lams:
         den, row = _m_in_p(lam)
-        rows.append((lam, den, tuple((place[i], r) for i, r in row)))
-    steps = table[:max(low - 1, 0)] + tuple(table[i - 1] for i in read)
-    return low, steps, tuple(rows)
+        rows.append((lam, den, tuple((place[mu], r) for mu, r in row)))
+    return low, tuple(steps), tuple(rows)
 
 
 def _evaluated_sums(fpd, T):
@@ -339,7 +328,7 @@ def _evaluated_sums(fpd, T):
     if any(Q[:low]):
         return None
     zero = (0,) * fpd.k
-    return L, {lam[::-1]: {zero: sum(r * Q[i] for i, r in row) // den}
+    return L, {lam: {zero: sum(r * Q[i] for i, r in row) // den}
                for lam, den, row in rows}
 
 

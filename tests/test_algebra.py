@@ -755,6 +755,61 @@ def test_divide_linear_matches_the_active_set_sweep(case):
         _division_outcome(_ref_divide_linear, s, w)
 
 
+def _revalidated(s):
+    """``s`` rebuilt by the validating constructor from its own terms."""
+    return MultiSeries(s.ring, s.k, s.order, dict(s.terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_series_equal_their_revalidated_copies(data):
+    # the methods that only re-key checked terms build with
+    # MultiSeries._trusted, so each must drop its own zeros and
+    # over-order terms: its result is what MultiSeries(...) makes of it
+    ring, k = data.draw(_RINGS), data.draw(st.integers(1, 3))
+    s, t = data.draw(_series(ring, k)), data.draw(_series(ring, k))
+    i, n = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 2))
+    raised = MultiSeries(ring, k, s.order + n, {
+        e[:i] + (e[i] + n,) + e[i + 1:]: p for e, p in s.terms.items()})
+    positions = data.draw(st.permutations(range(k + 1)))[:k]
+    u = data.draw(_series(ring, 1))
+    results = [s.truncate(data.draw(st.integers(0, 5))),
+               s.homogeneous_component(data.draw(st.integers(0, 4))),
+               s.slice_var(i, data.draw(st.integers(0, s.order))),
+               raised.shift_down(i, n), s.embed(k + 1, positions),
+               s + t, s - t, s + (-s), -s, MultiSeries.zero(ring, k, n),
+               u.derivative() if u.order else u]
+    q, w = data.draw(_divisions())
+    if q.order:
+        try:
+            results.append(q.divide_linear(w))
+        except NotDivisibleError:
+            pass
+    for r in results:
+        copy = _revalidated(r)
+        assert r.terms == copy.terms and r.order == copy.order
+
+
+@pytest.mark.parametrize("call", [
+    lambda: var(QQ, 2, 2, 0).slice_var(0, 3),
+    lambda: MultiSeries.zero(QQ, 0, 1).slice_var(0, 0),
+    lambda: var(QQ, 1, 0, 0).derivative(),
+    lambda: MultiSeries.zero(QQ, 2, 2).shift_down(0, 3),
+    lambda: var(QQ, 2, 2, 0).truncate(-1),
+    lambda: MultiSeries.zero(QQ, 1, 1).embed(-1, [0]),
+    lambda: MultiSeries.zero(QQ, -1, 0),
+], ids=["slice_var order", "slice_var k", "derivative", "shift_down",
+        "truncate", "embed", "zero"])
+def test_derived_series_keep_their_errors(call):
+    with pytest.raises(ValueError, match=r"^k and order must be >= 0$"):
+        call()
+
+
+def test_shift_down_refuses_a_term_below_the_shift():
+    with pytest.raises(NotDivisibleError):
+        var(QQ, 2, 2, 0).shift_down(1)
+
+
 def _ref_compose_at_linear(s, w, k, order=None):
     """The power-and-add loop: sum_d c_d (w . u)^d, one shift-and-add
     product a degree."""
@@ -1251,6 +1306,28 @@ def test_an_int_like_exponent_enters_as_its_int():
     assert Poly(ring, {(_Index(),): 1}) == Poly.gen(ring, "b", 2)
     s = MultiSeries(QQ, 1, 2, {(_Index(),): 1})
     assert s == var(QQ, 1, 2, 0) ** 2 and list(s.terms) == [(2,)]
+
+
+@pytest.mark.parametrize("enter", [
+    lambda v: Poly(make_ring(("b", 2)), {(1,): v}),
+    lambda v: MultiSeries(QQ, 1, 2, {(1,): v}),
+    lambda v: Poly.constant(make_ring(("b", 2)), v),
+    lambda v: MultiSeries.linear_form(QQ, 2, 1, (v, 0)),
+    lambda v: var(QQ, 1, 2, 0).scale(v),
+    lambda v: Poly.gen(make_ring(("b", 2)), "b") * v,
+], ids=["Poly", "MultiSeries", "constant", "linear_form", "scale", "mul"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_coefficient_is_refused_where_it_enters(enter, flag):
+    # bool is an int subclass, so True would enter as 1 and False as 0
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        enter(flag)
+
+
+def test_a_bool_equals_no_poly():
+    ring = make_ring(("b", 2))
+    assert (Poly.constant(ring, 1) == True) is False  # noqa: E712
+    assert (Poly.zero(ring) == False) is False  # noqa: E712
+    assert Poly.constant(ring, 1) == 1 and Poly.zero(ring) == 0
 
 
 def test_poly_keys_are_packed_exponents():

@@ -410,10 +410,10 @@ MUTANTS = {
                                      "return None", "pass"),
     "evaluated pole check reads |mu| = n - 1 alone": (
         localize._evaluated_sums, "any(Q[:low])",
-        "any(Q[low - len(_power_table(n - 1)[2]):low])"),
+        "any(Q[low - len(partitions(n - 1)):low])"),
     "monomial row (n) dropped": (localize._evaluation_plan,
-                                 "for lam in top if",
-                                 "for lam in list(top)[1:] if"),
+                                 "for lam in partitions(n) if",
+                                 "for lam in partitions(n)[1:] if"),
     "t = 0 skipped": (localize._linear_total,
                       "for t, rows in powers[f, 1]]",
                       "for t, rows in powers[f, 1] if t]"),
@@ -803,12 +803,13 @@ def test_a_pair_missing_a_vertex_is_invalid(tmp_path, capsys):
 
 
 def _partitions(n, most=None):
+    """The partitions of n, as descending tuples."""
     if n == 0:
         yield ()
         return
     for first in range(min(n, most or n), 0, -1):
         for rest in _partitions(n - first, first):
-            yield tuple(sorted((first,) + rest))
+            yield (first,) + rest
 
 
 @functools.cache
@@ -870,7 +871,7 @@ def _ref_evaluated_sums(fpd, T):
                 for t, p in rows:
                     if t > room:
                         break
-                    lam = tuple(sorted(mu + (t,))) if t else mu
+                    lam = tuple(sorted(mu + (t,), reverse=True)) if t else mu
                     grown[lam] = grown.get(lam, 0) + v * p
             states = grown
         Z.update(states)
@@ -968,47 +969,42 @@ def test_evaluated_sums_equal_the_fraction_sums(data):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 8), c=st.lists(st.integers(-5, 5), max_size=6))
-def test_power_table_turns_power_sums_into_monomials(n, c):
-    # den m_lam(c) = sum_mu r p_mu(c) for every lam |- n, where p_mu is
-    # the product of the power sums of c over the parts of mu
-    steps, low, top = table = localize._power_table(n)
-    assert localize._power_table(n) is table  # built once per n
-    mus = [()]
-    for parent, part in steps:
-        mus.append(tuple(sorted(mus[parent] + (part,))))
-    assert sorted(mus) == sorted(lam for size in range(n + 1)
-                                 for lam in _partitions(size))
-    assert [sum(mu) for mu in mus] == sorted(sum(mu) for mu in mus)
-    assert low == sum(sum(mu) < n for mu in mus)
-    assert sorted(top) == sorted(lam[::-1] for lam in _partitions(n))
-    assert all(mus[i] == lam[::-1] for lam, i in top.items())
+def test_m_in_p_rows_turn_power_sums_into_monomials(n, c):
+    # den m_lam(c) = sum_mu r p_mu(c) for every lam |- n, where each row
+    # is keyed by descending mu |- n and p_mu is the product of the power
+    # sums of c over the parts of mu
     p = [sum(x ** d for x in c) for d in range(n + 1)]
-    for lam in top:
-        den, row = localize._m_in_p(lam)
-        assert den > 0 and all(i >= low for i, _r in row)
+    for lam in _partitions(n):
+        den, row = result = localize._m_in_p(lam)
+        assert localize._m_in_p(lam) is result  # built once per lam
+        assert den > 0 and {mu for mu, _r in row} <= set(_partitions(n))
         assert den * _monomial(lam, c) == sum(
-            r * prod(p[part] for part in mus[i]) for i, r in row), lam
+            r * prod(p[part] for part in mu) for mu, r in row), lam
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 8), T=st.sets(st.integers(1, 8)))
 def test_evaluation_plan_forms_only_the_products_a_row_reads(n, T):
-    # every |mu| < n for the pole check, and of the mu |- n exactly those
-    # that the rows of the lam |- n with parts in T read
+    # each step forms p_mu from a place before it; the places below low
+    # are every |mu| < n, for the pole check, and the others exactly the
+    # mu |- n that the rows of the lam |- n with parts in T read
     T = tuple(sorted(T | {0}))
-    steps, low, top = localize._power_table(n)
-    got_low, got_steps, rows = localize._evaluation_plan(n, T)
-    assert got_low == low
-    lams = [lam for lam in top if set(lam) <= set(T)]
-    read = sorted({i for lam in lams for i, _r in localize._m_in_p(lam)[1]}
-                  - {0})
-    assert list(got_steps) == list(steps[:max(low - 1, 0)]) + \
-        [steps[i - 1] for i in read]
-    place = {0: 0, **{i: low + j for j, i in enumerate(read)}}
-    assert list(rows) == [
-        (lam, localize._m_in_p(lam)[0],
-         tuple((place[i], r) for i, r in localize._m_in_p(lam)[1]))
-        for lam in lams]
+    low, steps, rows = localize._evaluation_plan(n, T)
+    mus = [()]
+    for parent, part in steps:
+        assert parent < len(mus)
+        mus.append(tuple(sorted(mus[parent] + (part,), reverse=True)))
+    assert len(set(mus)) == len(mus)
+    assert [sum(mu) for mu in mus] == sorted(sum(mu) for mu in mus)
+    assert sorted(mus[:low]) == sorted(mu for size in range(n)
+                                       for mu in _partitions(size))
+    lams = [lam for lam in _partitions(n) if set(lam) <= set(T)]
+    read = {mu for lam in lams for mu, _r in localize._m_in_p(lam)[1]}
+    assert set(mus[low:]) == read - set(mus[:low])
+    assert [lam for lam, _den, _row in rows] == lams
+    for lam, den, row in rows:
+        assert (den, tuple((mus[i], r) for i, r in row)) == \
+            localize._m_in_p(lam)
 
 
 def test_an_even_unit_reads_fewer_products():
@@ -1021,7 +1017,8 @@ def test_an_even_unit_reads_fewer_products():
         _den, rows = catalog(genus_name, n)._a_plus_rows(n)
         _low, steps, _rows = localize._evaluation_plan(n, tuple(sorted(rows)))
         assert len(steps) == count, (n, genus_name)
-    assert len(localize._power_table(7)[0]) == 44
+    # the 44 are every non-empty partition of size at most 7
+    assert sum(1 for size in range(1, 8) for _mu in _partitions(size)) == 44
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
