@@ -830,18 +830,15 @@ class MultiSeries:
             terms[e[:i] + (e[i] - n,) + e[i + 1:]] = p
         return self._derived(self.ring, self.k, self.order - n, terms)
 
-    def embed(self, k, positions):
-        """Re-index variables into a larger variable set.
-
-        ``positions[i]`` is the target slot of source variable i.
-        """
-        terms = {}
-        for e, p in self.terms.items():
-            e2 = [0] * k
-            for i, ei in enumerate(e):
-                e2[positions[i]] = ei
-            terms[tuple(e2)] = p
-        return self._derived(self.ring, k, self.order, terms)
+    def in_slot(self, k, i):
+        """This univariate series as a series in u_i of k variables."""
+        if self.k != 1:
+            raise ValueError("in_slot is for univariate series")
+        if not 0 <= i < k:
+            raise ValueError("slot %r is not one of %d variables" % (i, k))
+        pad = (0,) * (k - 1)
+        return self._trusted(self.ring, k, self.order, {
+            pad[:i] + e + pad[i:]: p for e, p in self.terms.items()})
 
     def substitute(self, images):
         """Compose: substitute images[i] (zero constant term) for u_i.
@@ -1137,7 +1134,7 @@ class LocalizedSum:
         Yields, lowest u-degree first, (net degree, component, quotient)
         for every non-zero component: the net degree is the component's
         u-degree minus deg D, and the quotient is None where the division
-        is not exact.
+        is not exact, decided by the degree alone below deg D.
         """
         total, D = self.over_common_denominator()
         degD = sum(D.values())
@@ -1149,12 +1146,14 @@ class LocalizedSum:
         for d in sorted(by_degree):
             comp = MultiSeries._trusted(self.ring, self.k, total.order,
                                         by_degree[d])
-            quotient = comp
-            try:
-                for form in forms:
-                    quotient = quotient.divide_linear(form)
-            except NotDivisibleError:
-                quotient = None
+            quotient = None  # a non-zero multiple of D has degree >= deg D
+            if d >= degD:
+                quotient = comp
+                try:
+                    for form in forms:
+                        quotient = quotient.divide_linear(form)
+                except NotDivisibleError:
+                    quotient = None
             yield d - degD, comp, quotient
 
     def normalize(self):

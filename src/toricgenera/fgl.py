@@ -173,7 +173,7 @@ def weight_series(spec, w, k):
     g = MultiSeries.zero(spec.ring, k, m.order)
     for i, wi in enumerate(w):
         if wi:
-            g = g + m.embed(k, [i]).scale(wi)
+            g = g + m.in_slot(k, i).scale(wi)
     return spec.exponential.substitute([g])
 
 
@@ -424,12 +424,12 @@ def verify_bsfgl_shape(spec, order):
         raise BsfglShapeError(2, "group law is not unital")
     d = MultiSeries.constant(ring, 1, F2.order - 1, c2) - F2.shift_down(0)
 
-    ce1 = c.embed(2, [0])
-    ce2 = c.embed(2, [1])
+    ce1 = c.in_slot(2, 0)
+    ce2 = c.in_slot(2, 1)
     u1 = MultiSeries.variable(ring, 2, M, 0)
     u2 = MultiSeries.variable(ring, 2, M, 1)
     head = u1 * ce2 + u2 * ce1 - (u1 * u2).scale(a)
-    dnum = d.embed(2, [0]) - d.embed(2, [1])
+    dnum = d.in_slot(2, 0) - d.in_slot(2, 1)
     dden = u1 * ce2 - u2 * ce1
     q = dnum.divide_linear((1, -1)) * dden.divide_linear((1, -1)).invert_unit()
     rhs = head - q * u1 * u1 * u2 * u2
@@ -451,7 +451,7 @@ def elliptic_fgl_check(order):
     c = R.sqrt_unit()
     u1 = MultiSeries.variable(ring, 2, order, 0)
     u2 = MultiSeries.variable(ring, 2, order, 1)
-    num = u1 * c.embed(2, [1]) + u2 * c.embed(2, [0])
+    num = u1 * c.in_slot(2, 1) + u2 * c.in_slot(2, 0)
     den = MultiSeries.constant(ring, 2, order, 1) - (u1 * u1 * u2 * u2).scale(e)
     return F.agrees_with(num * den.invert_unit(), order)
 

@@ -22,6 +22,12 @@ the descending tuple that ``fgl.partitions`` writes.  Validation checks
 the signs of a pair along every edge, so its sums have no pole; a
 non-zero sum of lower degree would be one, and sends the data to the
 torus pass.
+Uncertified data with n >= 1 meet one evaluation at the same direction
+first, in ``phi`` and ``genus_value``: the empty partition's term
+sign L / E_x of each point sums to L q_(), the value of the degree -n
+sum sum_x sign(x) / e_x(u), which is the lowest component of every
+genus's sum (a_0 = 1).  A non-zero value fails cf_0 for every genus and
+raises at once; zero decides nothing, and the torus pass runs.
 """
 
 from __future__ import annotations
@@ -286,6 +292,29 @@ def _evaluation_plan(n, T):
     return low, tuple(steps), tuple(rows)
 
 
+def _at_direction(fpd):
+    """(L, [(sign(x) L / E_x, c) for each point x]) at nu =
+    ``generic_direction(fpd)``: c_j = w_j . nu, E_x = prod_j c_j and L =
+    lcm_x |E_x|.  The first entries sum to L q_(), the degree -n sum
+    sum_x sign(x) / e_x(u) at nu."""
+    nu = generic_direction(fpd)
+    points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
+              for point in fpd.points]
+    L = lcm(*(prod(c) for _sign, c in points))
+    return L, [(sign * L // prod(c), c) for sign, c in points]
+
+
+def _refutes_cf0(fpd):
+    """Whether uncertified data with n >= 1 fail cf_0 for every genus, by
+    one evaluation at a generic direction: sum_x sign(x) / e_x(u) is the
+    lowest component of every genus's localized sum, as a_0 = 1, so a
+    non-zero value at nu is a pole that no genus cancels.  A zero value
+    decides nothing."""
+    if fpd.certified or not fpd.n:
+        return False
+    return sum(term for term, _c in _at_direction(fpd)[1]) != 0
+
+
 def _evaluated_sums(fpd, T):
     """(L, {lam: {(0,) * k: L q_lam}}) for lam |- n with parts in T, the
     genus-free sums of certified data at order 0, by evaluation at one
@@ -309,19 +338,16 @@ def _evaluated_sums(fpd, T):
     reports it."""
     n = fpd.n
     low, steps, rows = _evaluation_plan(n, tuple(T))
-    nu = generic_direction(fpd)
-    points = [(point.sign, [sum(map(mul, w, nu)) for w in point.weights])
-              for point in fpd.points]
-    L = lcm(*(prod(c) for _sign, c in points))
+    L, points = _at_direction(fpd)
     Q = [0] * (len(steps) + 1)
-    for sign, c in points:
+    for term, c in points:
         p = [0] * (n + 1)  # p[d] = sum_j c_j^d
         for cj in c:
             x = 1
             for d in range(1, n + 1):
                 x *= cj
                 p[d] += x
-        pm = [sign * L // prod(c)]  # sign L / E_x p_mu
+        pm = [term]  # sign L / E_x p_mu
         for parent, part in steps:
             pm.append(pm[parent] * p[part])
         Q = list(map(add, Q, pm))
@@ -430,26 +456,31 @@ def localized_sum(fpd, genus, mode, order):
     return ls
 
 
+_NON_CANCELLING = ("fixed point data violates the Conner-Floyd relations: "
+                   "non-cancelling terms at cf_%d")
+
+
 def phi(fpd, genus, mode, order):
     """The equivariant genus of the fixed point data, as a power series.
 
     Linear mode normalizes the localized sum directly; universal mode is
     the linear series reparametrized along the logarithm, u_i -> m(u_i),
     which is the same substitution that linearizes every weight series.
+    Uncertified data that ``_refutes_cf0`` fail cf_0 before any sum.
     """
+    if _refutes_cf0(fpd):
+        raise ConnerFloydViolation(0, _NON_CANCELLING % 0)
     try:
         linear = localized_sum(fpd, genus, "linear", order).normalize()
     except NormalizeError as exc:
-        raise ConnerFloydViolation(
-            fpd.n + exc.net_degree,
-            "fixed point data violates the Conner-Floyd relations: "
-            "non-cancelling terms at cf_%d" % (fpd.n + exc.net_degree)) from exc
+        l = fpd.n + exc.net_degree
+        raise ConnerFloydViolation(l, _NON_CANCELLING % l) from exc
     if mode == "linear":
         return linear
     if mode == "universal":
         # a genus is exact to order >= 1; the order-0 logarithm is 0
         m = genus.at_order(max(order, 1)).logarithm.truncate(order)
-        images = [m.embed(fpd.k, [i]) for i in range(fpd.k)]
+        images = [m.in_slot(fpd.k, i) for i in range(fpd.k)]
         return linear.substitute(images) if fpd.k else linear
     raise ValueError("mode must be 'linear' or 'universal'")
 
@@ -569,7 +600,10 @@ def cf_series(fpd, genus, order):
 
 
 def genus_value(fpd, genus):
-    """The non-equivariant genus cf_n; raises on Conner-Floyd failure."""
+    """The non-equivariant genus cf_n; raises on Conner-Floyd failure,
+    at once for data that ``_refutes_cf0``."""
+    if _refutes_cf0(fpd):
+        raise ConnerFloydViolation(0)
     return cf_series(fpd, genus, 0).genus_value()
 
 

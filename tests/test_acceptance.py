@@ -320,7 +320,7 @@ def test_criterion_13_property_suites():
     def consistency(fpd, spec, order):
         uni = localized_sum(fpd, spec, "universal", order).normalize()
         b = spec.at_order(order).exponential.truncate(order)
-        images = [b.embed(fpd.k, [i]) for i in range(fpd.k)]
+        images = [b.in_slot(fpd.k, i) for i in range(fpd.k)]
         assert uni.substitute(images) == phi(fpd, spec, "linear", order)
 
     consistency(dataset("cp1"), catalog("hurewicz", 5), 5)

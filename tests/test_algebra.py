@@ -771,12 +771,11 @@ def test_derived_series_equal_their_revalidated_copies(data):
     i, n = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 2))
     raised = MultiSeries(ring, k, s.order + n, {
         e[:i] + (e[i] + n,) + e[i + 1:]: p for e, p in s.terms.items()})
-    positions = data.draw(st.permutations(range(k + 1)))[:k]
     u = data.draw(_series(ring, 1))
     results = [s.truncate(data.draw(st.integers(0, 5))),
                s.homogeneous_component(data.draw(st.integers(0, 4))),
                s.slice_var(i, data.draw(st.integers(0, s.order))),
-               raised.shift_down(i, n), s.embed(k + 1, positions),
+               raised.shift_down(i, n), u.in_slot(k, i),
                s + t, s - t, s + (-s), -s, MultiSeries.zero(ring, k, n),
                u.derivative() if u.order else u]
     q, w = data.draw(_divisions())
@@ -796,13 +795,28 @@ def test_derived_series_equal_their_revalidated_copies(data):
     lambda: var(QQ, 1, 0, 0).derivative(),
     lambda: MultiSeries.zero(QQ, 2, 2).shift_down(0, 3),
     lambda: var(QQ, 2, 2, 0).truncate(-1),
-    lambda: MultiSeries.zero(QQ, 1, 1).embed(-1, [0]),
     lambda: MultiSeries.zero(QQ, -1, 0),
 ], ids=["slice_var order", "slice_var k", "derivative", "shift_down",
-        "truncate", "embed", "zero"])
+        "truncate", "zero"])
 def test_derived_series_keep_their_errors(call):
     with pytest.raises(ValueError, match=r"^k and order must be >= 0$"):
         call()
+
+
+def test_in_slot_places_each_term_in_its_one_slot():
+    u = MultiSeries(QQ, 1, 3, {(1,): 1, (3,): F(1, 2)})
+    assert str(u.in_slot(3, 1)) == "u2 + (1/2)*u2^3"
+    assert u.in_slot(3, 1).order == 3
+    assert str(u.in_slot(1, 0)) == str(u)
+    # a bivariate source and a slot out of range are refused, where a
+    # positions list once folded u1 + 2*u2 into 1 + 2*u1, and a negative
+    # slot read from the end
+    both = MultiSeries(QQ, 2, 2, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(ValueError, match="univariate"):
+        both.in_slot(2, 0)
+    for k, i in ((3, -1), (2, 2), (-1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="is not one of"):
+            u.in_slot(k, i)
 
 
 def test_shift_down_refuses_a_term_below_the_shift():
@@ -1702,7 +1716,7 @@ def test_universal_phi_matches_the_reference_pipeline(name):
                            generators=max(order, 1))
             linear = _ref_normalize(localized_sum(fpd, spec, "linear", order))
             m = spec.at_order(max(order, 1)).logarithm.truncate(order)
-            images = [m.embed(fpd.k, [i]) for i in range(fpd.k)]
+            images = [m.in_slot(fpd.k, i) for i in range(fpd.k)]
             want = _ref_substitute(linear, images)
             got = phi(fpd, spec, "universal", order)
             assert (got.order, str(got)) == (want.order, str(want)), \

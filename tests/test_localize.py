@@ -17,6 +17,7 @@ from toricgenera import localize
 from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
+    NormalizeError,
     NotDivisibleError,
     Poly,
     QQ,
@@ -401,7 +402,7 @@ MUTANTS = {
     "s^t dilation dropped": (localize._linear_total,
                              "(e, c * s ** t)", "(e, c)"),
     "den_a padding not divided": (localize._ring_sums, "c // den_a", "c"),
-    "evaluated sign dropped": (localize._evaluated_sums,
+    "evaluated sign dropped": (localize._at_direction,
                                "sign * L // prod(c)", "L // prod(c)"),
     # the power of c_j is not advanced, so every p_d reads p_1
     "evaluated powers dropped": (localize._evaluated_sums,
@@ -1740,7 +1741,7 @@ def test_pairing_blocks_must_partition():
 def _consistency(fpd, spec, order):
     uni = localized_sum(fpd, spec, "universal", order).normalize()
     b = spec.at_order(order).exponential.truncate(order)
-    images = [b.embed(fpd.k, [i]) for i in range(fpd.k)]
+    images = [b.in_slot(fpd.k, i) for i in range(fpd.k)]
     lin = phi(fpd, spec, "linear", order)
     assert uni.substitute(images) == lin
 
@@ -1768,3 +1769,202 @@ def test_constant_term_agreement():
         lin = phi(fpd, hr, "linear", 4)
         uni = phi(fpd, hr, "universal", 4)
         assert lin.constant_term() == uni.constant_term()
+
+
+# ---------------------------------------------------------------------------
+# cf_0 refuted at a generic direction, and the degree rule of _quotients
+# ---------------------------------------------------------------------------
+
+# cancels in degree 0 (1/u^2 - 1/u^2) but not in degree 1
+DEGREE_ONE = FixedPointData(2, 1, [FixedPoint("x", 1, [(1,), (1,)]),
+                                   FixedPoint("y", -1, [(-1,), (-1,)])])
+# the bounding datum of the CI pins: 1/u^2 + 1/u^2 does not cancel
+BOUNDING = DEGREE_ONE.flip_one(1)
+# n = 0: the sign sum is the genus, not a pole
+TWO_POINTS = FixedPointData(0, 1, [FixedPoint("x", 1, []),
+                                   FixedPoint("y", 1, [])])
+
+# the raw export of every builtin pair (the point included), s6, flag3,
+# cp1 and the three above
+REFUTATION_DATA = {
+    **{name: _uncertified(signs_and_weights(pair))
+       for name, pair in CERTIFIED_PAIRS.items()},
+    "s6": dataset("s6"), "flag3": dataset("flag3"), "cp1": dataset("cp1"),
+    "degree one": DEGREE_ONE, "bounding": BOUNDING, "two points": TWO_POINTS,
+}
+
+
+def _ref_phi(fpd, genus, mode, order):
+    """phi as the torus pass alone decides it, with no refutation."""
+    try:
+        linear = localized_sum(fpd, genus, "linear", order).normalize()
+    except NormalizeError as exc:
+        l = fpd.n + exc.net_degree
+        raise ConnerFloydViolation(
+            l, "fixed point data violates the Conner-Floyd relations: "
+               "non-cancelling terms at cf_%d" % l) from exc
+    if mode == "linear" or not fpd.k:
+        return linear
+    m = genus.at_order(max(order, 1)).logarithm.truncate(order)
+    return linear.substitute([m.in_slot(fpd.k, i) for i in range(fpd.k)])
+
+
+def _ref_genus_value(fpd, genus):
+    return cf_series(fpd, genus, 0).genus_value()
+
+
+def _outcome(call, *args):
+    """The value as text, or the exception's type, l and text."""
+    try:
+        return str(call(*args))
+    except Exception as exc:  # a mutant may raise anything
+        return type(exc), getattr(exc, "l", None), str(exc)
+
+
+def _refutation_outcomes(fpd, genus, order):
+    got = [_outcome(phi, fpd, genus, mode, order)
+           for mode in ("linear", "universal")]
+    want = [_outcome(_ref_phi, fpd, genus, "linear", order)]
+    # a violation is the same in both modes
+    want.append(want[0] if isinstance(want[0], tuple) else
+                _outcome(_ref_phi, fpd, genus, "universal", order))
+    if not order:
+        got.append(_outcome(genus_value, fpd, genus))
+        want.append(_outcome(_ref_genus_value, fpd, genus))
+    return got, want
+
+
+# every input, but of CP^5 one eps (each CP^5 costs about 0.5 s here)
+@pytest.mark.parametrize("name", sorted(
+    name for name, fpd in REFUTATION_DATA.items()
+    if fpd.n < 5 or name == "cp5:eps=-----"))
+def test_every_flip_is_refuted_as_the_torus_decides_it(name):
+    fpd = REFUTATION_DATA[name]
+    genus = _catalog_genus("todd", fpd.n)
+    for data in [fpd] + [fpd.flip_one(i) for i in range(len(fpd))]:
+        got, want = _refutation_outcomes(data, genus, 0)
+        assert got == want, [p.sign for p in data.points]
+
+
+@st.composite
+def refutation_data(draw):
+    """An input above with one sign flipped or every sign drawn, or random
+    data with small weights."""
+    if draw(st.booleans()):
+        return draw(fixed_point_data())
+    fpd = REFUTATION_DATA[draw(st.sampled_from(sorted(REFUTATION_DATA)))]
+    if draw(st.booleans()):
+        return fpd.flip_one(draw(st.integers(0, len(fpd) - 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(fpd),
+                          max_size=len(fpd)))
+    return FixedPointData(fpd.n, fpd.k, [
+        FixedPoint(p.label, s, p.weights) for p, s in zip(fpd.points, signs)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(fpd=refutation_data(), genus_name=st.sampled_from(CATALOG_NAMES),
+       order=st.integers(0, 2))
+@example(fpd=DEGREE_ONE, genus_name="todd", order=0)
+@example(fpd=BOUNDING, genus_name="hurewicz", order=1)
+@example(fpd=TWO_POINTS, genus_name="todd", order=0)
+@example(fpd=dataset("flag3").flip_one(2), genus_name="t2", order=0)
+def test_refuted_data_raise_what_the_torus_pass_raises(fpd, genus_name,
+                                                       order):
+    genus = _catalog_genus(genus_name, max(fpd.n, order))
+    got, want = _refutation_outcomes(fpd, genus, order)
+    assert got == want
+
+
+def test_a_refutation_runs_no_localized_sum(monkeypatch):
+    genus = catalog("todd", 2)
+    monkeypatch.setattr(localize, "localized_sum", _refuse)
+    for fpd in (BOUNDING, dataset("s6").flip_one(0),
+                _uncertified(signs_and_weights(simplex_pair(3, (-1,) * 3)))
+                .flip_one(2)):
+        assert localize._refutes_cf0(fpd)
+        for mode in ("linear", "universal"):
+            with pytest.raises(ConnerFloydViolation,
+                               match="^fixed point data violates the "
+                                     "Conner-Floyd relations: non-cancelling"
+                                     " terms at cf_0$") as exc:
+                phi(fpd, genus, mode, 2)
+            assert exc.value.l == 0
+        with pytest.raises(ConnerFloydViolation,
+                           match=r"^Conner-Floyd relation cf_0 = 0 is "
+                                 r"violated$") as exc:
+            genus_value(fpd, genus)
+        assert exc.value.l == 0
+
+
+def test_an_inconclusive_or_exempt_datum_reaches_the_torus():
+    todd = catalog("todd", 2)
+    # cancels at nu: the torus finds cf_1
+    assert not localize._refutes_cf0(DEGREE_ONE)
+    with pytest.raises(ConnerFloydViolation, match="at cf_1$") as exc:
+        phi(DEGREE_ONE, todd, "linear", 0)
+    assert exc.value.l == 1
+    assert [e.value_str() for e in cf_series(DEGREE_ONE, todd, 0)] == [
+        "0", "(-2*z*u1) / [(u1)^2]", "0"]
+    # n = 0: a non-zero sign sum is the genus
+    assert not localize._refutes_cf0(TWO_POINTS)
+    assert str(genus_value(TWO_POINTS, todd)) == "2"
+    assert str(phi(TWO_POINTS, todd, "universal", 1)) == "2"
+    # certified data are never refuted, and for n >= 1 their sum at nu is 0
+    for name, pair in CERTIFIED_PAIRS.items():
+        fpd = signs_and_weights(pair)
+        assert not localize._refutes_cf0(fpd)
+        q = sum(t for t, _c in localize._at_direction(fpd)[1])
+        assert q == (0 if fpd.n else 1), name
+
+
+def _ref_quotients(ls):
+    """``LocalizedSum._quotients`` dividing every component by D."""
+    total, D = ls.over_common_denominator()
+    degD = sum(D.values())
+    by_degree = {}
+    for e, p in total.terms.items():
+        by_degree.setdefault(sum(e), {})[e] = p
+    for d in sorted(by_degree):
+        comp = MultiSeries(ls.ring, ls.k, total.order, by_degree[d])
+        quotient = comp
+        try:
+            for form, mult in sorted(D.items()):
+                for _ in range(mult):
+                    quotient = quotient.divide_linear(form)
+        except NotDivisibleError:
+            quotient = None
+        yield d - degD, comp, quotient
+
+
+def _triples(quotients):
+    return [(net, comp.order, comp.terms,
+             None if q is None else (q.order, q.terms))
+            for net, comp, q in quotients]
+
+
+@settings(max_examples=150, deadline=None)
+# the universal sums of random data carry geometric tails that cost seconds
+@given(case=st.one_of(
+    st.tuples(fixed_point_data(), st.just("linear")),
+    st.tuples(builtin_data(), st.sampled_from(("linear", "universal")))),
+    genus_name=st.sampled_from(sorted(ORACLE_GENERA)),
+    order=st.integers(0, 2))
+@example(case=(DEGREE_ONE, "linear"), genus_name="todd", order=1)
+@example(case=(BOUNDING, "universal"), genus_name="hurewicz", order=0)
+def test_the_degree_rule_yields_what_division_yields(case, genus_name, order):
+    fpd, mode = case
+    ls = localized_sum(fpd, ORACLE_GENERA[genus_name], mode, order)
+    assert _triples(ls._quotients()) == _triples(_ref_quotients(ls))
+
+
+def test_no_component_below_deg_d_is_divided(monkeypatch):
+    ls = localized_sum(BOUNDING, catalog("todd", 2), "linear", 1)
+    dividends = []
+    divide_linear = MultiSeries.divide_linear
+    monkeypatch.setattr(MultiSeries, "divide_linear", lambda s, w: (
+        dividends.append(s), divide_linear(s, w))[1])
+    quotients = list(ls._quotients())
+    assert [(net, q is None) for net, _c, q in quotients][0] == (-2, True)
+    assert dividends  # the components of degree >= deg D are divided
+    for net, comp, _q in quotients:
+        assert (net >= 0) == any(s is comp for s in dividends), net
