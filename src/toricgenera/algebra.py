@@ -41,8 +41,9 @@ its genus-free partition sums before any coefficient ring enters.
 Both classes serialize through one canonical form: ``_sorted_terms`` orders
 a term dict of exponent tuples by weighted degree (generator degrees for a
 ``Poly``, 1 per u-variable for a series), then by descending exponents,
-and ``_render`` writes rows of (u-exponent, coefficient ``Poly``) as text;
-a ``Poly`` is the single row ``((), self)``.
+and ``_render`` writes rows of (u-exponent, coefficient ``Poly``) as text,
+naming each packed generator exponent once per call; a ``Poly`` is the
+single row ``((), self)``.
 
 Results are built with ``Poly._trusted`` and ``MultiSeries._trusted``,
 which skip the re-validation of ``__init__``.  They may only be given
@@ -300,15 +301,27 @@ def _factors(names, e):
 
 def _render(ring, rows):
     """The one renderer: rows of (u-exponent, coefficient Poly) as a sum of
-    terms, each its sign, coefficient, generator factors, then u-factors."""
+    terms, each its sign, coefficient, generator factors, then u-factors.
+    A row's terms come in ``_sorted_terms``' order; each packed generator
+    exponent is unpacked, keyed and named once per call."""
     names = [g.name for g in ring]
+    weights = [g.degree for g in ring]
+    named = {}  # packed exponent -> (sort key, generator factors)
     out = []
     for u, p in rows:
         ufactors = _factors(["u%d" % (i + 1) for i in range(len(u))], u)
-        for e, c in p.sorted_terms():
+        terms = []
+        for g, c in p.terms.items():
+            if g not in named:
+                e = _unpack(len(names), g)
+                named[g] = ((-sum(map(operator.mul, e, weights)), e),
+                            _factors(names, e))
+            terms.append((named[g], c))
+        terms.sort(reverse=True, key=lambda t: t[0][0])
+        for (_key, factors), c in terms:
             num, den = c.numerator, c.denominator
             q = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
-            body = "*".join(_factors(names, e) + ufactors)
+            body = "*".join(factors + ufactors)
             if not body:
                 body = q
             elif q != "1":

@@ -10,7 +10,10 @@ rows and keeps per order on the genus.  The linear sum builds its
 genus-free partition sums Z_lam from int power rows (a shift for a
 coordinate form u_i) and divides them by the common denominator over the
 integers before the genus enters; only data that fail the universal
-relations leave the division to the genus's Fractions.
+relations leave the division to the genus's Fractions.  Forms of one
+shape, their non-zero entries ((1, -1) for every e_i - e_j), read their
+power rows off one composition, placed on each form's support, and each
+point carries its scalar sign L / content from its first state on.
 A divided sum is one series over no forms, and ``cf_series`` splits it
 by degree into its entries.
 Certified data at order 0 skip the denominator: each point's power sums
@@ -134,11 +137,15 @@ def _linear_total(fpd, genus, order):
     from ``GenusSpec._a_plus_rows`` (no series boxed): a weight s f takes
     each state, an int polynomial in u per partition mu of the degrees used
     so far, times s^t (f . u)^t into mu + {t}.  u-exponents are packed as
-    the base-B digits of one int, so (u_i)^t is the shift t B^i; only a
-    form that is not a coordinate runs ``compose_at_linear``.  When every
-    Z_lam divides by D over the integers, the ring step runs on the
-    quotients and returns (S / D, {}).  Certified data at order 0 skip D:
-    their sums come from ``_evaluated_sums``, unless it finds a pole."""
+    the base-B digits of one int, so (u_i)^t is the shift t B^i; a form
+    that is not a coordinate takes the rows of its shape, its non-zero
+    entries, from one ``compose_at_linear`` per shape, placed on its
+    support.  A point's states start at sign L / content, and its last
+    step, the missing forms' product or its last weight when that product
+    is 1, writes into Z.  When every Z_lam divides by D over the integers,
+    the ring step runs on the quotients and returns (S / D, {}).  Certified
+    data at order 0 skip D: their sums come from ``_evaluated_sums``,
+    unless it finds a pole."""
     k, n = fpd.k, fpd.n
     top = order + n
     den_a, coeff = genus._a_plus_rows(top)  # a_t = coeff[t] / den_a
@@ -160,9 +167,10 @@ def _linear_total(fpd, genus, order):
         return sum(x * d for x, d in zip(e, digits))
 
     # (f, s) -> [(t, (s f . u)^t)]: a coordinate form u_i shifts the
-    # exponent; any other f reads its rows off sum_(t in T) x^t at f . u,
-    # whose coefficients are ints, as f is
-    ones, powers = None, {}
+    # exponent; any other f places the rows of its shape g, its non-zero
+    # entries, on its support: sum_(t in T) x^t at g . v, whose
+    # coefficients are ints, as g is, read once per shape
+    ones, shapes, powers = None, {}, {}
     for _sign, prims, scales, _content in points:
         for f, s in zip(prims, scales):
             if (f, 1) not in powers:
@@ -170,25 +178,38 @@ def _linear_total(fpd, genus, order):
                     unit = digits[f.index(1)]
                     powers[f, 1] = [(t, [(t * unit, 1)]) for t in T]
                 else:
-                    if ones is None:
-                        ones = MultiSeries(QQ, 1, T[-1], {(t,): 1 for t in T})
-                    table = {t: [] for t in T}
-                    for e, p in ones.compose_at_linear(f, k).terms.items():
-                        table[sum(e)].append((pack(e), p.terms[0].numerator))
-                    powers[f, 1] = list(table.items())
+                    g = tuple(filter(None, f))
+                    if g not in shapes:
+                        if ones is None:
+                            ones = MultiSeries(QQ, 1, T[-1],
+                                               {(t,): 1 for t in T})
+                        table = {t: [] for t in T}
+                        composed = ones.compose_at_linear(g, len(g))
+                        for e, p in composed.terms.items():
+                            table[sum(e)].append((e, p.terms[0].numerator))
+                        shapes[g] = list(table.items())
+                    place = [d for d, x in zip(digits, f) if x]
+                    powers[f, 1] = [
+                        (t, [(sum(map(mul, e, place)), c) for e, c in rows])
+                        for t, rows in shapes[g]]
             if (f, s) not in powers:
                 powers[f, s] = [(t, [(e, c * s ** t) for e, c in rows])
                                 for t, rows in powers[f, 1]]
     L = lcm(*(content for *_rest, content in points))
     Z = {}  # partition -> {packed u-exponent: int}, over L
     for sign, prims, scales, content in points:
-        # the last step, into Z: sign L / content times the missing forms
-        missing = _expand_forms(k, D - Counter(prims))
-        steps = [powers[w] for w in zip(prims, scales)] + [[(0, [
-            (pack(e), c * sign * L // content) for e, c in missing.items()])]]
-        states = {(): {0: 1}}
-        for step in steps:
-            grown = Z if step is steps[-1] else {}
+        # from sign L / content through the weights, then times the
+        # missing forms, unless their product is 1; the last step, found
+        # by its place (a repeated weight repeats its step), writes into Z
+        missing = D - Counter(prims)
+        steps = [powers[w] for w in zip(prims, scales)]
+        if missing or not steps:
+            steps.append([(0, [(pack(e), c) for e, c in
+                               _expand_forms(k, missing).items()])])
+        states = {(): {0: sign * L // content}}
+        last = len(steps) - 1
+        for i, step in enumerate(steps):
+            grown = Z if i == last else {}
             for mu, poly in states.items():
                 for t, rows in step:
                     if t + sum(mu) > top:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricgenera.algebra import (
@@ -1573,11 +1573,26 @@ def _ref_series_json(s):
 _RENDER_RINGS = st.sampled_from([QQ, ZRING, BRING, _KRING])
 
 
+@st.composite
+def _render_pair(draw):
+    ring, k = draw(_RENDER_RINGS), draw(st.integers(0, 3))
+    return draw(_polys(ring)), draw(_series(ring, k))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_render_matches_the_per_class_renderers(data):
-    ring, k = data.draw(_RENDER_RINGS), data.draw(st.integers(0, 3))
-    p, s = data.draw(_polys(ring)), data.draw(_series(ring, k))
+@given(_render_pair())
+# u-rows over the Krichever ring that share generator exponents, a^2 and
+# p2 of equal weight among them, so one call names each exponent once
+@example((Poly(_KRING, {(2, 1, 0, 0): 1, (0, 0, 1, 0): -2}),
+          MultiSeries(_KRING, 3, 2, {
+              (0, 0, 0): Poly(_KRING, {(1, 0, 0, 0): F(1, 2),
+                                       (0, 1, 0, 0): -3}),
+              (1, 0, 0): Poly(_KRING, {(0, 1, 0, 0): F(-1, 3),
+                                       (1, 0, 0, 0): 2, (0, 0, 0, 1): 1}),
+              (0, 1, 1): Poly(_KRING, {(2, 0, 0, 0): 5, (0, 1, 0, 0): -1,
+                                       (1, 0, 0, 0): -1})})))
+def test_render_matches_the_per_class_renderers(pair):
+    p, s = pair
     assert str(p) == _ref_str(p)
     assert p.to_json_obj() == _ref_poly_json(p)
     assert str(s) == _ref_str(s)

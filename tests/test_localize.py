@@ -310,6 +310,13 @@ MORE_GENERA = {
 @given(fpd=fixed_point_data(),
        genus_name=st.sampled_from(sorted(MORE_GENERA)),
        order=st.integers(0, 4))
+# one shape, (1, -1), on the three supports of k = 3
+@example(fpd=dataset("flag3"), genus_name="krichever", order=2)
+# the shape (2, -1) on the supports {1, 3} and {2, 3}, one scaled by -2
+@example(fpd=FixedPointData(2, 3, [
+    FixedPoint("x", 1, [(2, 0, -1), (0, 2, -1)]),
+    FixedPoint("y", -1, [(0, -4, 2), (1, 0, 0)])]),
+    genus_name="elliptic", order=3)
 def test_linear_total_matches_the_chain_for_sparse_and_trivial_units(
         fpd, genus_name, order):
     _assert_matches_the_chain(fpd, MORE_GENERA[genus_name], order)
@@ -323,6 +330,11 @@ LINEAR_EDGE_CASES = {
     "repeated form": FixedPointData(2, 2, [
         FixedPoint("x", 1, [(1, 1), (2, 2)]),
         FixedPoint("y", -1, [(1, -1), (-1, -1)])]),
+    # every point holds every form of D, one weight twice: no point takes
+    # the missing step, and its repeated step is not the last
+    "repeated weight, nothing missing": FixedPointData(2, 2, [
+        FixedPoint("x", 1, [(1, 1), (1, 1)]),
+        FixedPoint("y", -1, [(-1, -1), (-1, -1)])]),
     "negative contents": FixedPointData(2, 2, [
         FixedPoint("x", -1, [(-2, 0), (0, -3)]),
         FixedPoint("y", 1, [(2, 4), (-3, 0)])]),
@@ -342,6 +354,9 @@ def test_linear_total_edge_cases(name, genus_name, order):
         assert D == {} and S == MultiSeries.constant(genus.ring, 2, order, 1)
     if name == "repeated form":
         assert D == {(1, 1): 2, (1, -1): 1}
+    if name == "repeated weight, nothing missing":
+        # 1/[w]^2 - 1/[-w]^2 vanishes for an odd genus
+        assert D == ({} if genus_name == "signature" else {(1, 1): 2})
 
 
 # raw data that fails the universal Conner-Floyd relations (cf_2 under
@@ -426,6 +441,13 @@ MUTANTS = {
     "shift on the first variable": (localize._linear_total,
                                     "digits[f.index(1)]", "digits[0]"),
     "scale sign not normalized": (localize._point_forms, "s = -s", "pass"),
+    "shape placed on the leading variables": (
+        localize._linear_total, "[d for d, x in zip(digits, f) if x]",
+        "digits[:len(g)]"),
+    "point scalar dropped from the first state": (
+        localize._linear_total, "{0: sign * L // content}", "{0: 1}"),
+    "missing step skipped for every point": (
+        localize._linear_total, "if missing or not steps:", "if not steps:"),
 }
 # (packed polynomial, packed forms, base, quotient): u1 by 2 u1 + u2 has
 # none, (2 u1 + u2)(u1 - u2) by both forms is 1
@@ -455,7 +477,9 @@ def _mutant_catches(function, old, new):
               "hurewicz", 0),
              (POLE_BELOW_N_MINUS_1, "todd", 0),
              (LINEAR_DATA["cp2:eps=+-/flip1"], "hurewicz", 1),
-             (TODD_ONLY, "hurewicz", 1)]
+             (TODD_ONLY, "hurewicz", 1),
+             # one shape, (1, -1), on supports past the leading variables
+             (dataset("flag3"), "todd", 1)]
     caught = 0
     for fpd, genus_name, order in cases:
         genus = ORACLE_GENERA[genus_name]
