@@ -25,8 +25,10 @@ product per u-exponent in one kernel, ``_product``, which ``*``,
 ``_revert_rows`` (the reverse series, by an int power table) and
 ``_integrate_rows`` each take and return rows over their least common
 denominator, with no Fraction between steps; ``invert_unit``,
-``_recurrence``, ``revert`` and ``integrate`` box them, and the genus
-catalog chains them and boxes once.
+``_recurrence``, ``revert`` and ``integrate`` box them.  The genus
+catalog chains them and keeps the rows: a genus boxes its exponential
+only when it is asked for, and its logarithm and a_+ from their own
+rows (see ``fgl``).
 ``MultiSeries.compose_at_linear`` writes each term c_d (w . u)^d straight
 into its u-monomials, and ``MultiSeries.substitute`` runs one such pass
 per variable over int power tables of the images.

@@ -7,14 +7,16 @@ examples (Todd, signature, c_n, Abel, two-parameter Todd, elliptic) together
 with the Krichever genus x exp(E), E built from Weierstrass functions by
 integer recurrences for the Taylor and Laurent coefficients of p.
 
-The builders of signature, t2, elliptic and Krichever write their series
-as integer rows (see ``algebra``), chain the row kernels of inversion,
-product, the degree recurrence, integration and reversion on them, and
-box the exponential once.  A monomial is its packed generator exponent
-throughout, the key of the rows and of ``Poly.terms`` alike, so the
-Weierstrass recurrences add the packed exponents of a, p2, p3 and g2.  A
-genus keeps the int rows of its unit a_+ per order, which the linear
-localized sum reads and ``a_plus`` boxes.
+Every catalog builder returns its exponential as ``_flatten``'s integer
+rows (see ``algebra``), the builders of signature, t2, elliptic and
+Krichever by chaining the row kernels of inversion, product, the degree
+recurrence, integration and reversion.  A monomial is its packed
+generator exponent throughout, the key of the rows and of ``Poly.terms``
+alike, so the Weierstrass recurrences add the packed exponents of a, p2,
+p3 and g2.  A genus keeps its builder's rows: its unit a_+ is inverted
+straight from them, per order, for the linear localized sum, and its
+logarithm is reverted from them; the exponential series is boxed from
+them on first use only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from toricgenera.algebra import (
+    _FIELD,
     _add_product,
     _assemble,
     _boxed,
@@ -53,44 +56,64 @@ class BsfglShapeError(ArithmeticError):
 
 
 class GenusSpec:
-    """A genus: name, coefficient ring and exponential series.
+    """A genus: name, coefficient ring and the int rows of its exponential.
 
-    The exponential is a univariate series exact to ``order``; the
-    logarithm (exact to ``order``) is its reverse series, cached, and
-    ``a_plus`` (exact to ``order - 1``) the unit 1/b_+, boxed from the
-    cached rows of ``_a_plus_rows``.  ``at_order(m)`` is the same genus
-    exact to m and no further, over the same ring.
+    A genus keeps ``_flatten``'s (den, rows) of its exponential b(x),
+    exact to the declared ``order``, with the builder M -> (den, rows)
+    that extends it.  ``exponential`` is boxed from the rows on first
+    use; the logarithm (exact to ``order``) is ``_revert_rows`` of the
+    rows, boxed once, and ``a_plus`` (exact to ``order - 1``) the unit
+    1/b_+, boxed from the cached rows of ``_a_plus_rows``.
+    ``at_order(m)`` is the same genus exact to m and no further, over the
+    same ring.
+
+    ``GenusSpec(name, exponential, builder)`` checks a series b(x) = x +
+    ..., flattens it once and keeps it as the boxed exponential; its
+    ``builder``, M -> series exact to M, is checked and flattened the
+    same way on every rebuild.
     """
 
     def __init__(self, name, exponential, builder=None):
-        if exponential.k != 1:
-            raise ValueError("exponential must be univariate")
-        if not exponential.constant_term().is_zero():
-            raise ValueError("exponential must have zero constant term")
-        if exponential.coefficient((1,)).constant_value() != 1:
-            raise ValueError("exponential must start with x")
-        self.name = name
-        self.ring = exponential.ring
+        self._store(name, exponential.ring, exponential.order,
+                    _checked_rows(exponential),
+                    builder and (lambda M: _checked_rows(builder(M))))
         self.exponential = exponential
+
+    @classmethod
+    def _of_rows(cls, name, ring, order, builder, rows=None):
+        """The genus exact to ``order`` of the row builder, from ``rows``
+        or, if None, from ``builder(order)``; nothing is checked."""
+        self = object.__new__(cls)
+        self._store(name, ring, order,
+                    builder(order) if rows is None else rows, builder)
+        return self
+
+    def _store(self, name, ring, order, rows, builder):
+        self.name = name
+        self.ring = ring
+        self.order = order
+        self._den, self._rows = rows
         self._builder = builder
         self._logarithm = None
         self._a_plus = {}  # top -> the rows of _a_plus_rows
         self._at_order = {}
 
-    @property
-    def order(self):
-        return self.exponential.order
+    @functools.cached_property
+    def exponential(self):
+        return _boxed(self.ring, 1, self.order, self._den, self._rows)
 
     @property
     def logarithm(self):
         if self._logarithm is None:
-            self._logarithm = self.exponential.revert()
+            self._logarithm = _boxed(self.ring, 1, self.order, *_revert_rows(
+                self._den, self._rows, self.order))
         return self._logarithm
 
     def at_order(self, order):
-        """The genus exact to ``order`` >= 1: this one, its truncation, or
-        a rebuild by the builder when ``order`` exceeds this one's.  Each
-        order is derived once, so its logarithm and a_+ are cached too."""
+        """The genus exact to ``order`` >= 1: this one, its rows truncated,
+        or a rebuild by the builder when ``order`` exceeds this one's.
+        Each order is derived once, so its logarithm and a_+ are cached
+        too."""
         if order < 1:
             raise ValueError("a genus is exact to order >= 1, not %d" % order)
         if order > self.order and self._builder is None:
@@ -99,10 +122,11 @@ class GenusSpec:
         if order == self.order:
             return self
         if order not in self._at_order:
-            exponential = self.exponential.truncate(order) \
-                if order < self.order else self._builder(order)
-            self._at_order[order] = GenusSpec(self.name, exponential,
-                                              self._builder)
+            rows = _lowest_terms(self._den, [
+                row for row in self._rows if row[1] <= order]) \
+                if order < self.order else None
+            self._at_order[order] = GenusSpec._of_rows(
+                self.name, self.ring, order, self._builder, rows)
         return self._at_order[order]
 
     def b_plus(self):
@@ -112,15 +136,15 @@ class GenusSpec:
     def _a_plus_rows(self, top):
         """(den, {t: [(packed generator exponent, int)]}), a_t = rows[t] /
         den for t <= top with a_t != 0: a_+ = x / b(x) by ``_invert_rows``
-        on the exponential's rows shifted down one degree, derived once
-        per top.  The genus is rebuilt by ``at_order`` only when its
-        exponential is exact to less than top + 1.  Callers only read the
+        on the stored rows of degree <= top + 1 shifted down one degree,
+        derived once per top.  The genus is rebuilt by ``at_order`` only
+        when it is exact to less than top + 1.  Callers only read the
         result."""
         if top not in self._a_plus:
             spec = self if self.order > top else self.at_order(top + 1)
-            den, rows = _flatten(spec.exponential.terms, top + 1)
-            den, rows = _invert_rows(
-                den, [((d - 1,), d - 1, p) for _e, d, p in rows], top)
+            den, rows = _invert_rows(spec._den, [
+                ((d - 1,), d - 1, p) for _e, d, p in spec._rows
+                if d <= top + 1], top)
             self._a_plus[top] = den, {d: p for _e, d, p in rows}
         return self._a_plus[top]
 
@@ -137,6 +161,17 @@ class GenusSpec:
 
     def __repr__(self):
         return "GenusSpec(%r, order=%d)" % (self.name, self.order)
+
+
+def _checked_rows(exponential):
+    """``_flatten``'s (den, rows) of a series b(x) = x + ..., checked."""
+    if exponential.k != 1:
+        raise ValueError("exponential must be univariate")
+    if not exponential.constant_term().is_zero():
+        raise ValueError("exponential must have zero constant term")
+    if exponential.coefficient((1,)).constant_value() != 1:
+        raise ValueError("exponential must start with x")
+    return _flatten(exponential.terms, exponential.order)
 
 
 def fgl_from_exponential(spec, order=None):
@@ -190,45 +225,63 @@ def projective_space_value(spec, n):
 
 
 # ---------------------------------------------------------------------------
-# the catalog: one builder M -> exponential exact to M per genus
+# the catalog: one builder M -> the rows of the exponential exact to M per
+# genus
 # ---------------------------------------------------------------------------
 
 def _augmentation(M):
-    return MultiSeries.variable(QQ, 1, M, 0)
+    return 1, [((1,), 1, [(0, 1)])]
+
+
+def _hurewicz_ring(generators):
+    return make_ring(*[("b%d" % j, 2 * j) for j in range(1, generators + 1)])
 
 
 def _hurewicz(generators, M):
-    ring = make_ring(*[("b%d" % j, 2 * j) for j in range(1, generators + 1)])
-    terms = {(1,): Poly.constant(ring, 1)}
-    for j in range(1, generators + 1):  # degrees above M are dropped
-        terms[(j + 1,)] = Poly.gen(ring, "b%d" % j)
-    return MultiSeries(ring, 1, M, terms)
+    """x + sum_j b_j x^(j+1), degrees above M dropped; the packed
+    exponent of b_j is 1 in its field, j - 1 (``_FIELD``)."""
+    return 1, [((1,), 1, [(0, 1)])] + [
+        ((j + 1,), j + 1, [(1 << _FIELD * (j - 1), 1)])
+        for j in range(1, min(generators, M - 1) + 1)]
+
+
+def _univariate_rows(den, acc):
+    """``_flatten``'s (L, rows) of the univariate series acc / den, for an
+    int product {u-exponent: {packed generator exponent: int}}."""
+    return _lowest_terms(den, [
+        (e, e[0], nz) for e, p in sorted(acc.items())
+        if (nz := [(g, c) for g, c in p.items() if c])])
 
 
 _Z_RING = make_ring(("z", 2))
 _V_RING = make_ring(("v", 2))
 _YZ_RING = make_ring(("y", 2), ("z", 2))
 _ELLIPTIC_RING = make_ring(("delta", 4), ("eps", 8))
+_DELTA, _EPS = _pack((1, 0)), _pack((0, 1))
 
 
 def _todd(M):
-    return MultiSeries(_Z_RING, 1, M, {
-        (j + 1,): Poly(_Z_RING, {(j,): Fraction(1, factorial(j + 1))})
-        for j in range(M)})
+    """(e^(zx) - 1) / z = sum_j z^j x^(j+1) / (j+1)!, over M!.  Over one
+    generator the packed exponent of z^j is j."""
+    top = factorial(M)
+    return top, [((j + 1,), j + 1, [(j, top // factorial(j + 1))])
+                 for j in range(M)]
 
 
 def _cn(M):
-    return MultiSeries(_V_RING, 1, M, {
-        (j + 1,): Poly(_V_RING, {(j,): (-1) ** j}) for j in range(M)})
+    """sum_j (-v)^j x^(j+1), over 1."""
+    return 1, [((j + 1,), j + 1, [(j, (-1) ** j)]) for j in range(M)]
 
 
 def _complete_homogeneous(j, c, shift=0):
     """The rows entry [(packed exponent, c)] of c * h_j(y, z) * (y z)^shift,
-    h_j(y, z) = sum_{i=0..j} y^i z^(j-i)."""
-    return [(_pack((i + shift, j - i + shift)), c) for i in range(j + 1)]
+    h_j(y, z) = sum_{i=0..j} y^i z^(j-i); y^a z^b packs as a + b * 2^64
+    (``_FIELD``)."""
+    return [(i + shift + ((j - i + shift) << _FIELD), c)
+            for i in range(j + 1)]
 
 
-def _abel_rows(M):
+def _abel(M):
     """(M!, rows) of the abel exponential sum_j h_j(y, z) x^(j+1) / (j+1)!."""
     top = factorial(M)
     return top, [((j + 1,), j + 1,
@@ -236,45 +289,39 @@ def _abel_rows(M):
                  for j in range(M)]
 
 
-def _abel(M):
-    return _boxed(_YZ_RING, 1, M, *_abel_rows(M))
-
-
 def _t2(M):
     """(e^{yx} - e^{zx}) / (y e^{zx} - z e^{yx}), with the factor y - z
     cancelled exactly from numerator and denominator so that y = z is a
     legal specialization: the abel rows times the inverse rows of the
-    denominator, boxed once."""
-    top, abel = _abel_rows(M)
+    denominator."""
+    top, abel = _abel(M)
     den, inverse = _invert_rows(top, [((0,), 0, [(0, top)])] + [
         ((m,), m, _complete_homogeneous(m - 2, -(top // factorial(m)), 1))
         for m in range(2, M + 1)], M)
-    return _assemble(_YZ_RING, 1, M, _rows_product(abel, inverse, M),
-                     top * den)
+    return _univariate_rows(top * den, _rows_product(abel, inverse, M))
 
 
 def _signature(M):
     """tanh(zx) / z: the rows of z^-1 sinh(zx) times the inverse rows of
-    cosh(zx), both over M!, boxed once.  Over one generator the packed
-    exponent of z^j is j."""
+    cosh(zx), both over M!.  Over one generator the packed exponent of
+    z^j is j."""
     top = factorial(M)
     sinh = [((j,), j, [(j - 1, top // factorial(j))])
             for j in range(1, M + 1, 2)]
     den, inverse = _invert_rows(top, [
         ((j,), j, [(j, top // factorial(j))])
         for j in range(0, M + 1, 2)], M)
-    return _assemble(_Z_RING, 1, M, _rows_product(sinh, inverse, M),
-                     top * den)
+    return _univariate_rows(top * den, _rows_product(sinh, inverse, M))
 
 
 def _elliptic(M):
     """The reverse of the integral of (1 - 2 delta t^2 + eps t^4)^(-1/2):
     the degree recurrence with alpha = -1/2 to order M - 1, integrated to
-    order M and reverted, on rows, boxed once."""
-    R = [((0,), 0, [(0, 1)]), ((2,), 2, [(_pack((1, 0)), -2)]),
-         ((4,), 4, [(_pack((0, 1)), 1)])]
-    return _boxed(_ELLIPTIC_RING, 1, M, *_revert_rows(*_integrate_rows(
-        *_recurrence_rows(1, R, 1, M - 1, Fraction(1, 2), -1)), M))
+    order M and reverted, on rows."""
+    R = [((0,), 0, [(0, 1)]), ((2,), 2, [(_DELTA, -2)]),
+         ((4,), 4, [(_EPS, 1)])]
+    return _revert_rows(*_integrate_rows(*_recurrence_rows(
+        1, R, 1, M - 1, Fraction(1, 2), -1)), M)
 
 
 # -- Krichever genus --------------------------------------------------------
@@ -325,8 +372,7 @@ def _krichever(M):
     coefficients of p(x) = 1/x^2 + sum c_j x^(2j-2): c_2 = g2/20, c_3 = g3/28
     with g3 = 4 p2^3 - g2 p2 - p3^2, and c_j = 3/((2j+1)(j-3)) sum_(i=2..j-2)
     c_i c_(j-i) for j >= 4.  exp(E) is taken once on E's rows, to order
-    M - 1, by the degree recurrence, and boxed once, shifted up one
-    degree."""
+    M - 1, by the degree recurrence, and shifted up one degree."""
     top = M - 1
     parts = [(1, {_A: 1}, 1)]  # (degree, int polynomial, divisor)
     parts += [(j + 2, R_j, (-1) ** j * 2 * factorial(j + 2))
@@ -341,27 +387,26 @@ def _krichever(M):
     den, rows = _recurrence_rows(*_lowest_terms(den, [
         ((d,), d, [(g, c) for g, c in out.items() if c])
         for d, out in sorted(acc.items())]), 1, top, 1, 0)
-    return _assemble(_KRING, 1, M, {(d + 1,): dict(p) for _e, d, p in rows},
-                     den)
+    return den, [((d + 1,), d + 1, p) for _e, d, p in rows]
 
 
 def krichever_exponential(order):
     """The Krichever genus with its exponential exact to ``order``."""
-    return GenusSpec("krichever", _krichever(order), _krichever)
+    return GenusSpec._of_rows("krichever", _KRING, order, _krichever)
 
 
-# name -> builder M -> exponential exact to M; hurewicz also takes its
-# generator count first
+# name -> (ring, builder M -> ``_flatten``'s (den, rows) of the exponential
+# exact to M); hurewicz's ring and builder take its generator count first
 CATALOG = {
-    "augmentation": _augmentation,
-    "hurewicz": _hurewicz,
-    "todd": _todd,
-    "cn": _cn,
-    "abel": _abel,
-    "t2": _t2,
-    "signature": _signature,
-    "elliptic": _elliptic,
-    "krichever": _krichever,
+    "augmentation": (QQ, _augmentation),
+    "hurewicz": (_hurewicz_ring, _hurewicz),
+    "todd": (_Z_RING, _todd),
+    "cn": (_V_RING, _cn),
+    "abel": (_YZ_RING, _abel),
+    "t2": (_YZ_RING, _t2),
+    "signature": (_Z_RING, _signature),
+    "elliptic": (_ELLIPTIC_RING, _elliptic),
+    "krichever": (_KRING, _krichever),
 }
 CATALOG_NAMES = tuple(CATALOG)
 
@@ -373,16 +418,21 @@ def catalog(name, order, generators=None):
     genus builds rest on the margin of 2, which the benchmark's
     ``localize.excess_order`` probe measures.  ``generators`` selects the
     polynomial generator count of the hurewicz genus (default: order).
+    Both are checked before anything is built.
     """
     if name not in CATALOG:
         raise KeyError("unknown genus %r" % name)
+    if order < -1:
+        raise ValueError("a catalog genus is built to order >= -1, not %d"
+                         % order)
+    if name == "hurewicz" and generators is None:
+        generators = order
     if generators is not None and generators < 1:
-        raise ValueError("generators must be >= 1")
-    build = CATALOG[name]
+        raise ValueError("generators must be >= 1, not %d" % generators)
+    ring, build = CATALOG[name]
     if name == "hurewicz":
-        build = functools.partial(
-            build, order if generators is None else generators)
-    return GenusSpec(name, build(order + 2), build)
+        ring, build = ring(generators), functools.partial(build, generators)
+    return GenusSpec._of_rows(name, ring, order + 2, build)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ the sum over fixed points is an honest power series exactly when the
 Conner-Floyd relations hold, and its homogeneous pieces are the cf
 coefficients (the constant one being the non-equivariant genus).  The
 genus enters the linear sum as the int rows of its unit a_+ = x/b(x),
-which ``GenusSpec._a_plus_rows`` inverts straight off the exponential's
-rows and keeps per order on the genus.  The linear sum builds its
+which ``GenusSpec._a_plus_rows`` inverts straight off the int rows the
+genus keeps of its exponential, with no series boxed, and keeps per
+order on the genus.  The linear sum builds its
 genus-free partition sums Z_lam from int power rows (a shift for a
 coordinate form u_i) and divides them by the common denominator over the
 integers before the genus enters; only data that fail the universal
@@ -47,6 +48,7 @@ from toricgenera.algebra import (
     MultiSeries,
     NormalizeError,
     NotDivisibleError,
+    Poly,
     QQ,
     _add_product,
     _assemble,
@@ -55,7 +57,7 @@ from toricgenera.algebra import (
     _flatten,
     _product,
 )
-from toricgenera.fgl import GenusSpec, _augmentation, partitions, weight_series
+from toricgenera.fgl import catalog, partitions, weight_series
 from toricgenera.quasitoric import (
     FixedPoint,
     FixedPointData,
@@ -181,8 +183,9 @@ def _linear_total(fpd, genus, order):
                     g = tuple(filter(None, f))
                     if g not in shapes:
                         if ones is None:
-                            ones = MultiSeries(QQ, 1, T[-1],
-                                               {(t,): 1 for t in T})
+                            one = Poly._trusted(QQ, {0: Fraction(1)})
+                            ones = MultiSeries._trusted(
+                                QQ, 1, T[-1], {(t,): one for t in T})
                         table = {t: [] for t in T}
                         composed = ones.compose_at_linear(g, len(g))
                         for e, p in composed.terms.items():
@@ -700,7 +703,7 @@ def pairing_obstruction(fpd, blocks=None, search=False):
     pairings and returns the list of (pairing, report) for those that
     vanish entirely.
     """
-    augmentation = GenusSpec("augmentation", _augmentation(fpd.n + 1))
+    augmentation = catalog("augmentation", fpd.n - 1)
     if search:
         idx = list(range(len(fpd.points)))
         if len(idx) % 2:

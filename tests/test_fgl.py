@@ -4,10 +4,10 @@ from math import factorial
 
 import pytest
 
+from toricgenera import fgl
 from toricgenera.algebra import MultiSeries, Poly, QQ, _unpack
 from toricgenera.fgl import (
     _KRING,
-    _krichever,
     _weierstrass_laurent,
     _weierstrass_taylor,
     CATALOG_NAMES,
@@ -119,6 +119,37 @@ def test_catalog_refuses_fewer_than_one_generator(generators):
         catalog("hurewicz", 3, generators=generators)
     # without an explicit count the hurewicz ring has one per order
     assert catalog("hurewicz", 3).ring == catalog("hurewicz", 3, 3).ring
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_catalog_checks_the_default_generator_count(order):
+    # hurewicz defaults to one generator per order, and is refused, as an
+    # explicit count is, when that leaves none
+    with pytest.raises(ValueError,
+                       match="generators must be >= 1, not %d" % order):
+        catalog("hurewicz", order)
+    assert catalog("hurewicz", order, generators=1).order == order + 2
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("order", [-2, -3, -50])
+def test_catalog_refuses_an_order_below_minus_one_before_building(
+        name, order, monkeypatch):
+    def build(*args):
+        raise AssertionError("built %r" % (args,))
+    monkeypatch.setitem(fgl.CATALOG, name, (fgl.CATALOG[name][0], build))
+    with pytest.raises(ValueError,
+                       match="order >= -1, not %d$" % order):
+        catalog(name, order, generators=1 if name == "hurewicz" else None)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_order_minus_one_is_the_genus_exact_to_one(name):
+    spec = catalog(name, -1, generators=1 if name == "hurewicz" else None)
+    assert spec.order == 1
+    assert spec.exponential == MultiSeries.variable(spec.ring, 1, 1, 0)
+    assert spec.logarithm == spec.exponential
+    assert spec.a_plus() == MultiSeries.constant(spec.ring, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +464,7 @@ def _ref_krichever(M):
 
 @pytest.mark.parametrize("M", range(1, 15))
 def test_krichever_matches_the_chain_rule_reference(M):
-    got, ref = _krichever(M), _ref_krichever(M)
+    got, ref = krichever_exponential(M).exponential, _ref_krichever(M)
     assert got.terms == ref.terms and got.order == ref.order == M
     assert str(got) == str(ref)
     assert got.to_json() == ref.to_json()

@@ -2,6 +2,7 @@
 exponents, the row kernels against tuple-keyed copies of the loops they
 replaced, and the catalog builders against their boxed predecessors."""
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -32,11 +33,11 @@ from toricgenera.algebra import (
 from toricgenera.fgl import (
     _ELLIPTIC_RING,
     _KRING,
+    _V_RING,
     _YZ_RING,
     _Z_RING,
     _weierstrass_laurent,
     _weierstrass_taylor,
-    CATALOG,
     CATALOG_NAMES,
     GenusSpec,
     catalog,
@@ -404,29 +405,73 @@ def _ref_krichever(M):
         (d + 1,): p for (d,), p in exponent.exp().terms.items()})
 
 
-REFERENCES = {"abel": _ref_abel, "t2": _ref_t2, "signature": _ref_signature,
+def _ref_augmentation(M):
+    return MultiSeries.variable(QQ, 1, M, 0)
+
+
+def _ref_hurewicz(generators, M):
+    ring = make_ring(*[("b%d" % j, 2 * j) for j in range(1, generators + 1)])
+    terms = {(1,): Poly.constant(ring, 1)}
+    for j in range(1, generators + 1):  # degrees above M are dropped
+        terms[(j + 1,)] = Poly.gen(ring, "b%d" % j)
+    return MultiSeries(ring, 1, M, terms)
+
+
+def _ref_todd(M):
+    return MultiSeries(_Z_RING, 1, M, {
+        (j + 1,): Poly(_Z_RING, {(j,): F(1, factorial(j + 1))})
+        for j in range(M)})
+
+
+def _ref_cn(M):
+    return MultiSeries(_V_RING, 1, M, {
+        (j + 1,): Poly(_V_RING, {(j,): (-1) ** j}) for j in range(M)})
+
+
+REFERENCES = {"augmentation": _ref_augmentation, "hurewicz": _ref_hurewicz,
+              "todd": _ref_todd, "cn": _ref_cn, "abel": _ref_abel,
+              "t2": _ref_t2, "signature": _ref_signature,
               "elliptic": _ref_elliptic, "krichever": _ref_krichever}
+
+
+def _assert_same_genus(got, want, order):
+    """The same genus exact to ``order``: its stored rows, as ``_flatten``
+    gives them, its exponential, logarithm and a_+."""
+    assert got.order == want.order == order
+    assert (got.name, got.ring) == (want.name, want.ring)
+    _assert_lowest(got._den, got._rows)
+    assert got._den == want._den
+    assert [(e, d, dict(p)) for e, d, p in got._rows] == \
+        [(e, d, dict(p)) for e, d, p in want._rows]
+    _assert_same(got.exponential, want.exponential)
+    _assert_same(got.logarithm, want.logarithm)
+    _assert_same(got.a_plus(), want.a_plus())
+
+
+def test_every_catalog_genus_has_a_boxed_reference():
+    assert sorted(REFERENCES) == sorted(CATALOG_NAMES)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_builders_match_their_boxed_predecessors(name):
-    # the exponential, its order, the logarithm, a_+ and its int rows;
-    # genera without a reference are built as before, and are compared
-    # with a genus spec built from a copy of their exponential
+    # catalog(name, M - 2) against the genus spec of its boxed reference:
+    # the stored rows, the exponential, its order, the logarithm, a_+ and
+    # its int rows at every top; every truncation and a rebuild against
+    # the reference built afresh at that order
     for generators in range(1, 9) if name == "hurewicz" else (None,):
+        ref_build = REFERENCES[name]
+        if generators:
+            ref_build = functools.partial(ref_build, generators)
         for M in range(1, 13):
-            build = CATALOG[name]
-            got = build(generators, M) if generators else build(M)
-            ref = REFERENCES[name](M) if name in REFERENCES else \
-                MultiSeries(got.ring, 1, got.order, dict(got.terms))
-            _assert_same(got, ref)
-            assert got.order == M
-            spec, ref_spec = GenusSpec(name, got), GenusSpec(name, ref)
-            _assert_same(spec.logarithm, ref_spec.logarithm)
-            _assert_same(spec.a_plus(), ref_spec.a_plus())
+            spec = catalog(name, M - 2, generators=generators)
+            ref_spec = GenusSpec(name, ref_build(M), ref_build)
+            _assert_same_genus(spec, ref_spec, M)
             for top in range(M):
                 den, rows = spec._a_plus_rows(top)
                 ref_den, ref_rows = ref_spec._a_plus_rows(top)
                 assert den == ref_den
                 assert {t: dict(p) for t, p in rows.items()} == \
                     {t: dict(p) for t, p in ref_rows.items()}
+            for m in [*range(1, M), M + 2]:  # truncations and a rebuild
+                _assert_same_genus(spec.at_order(m),
+                                   GenusSpec(name, ref_build(m)), m)
