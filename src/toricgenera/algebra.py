@@ -684,6 +684,9 @@ class MultiSeries:
     @classmethod
     def linear_form(cls, ring, k, order, w):
         """The degree-one series w1*u1 + ... + wk*uk."""
+        if len(w) != k:
+            raise ValueError("linear form must have k=%d entries, not %d"
+                             % (k, len(w)))
         terms = {}
         for i, wi in enumerate(map(_frac, w)):
             if wi:
@@ -915,6 +918,9 @@ class MultiSeries:
         """
         if self.k != 1:
             raise ValueError("compose_at_linear is for univariate series")
+        if len(w) != k:
+            raise ValueError("linear form must have k=%d entries, not %d"
+                             % (k, len(w)))
         order = self.order if order is None else min(order, self.order)
         weights = [(i, q) for i, q in enumerate(map(_frac, w)) if q]
         den_w = lcm(*(q.denominator for _i, q in weights))

@@ -283,14 +283,11 @@ def _check(rigidity):
                   if job.format == "json" or not rigidity or e.l >= cf.n]
         for v in values:
             job.emit("cf_%d = %s" % (v["l"], v["value"]))
+        first = cf.first_violation(rigid=rigidity)
+        ok = first is None
         if rigidity:
-            ok = cf.rigid()
-            first = None if ok else next(
-                (e.l for e in cf if not e.is_zero() and e.l != cf.n), None)
-            job.emit("rigid" if ok else "not rigid (cf_%s != 0)" % first)
+            job.emit("rigid" if ok else "not rigid (cf_%d != 0)" % first)
         else:
-            ok = cf.conner_floyd_ok()
-            first = None if ok else cf.first_violation()
             job.emit("pass" if ok else "fail at cf_%d" % first)
         payload = {"cf": values, "pass": ok, "first_violation": first}
         if job.format == "json" and cf.conner_floyd_ok():  # text omits it

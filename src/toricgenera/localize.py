@@ -46,7 +46,6 @@ from operator import add, mul
 from toricgenera.algebra import (
     LocalizedSum,
     MultiSeries,
-    NormalizeError,
     NotDivisibleError,
     Poly,
     QQ,
@@ -427,7 +426,8 @@ def localized_sum(fpd, genus, mode, order):
     Universal mode (the slow reference for ``phi``) divides the product of
     the full [w](u) exactly by as many of its primitive forms as possible
     and expands the rest as a finite geometric tail, exact to the working
-    order.  Division failures surface later, in normalize().
+    order.  A sum that is not a power series is found where it is read:
+    ``cf_series`` reads the linear one, ``LocalizedSum.normalize`` either.
     """
     if mode not in ("linear", "universal"):
         raise ValueError("mode must be 'linear' or 'universal'")
@@ -487,26 +487,29 @@ _NON_CANCELLING = ("fixed point data violates the Conner-Floyd relations: "
 def phi(fpd, genus, mode, order):
     """The equivariant genus of the fixed point data, as a power series.
 
-    Linear mode normalizes the localized sum directly; universal mode is
-    the linear series reparametrized along the logarithm, u_i -> m(u_i),
-    which is the same substitution that linearizes every weight series.
-    Uncertified data that ``_refutes_cf0`` fail cf_0 before any sum.
+    Linear mode is the sum of the ``cf_series`` entries l >= n, raising at
+    its first violation; universal mode is the linear series reparametrized
+    along the logarithm, u_i -> m(u_i), which is the same substitution
+    that linearizes every weight series.  Uncertified data that
+    ``_refutes_cf0`` fail cf_0 before any sum.
     """
+    if mode not in ("linear", "universal"):
+        raise ValueError("mode must be 'linear' or 'universal'")
     if _refutes_cf0(fpd):
         raise ConnerFloydViolation(0, _NON_CANCELLING % 0)
-    try:
-        linear = localized_sum(fpd, genus, "linear", order).normalize()
-    except NormalizeError as exc:
-        l = fpd.n + exc.net_degree
-        raise ConnerFloydViolation(l, _NON_CANCELLING % l) from exc
+    cf = cf_series(fpd, genus, order)
+    l = cf.first_violation()
+    if l is not None:
+        raise ConnerFloydViolation(l, _NON_CANCELLING % l)
+    terms = {}
+    for e in cf.entries[fpd.n:]:
+        terms.update(e.series.terms)
+    linear = MultiSeries._trusted(genus.ring, fpd.k, order, terms)
     if mode == "linear":
         return linear
-    if mode == "universal":
-        # a genus is exact to order >= 1; the order-0 logarithm is 0
-        m = genus.at_order(max(order, 1)).logarithm.truncate(order)
-        images = [m.in_slot(fpd.k, i) for i in range(fpd.k)]
-        return linear.substitute(images) if fpd.k else linear
-    raise ValueError("mode must be 'linear' or 'universal'")
+    # a genus is exact to order >= 1; the order-0 logarithm is 0
+    m = genus.at_order(max(order, 1)).logarithm.truncate(order)
+    return linear.substitute([m.in_slot(fpd.k, i) for i in range(fpd.k)])
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +548,10 @@ class CfEntry:
 class CfSeries:
     """The coefficients cf_l, 0 <= l <= n + order, of a fixed point datum.
 
-    cf_l vanishes for l < n exactly when the data satisfies the
-    Conner-Floyd relations; cf_n is the genus and cf_{n+m} is homogeneous
-    of u-degree m.
+    The data satisfy the Conner-Floyd relations, to this order, exactly
+    when every entry is defined (the division by the common denominator is
+    exact) and cf_l = 0 for l < n; cf_n is then the genus and cf_{n+m} is
+    homogeneous of u-degree m.  Rigid adds cf_l = 0 for l > n.
     """
 
     def __init__(self, n, genus_name, entries):
@@ -561,30 +565,29 @@ class CfSeries:
     def __iter__(self):
         return iter(self.entries)
 
-    def first_violation(self):
+    def first_violation(self, rigid=False):
+        """The first l whose cf_l is undefined or is non-zero below n (off
+        l = n if ``rigid``); None if there is none."""
         for e in self.entries:
-            if not e.is_zero():
-                if e.l < self.n or not e.ok:
-                    return e.l
+            if not e.ok or (e.l != self.n if rigid else e.l < self.n) \
+                    and not e.series.is_zero():
+                return e.l
         return None
 
     def conner_floyd_ok(self):
-        return all(e.is_zero() for e in self.entries if e.l < self.n)
+        return self.first_violation() is None
 
     def rigid(self):
-        return (self.conner_floyd_ok()
-                and all(e.is_zero() for e in self.entries if e.l > self.n))
+        return self.first_violation(rigid=True) is None
 
     def genus_value(self):
         """cf_n; raises ConnerFloydViolation at the first l < n with
         cf_l != 0, or when cf_n is not a power series."""
-        bad = self.first_violation()
-        if bad is not None and bad < self.n:
-            raise ConnerFloydViolation(bad)
-        e = self.entries[self.n]
-        if not e.ok:
-            raise ConnerFloydViolation(self.n, "cf_n is not defined")
-        return e.series.constant_term()
+        bad = self.first_violation()  # = n only where cf_n is undefined
+        if bad is not None and bad <= self.n:
+            raise ConnerFloydViolation(
+                bad, "cf_n is not defined" if bad == self.n else None)
+        return self.entries[self.n].series.constant_term()
 
 
 def cf_series(fpd, genus, order):

@@ -908,6 +908,17 @@ def test_compose_at_linear_examples():
         u1.compose_at_linear((1, 1), 2)
 
 
+@pytest.mark.parametrize("w", [(1, 2, 3), (1,), ()])
+def test_linear_forms_of_the_wrong_length_are_refused(w):
+    s = 1 + var(QQ, 1, 3, 0)
+    with pytest.raises(ValueError, match="^linear form must have k=2 "
+                                         "entries, not %d$" % len(w)):
+        s.compose_at_linear(w, 2)
+    with pytest.raises(ValueError, match="^linear form must have k=2 "
+                                         "entries, not %d$" % len(w)):
+        MultiSeries.linear_form(QQ, 2, 3, w)
+
+
 _FORMS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]
 
 

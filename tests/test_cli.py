@@ -329,6 +329,47 @@ def test_corrupted_data_exit_code(tmp_path):
     assert code == EXIT_VIOLATION
 
 
+# raw data whose cf_0 and cf_1 vanish but whose cf_2 is undefined for
+# hurewicz: along u1 the residues of q_() and q_(1) cancel, that of q_(2)
+# does not
+CF2 = {"type": "fixed_points", "n": 2, "k": 2, "points": [
+    {"label": label, "sign": sign, "weights": [[1, 0], [0, w]]}
+    for label, sign, w in (("a", 1, 3), ("b", 1, 6), ("c", -1, 4),
+                           ("d", -1, 4))]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("command,verdict", [
+    ("check-cf", "fail at cf_2"), ("check-rigidity", "not rigid (cf_2 != 0)")])
+def test_an_undefined_cf_n_fails_both_checks(tmp_path, command, verdict,
+                                             order, fmt):
+    path = tmp_path / "cf2.json"
+    path.write_text(json.dumps(CF2))
+    code, lines = _run(command, input=str(path), genus="hurewicz",
+                       order=order, format=fmt)
+    assert code == EXIT_VIOLATION
+    if fmt == "text":
+        assert lines[-1] == verdict
+        assert "cf_2 = (b1^2*u2^2) / [(u2) (u1)]" in lines
+    else:
+        obj = json.loads(lines[0])
+        assert obj["pass"] is False and obj["first_violation"] == 2
+        assert "genus_value" not in obj
+
+
+def test_phi_and_genus_name_an_undefined_cf_n(tmp_path):
+    path = tmp_path / "cf2.json"
+    path.write_text(json.dumps(CF2))
+    for mode in ("linear", "universal"):
+        assert _run("phi", input=str(path), genus="hurewicz", order=1,
+                    mode=mode) == (EXIT_VIOLATION, [
+            "violation: fixed point data violates the Conner-Floyd "
+            "relations: non-cancelling terms at cf_2"])
+    assert _run("genus", input=str(path), genus="hurewicz") == (
+        EXIT_VIOLATION, ["violation: cf_n is not defined"])
+
+
 @pytest.mark.parametrize("obj,message", [
     ({"type": "fixed_points", "n": 1, "k": 1,
       "points": [{"sign": 1, "weights": [[1.7]]},

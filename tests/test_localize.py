@@ -1370,12 +1370,19 @@ def test_genus_value_raises_at_the_first_violation():
 # with a non-zero first coefficient
 HALF = FixedPointData(2, 2, [FixedPoint("a", 1, [(1, 0), (0, 1)]),
                              FixedPoint("b", 1, [(-1, 0), (0, 1)])])
+# raw data whose residues along u1 cancel in q_() and q_(1) but not in
+# q_(2): cf_0 and cf_1 vanish, and cf_2 is undefined for hurewicz
+CF2 = FixedPointData(2, 2, [FixedPoint("a", 1, [(1, 0), (0, 3)]),
+                            FixedPoint("b", 1, [(1, 0), (0, 6)]),
+                            FixedPoint("c", -1, [(1, 0), (0, 4)]),
+                            FixedPoint("d", -1, [(1, 0), (0, 4)])])
 CF_DATA = {
     "s6": dataset("s6"),
     "flag3": dataset("flag3"),
     "cp2": signs_and_weights(simplex_pair(2, (-1, -1))),
     "cp3": signs_and_weights(simplex_pair(3, (-1, -1, -1))),
     "half": HALF,
+    "cf2": CF2,
 }
 
 
@@ -1384,6 +1391,8 @@ CF_DATA = {
        st.sampled_from(["hurewicz", "todd", "signature", "t2", "elliptic",
                         "krichever"]),
        st.integers(0, 3), st.integers(-1, 5))
+@example("cf2", "hurewicz", 0, -1)
+@example("cf2", "hurewicz", 1, -1)
 def test_phi_and_cf_series_agree(name, genus_name, order, flip):
     # flip < 0 keeps the data; otherwise one fixed point changes sign
     fpd = CF_DATA[name]
@@ -1392,8 +1401,11 @@ def test_phi_and_cf_series_agree(name, genus_name, order, flip):
     genus = catalog(genus_name, order + fpd.n, generators=3)  # hurewicz only
     cf = cf_series(fpd, genus, order)
     first = cf.first_violation()
-    if flip < 0 and name != "half":
+    assert cf.conner_floyd_ok() == (first is None)
+    if flip < 0 and name not in ("half", "cf2"):
         assert first is None  # the fixed points of a manifold
+    if (name, genus_name, flip) == ("cf2", "hurewicz", -1):
+        assert first == cf.first_violation(rigid=True) == 2
     try:
         series = phi(fpd, genus, "linear", order)
     except ConnerFloydViolation as exc:
@@ -1405,6 +1417,37 @@ def test_phi_and_cf_series_agree(name, genus_name, order, flip):
         if e.l >= cf.n:
             terms.update(e.series.terms)
     assert series == MultiSeries(genus.ring, fpd.k, order, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fpd=st.one_of(fixed_point_data(), builtin_data()),
+       genus_name=st.sampled_from(sorted(ORACLE_GENERA)),
+       order=st.integers(0, 2))
+@example(fpd=CF2, genus_name="hurewicz", order=0)
+@example(fpd=CF2, genus_name="hurewicz", order=1)
+def test_every_verdict_is_the_first_violation(fpd, genus_name, order):
+    genus = ORACLE_GENERA[genus_name]
+    cf = cf_series(fpd, genus, order)
+    first = cf.first_violation()
+    assert cf.conner_floyd_ok() == (first is None)
+    assert cf.rigid() == (cf.first_violation(rigid=True) is None)
+    assert not cf.rigid() or cf.conner_floyd_ok()
+    # the reference reading of the same sum fails at the same cf_l
+    try:
+        _ref_phi(fpd, genus, "linear", order)
+    except ConnerFloydViolation as exc:
+        assert exc.l == first
+    else:
+        assert first is None
+
+
+def test_phi_refuses_an_unknown_mode_before_any_work(monkeypatch):
+    for name in ("_refutes_cf0", "cf_series", "localized_sum"):
+        monkeypatch.setattr(localize, name, _refuse)
+    for fpd in (dataset("flag3"), dataset("flag3").flip_one(0)):
+        with pytest.raises(ValueError, match="^mode must be 'linear' or "
+                                             "'universal'$"):
+            phi(fpd, catalog("hurewicz", 3), "bogus", 3)
 
 
 def test_flag3_value_matches_p_omega_alternating_sum():

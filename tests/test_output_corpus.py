@@ -6,7 +6,9 @@ catalog orders -1..6.  The localization half hashes, at orders 0-2 and for
 every catalog genus, the ``cf_series`` entry strings, ``genus_value`` and
 ``phi`` in both modes, or the text of the exception each raises, on CP^1-CP^4
 with every eps, the 20 squares with delta in {-1, 0, 1}, the bundled data
-s6, flag3 and cp1, and the flip of point 0 of each.
+s6, flag3 and cp1, and the flip of point 0 of each.  The verdicts half
+hashes, per group of the localization half, ``conner_floyd_ok()``,
+``rigid()`` and ``first_violation()`` of the same ``cf_series`` call.
 
 A change that moves one output byte fails here and names the group.
 ``python tests/test_output_corpus.py`` rewrites the corpus file; do that
@@ -79,29 +81,42 @@ def genus_group(name, generators, order):
 
 
 def localization_group(fpd, name, order):
-    """The outputs of one (input, genus, order) group; the genus is built,
-    as the CLI builds it, to catalog order ``max(order, 1) + n - 1``, so
-    universal ``phi`` on data of dimension 3 and 4 rebuilds it."""
+    """(outputs, verdicts), the md5s of one (input, genus, order) group;
+    the genus is built, as the CLI builds it, to catalog order
+    ``max(order, 1) + n - 1``, so universal ``phi`` on data of dimension
+    3 and 4 rebuilds it.  Both read one ``cf_series`` call."""
     genus = catalog(name, max(order, 1) + fpd.n - 1)
+    cf = _outcome(lambda: cf_series(fpd, genus, order))
+    if isinstance(cf, str):
+        cf_text = verdicts = cf
+    else:
+        cf_text = "\n".join(e.value_str() for e in cf)
+        verdicts = "%s %s %s" % (cf.conner_floyd_ok(), cf.rigid(),
+                                 cf.first_violation())
     return _md5([
-        _outcome(lambda: "\n".join(
-            e.value_str() for e in cf_series(fpd, genus, order))),
+        cf_text,
         _outcome(lambda: str(genus_value(fpd, genus))),
         _outcome(lambda: str(phi(fpd, genus, "linear", order))),
         _outcome(lambda: str(phi(fpd, genus, "universal", order))),
-    ])
+    ]), _md5([verdicts])
 
 
 def compute():
-    """The whole corpus: {"genus": {...}, "localization": {...}}."""
+    """The whole corpus: {"genus": {...}, "localization": {...},
+    "verdicts": {...}}."""
+    groups = {label: {name: [localization_group(fpd, name, order)
+                             for order in ORDERS] for name in CATALOG_NAMES}
+              for label, fpd in INPUTS.items()}
     return {
         "genus": {group: [genus_group(name, generators, order)
                           for order in GENUS_ORDERS]
                   for group, name, generators in _genera()},
-        "localization": {
-            label: {name: [localization_group(fpd, name, order)
-                           for order in ORDERS] for name in CATALOG_NAMES}
-            for label, fpd in INPUTS.items()},
+        "localization": {label: {name: [o for o, _v in md5s]
+                                 for name, md5s in per_genus.items()}
+                         for label, per_genus in groups.items()},
+        "verdicts": {label: {name: [v for _o, v in md5s]
+                             for name, md5s in per_genus.items()}
+                     for label, per_genus in groups.items()},
     }
 
 
@@ -127,28 +142,31 @@ def test_genus_outputs_match_the_corpus(group):
 def test_localization_outputs_match_the_corpus(label):
     fpd = INPUTS[label]
     want = EXPECTED["localization"][label]
-    assert sorted(want) == sorted(CATALOG_NAMES)
+    verdicts = EXPECTED["verdicts"][label]
+    assert sorted(want) == sorted(verdicts) == sorted(CATALOG_NAMES)
     for name in CATALOG_NAMES:
         for order in ORDERS:
-            assert localization_group(fpd, name, order) == \
-                want[name][order], "%s, genus %s, order %d" % (
-                    label, name, order)
+            where = "%s, genus %s, order %d" % (label, name, order)
+            outputs, verdict = localization_group(fpd, name, order)
+            assert outputs == want[name][order], where
+            assert verdict == verdicts[name][order], "verdicts of " + where
 
 
 def test_the_corpus_covers_every_group():
     assert sorted(EXPECTED["genus"]) == sorted(g for g, _n, _c in _genera())
-    assert sorted(EXPECTED["localization"]) == sorted(INPUTS)
+    for half in ("localization", "verdicts"):
+        assert sorted(EXPECTED[half]) == sorted(INPUTS)
+        assert sum(len(orders) for per_genus in EXPECTED[half].values()
+                   for orders in per_genus.values()) == 2862
     assert len(INPUTS) == 106
-    assert sum(len(orders) for per_genus in EXPECTED["localization"].values()
-               for orders in per_genus.values()) == 2862
 
 
 def write(path=CORPUS):
     """Write the corpus, one line per group of the genus half and per
-    input of the localization half."""
+    input of the localization and verdicts halves."""
     corpus = compute()
     lines = []
-    for half in ("genus", "localization"):
+    for half in ("genus", "localization", "verdicts"):
         lines.append('"%s": {\n%s\n}' % (half, ",\n".join(
             "%s: %s" % (json.dumps(key), json.dumps(value, sort_keys=True))
             for key, value in sorted(corpus[half].items()))))
